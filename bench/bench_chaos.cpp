@@ -30,13 +30,6 @@
 // area), the exactly-once KV audit, and the chaos invariant checker. Any
 // invariant violation fails the process — this is the CI gate.
 //
-// A separate mode drives the serial-vs-parallel determinism smoke:
-// `--sim-threads N` runs one firmware-level chaos scenario (reliable ring on
-// the 16-host Figure-2 fabric) on the conservative parallel engine with N
-// worker threads — or on the serial oracle for N=0 — and writes the chaos
-// event log, wire totals and metrics JSON to --log. CI runs it at N=0 and
-// N=4 and byte-compares the two files (see .github/workflows/ci.yml).
-//
 // Two state-corruption modes ride along (docs/CHAOS.md "State corruption"):
 // `--corrupt-smoke` runs one fixed-seed convergence cell per corruption
 // class and emits a byte-comparable artifact (verify.sh double-runs and
@@ -46,8 +39,8 @@
 //
 //   ./build/bench/bench_chaos [--quick] [--json <file>]
 //                             [--metrics-json <file>] [--log <file>]
-//                             [--jobs <N>] [--sim-threads <N>]
-//                             [--corrupt-smoke] [--soak <seed>]
+//                             [--jobs <N>] [--corrupt-smoke]
+//                             [--soak <seed>]
 //                             [--soak-cases <N>]
 #include <algorithm>
 #include <cstdint>
@@ -56,7 +49,6 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,7 +60,6 @@
 #include "firmware/reliability.hpp"
 #include "harness/cluster.hpp"
 #include "sim/rng.hpp"
-#include "harness/parallel_cluster.hpp"
 #include "harness/table.hpp"
 #include "kv/audit.hpp"
 #include "kv/rig.hpp"
@@ -470,129 +461,6 @@ bool write_log(const char* path, const std::vector<CellResult>& rows) {
 }
 
 // ---------------------------------------------------------------------------
-// --sim-threads determinism smoke: one firmware-level chaos cell, serial or
-// parallel, emitting a byte-comparable artifact.
-
-/// Pod-major ring successor map (hosts sorted by pod, each sends to the
-/// next): keeps most traffic partition-local while still crossing every pod
-/// seam, so the parallel run exercises both the local path and the channels.
-std::vector<std::size_t> smoke_ring(const std::vector<std::uint32_t>& pods) {
-  std::vector<std::size_t> order(pods.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return pods[a] < pods[b];
-                   });
-  std::vector<std::size_t> next(pods.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    next[order[i]] = order[(i + 1) % order.size()];
-  }
-  return next;
-}
-
-/// Self-clocked sender: each accepted submission chains the next, keeping
-/// the workload causally host-local (the shape the conservative engine can
-/// parallelize without extra synchronization).
-template <class Rig>
-struct SmokePump {
-  Rig& rig;
-  std::vector<std::size_t> next;
-  std::vector<int> remaining;
-
-  SmokePump(Rig& r, const std::vector<std::uint32_t>& pods, int msgs)
-      : rig(r), next(smoke_ring(pods)), remaining(pods.size(), msgs) {}
-
-  void send_next(std::size_t i) {
-    if (remaining[i] <= 0) return;
-    --remaining[i];
-    std::vector<std::uint8_t> payload(256,
-                                      static_cast<std::uint8_t>(0x40 + i));
-    rig.send(i, next[i], std::move(payload), {},
-             [this, i] { send_next(i); });
-  }
-};
-
-harness::ClusterConfig smoke_config() {
-  harness::ClusterConfig cc;
-  cc.num_hosts = 16;
-  cc.topo = harness::TopoKind::kFigure2;
-  cc.fw = harness::FirmwareKind::kReliable;
-  cc.mapper = harness::MapperKind::kOnDemand;
-  cc.fabric.seed = 2002;
-  return cc;
-}
-
-/// Error ramp + trunk death/recovery + jittered flap: exercises the
-/// per-(link,direction) fault RNG streams, disruptive fault actions, and the
-/// campaign RNG, all of which must land identically serial vs parallel.
-const char* smoke_scenario() {
-  return
-      "scenario sim-threads-smoke\n"
-      "seed 11\n"
-      "at 400us error_ramp loss=0.002 corrupt=0.001 steps=3 over=600us\n"
-      "at 700us link_down link=2\n"
-      "at 1500us link_up link=2\n"
-      "at 1800us flap link=5 count=3 period=120us duty=0.5 jitter=0.25\n";
-}
-
-std::string smoke_stats_text(const net::FabricStats& s) {
-  std::string out = "injected=" + std::to_string(s.injected) +
-                    " delivered=" + std::to_string(s.delivered) +
-                    " delivered_corrupt=" + std::to_string(s.delivered_corrupt) +
-                    " corruptions=" + std::to_string(s.corruptions_injected) +
-                    " drop_link=" + std::to_string(s.dropped_link_down) +
-                    " drop_random=" + std::to_string(s.dropped_random) +
-                    " drop_path_reset=" + std::to_string(s.dropped_path_reset);
-  return out;
-}
-
-/// Runs the smoke cell and returns the full byte-comparable artifact:
-/// chaos event log + wire totals + merged metrics JSON. threads==0 runs the
-/// serial oracle; otherwise the parallel engine with 4 partitions and the
-/// given worker count. The artifact deliberately omits anything
-/// engine-dependent (wall time, thread ids) so serial and parallel runs of
-/// a correct build are byte-identical.
-std::string run_sim_threads_smoke(unsigned threads) {
-  constexpr sim::Time kHorizon = 3'000'000;  // 3 ms simulated
-  constexpr int kMsgs = 30;
-  const harness::ClusterConfig cc = smoke_config();
-
-  std::string stats;
-  std::string metrics;
-  std::string chaos_log;
-  if (threads == 0) {
-    harness::Cluster c(cc);
-    chaos::ChaosEngine eng(c.sched, c.fabric(),
-                           chaos::Scenario::parse(smoke_scenario()));
-    eng.arm();
-    SmokePump<harness::Cluster> pump(c, c.host_pods, kMsgs);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      c.sched.at(1000 + i, [&pump, i] { pump.send_next(i); });
-    }
-    c.sched.run_until(kHorizon);
-    stats = smoke_stats_text(c.fabric().stats());
-    metrics = obs::Registry::of(c.sched).to_json();
-    chaos_log = eng.log_text();
-  } else {
-    harness::ParallelCluster pc(
-        harness::ParallelClusterConfig{cc, /*partitions=*/4, threads});
-    chaos::ChaosEngine eng(pc.engine->control(), pc.injector(),
-                           chaos::Scenario::parse(smoke_scenario()));
-    eng.arm();
-    SmokePump<harness::ParallelCluster> pump(pc, pc.host_pods, kMsgs);
-    for (std::size_t i = 0; i < pc.size(); ++i) {
-      pc.sched_of(i).at(1000 + i, [&pump, i] { pump.send_next(i); });
-    }
-    pc.engine->run_until(kHorizon);
-    stats = smoke_stats_text(pc.fabric_stats());
-    metrics = pc.merged_metrics_json();
-    chaos_log = eng.log_text();
-  }
-  return "=== sim-threads determinism smoke: fig2-16 ring + chaos ===\n" +
-         chaos_log + "stats: " + stats + "\nmetrics: " + metrics + "\n";
-}
-
-// ---------------------------------------------------------------------------
 // State-corruption convergence cell, shared by --corrupt-smoke (fixed seed,
 // all six classes, byte-comparable artifact) and --soak (randomized cases
 // derived from a master seed; the nightly workflow's needle-mover). Mirrors
@@ -976,30 +844,6 @@ int run_soak(std::uint64_t master_seed, std::uint64_t cases,
   return failures == 0 ? 0 : 1;
 }
 
-int run_sim_threads_mode(unsigned threads, const char* log_path) {
-  std::printf(
-      "sim-threads determinism smoke: fig2-16 reliable ring, chaos scenario, "
-      "%s\n",
-      threads == 0 ? "serial oracle"
-                   : ("parallel engine (4 partitions, " +
-                      std::to_string(threads) + " threads)")
-                         .c_str());
-  const std::string artifact = run_sim_threads_smoke(threads);
-  if (log_path != nullptr) {
-    std::FILE* f = std::fopen(log_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", log_path);
-      return 1;
-    }
-    std::fwrite(artifact.data(), 1, artifact.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s (%zu bytes)\n", log_path, artifact.size());
-  } else {
-    std::fwrite(artifact.data(), 1, artifact.size(), stdout);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1011,7 +855,6 @@ int main(int argc, char** argv) {
   std::uint64_t soak_seed = 0;
   std::uint64_t soak_cases = 30;
   unsigned jobs = 1;
-  int sim_threads = -1;  // <0: campaign mode; >=0: determinism smoke
   const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* log_path = nullptr;
@@ -1035,22 +878,16 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--log") == 0 && i + 1 < argc) {
       log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      sim_threads = std::atoi(argv[++i]);
     } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--scale] [--compare] [--json <file>] "
                    "[--metrics-json <file>] [--log <file>] [--jobs <N>] "
-                   "[--sim-threads <N>] [--corrupt-smoke] "
-                   "[--soak <seed>] [--soak-cases <N>]\n",
+                   "[--corrupt-smoke] [--soak <seed>] [--soak-cases <N>]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  if (sim_threads >= 0) {
-    return run_sim_threads_mode(static_cast<unsigned>(sim_threads), log_path);
-  }
   if (corrupt_smoke) return run_corrupt_smoke(log_path, metrics_path);
   if (soak) return run_soak(soak_seed, soak_cases, log_path);
 

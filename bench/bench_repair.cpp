@@ -23,31 +23,20 @@
 //     cell's goodput stays within 10% of the unthrottled cell at the same
 //     load — the goodput dip is bounded by the throttle.
 //
-// A separate `--sim-threads N` mode mirrors bench_chaos's determinism smoke
-// on the clos-16 fabric with a permanent host kill: N=0 runs the serial
-// oracle, N>0 the conservative parallel engine; CI byte-compares the two
-// artifacts. (The KV rigs themselves are serial-only; the smoke covers the
-// firmware layers repair traffic rides on.)
-//
 //   ./build/bench/bench_repair [--quick] [--json <file>]
 //                              [--metrics-json <file>] [--log <file>]
-//                              [--jobs <N>] [--sim-threads <N>]
+//                              [--jobs <N>]
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <string_view>
 #include <vector>
 
-#include "chaos/engine.hpp"
-#include "chaos/scenario.hpp"
 #include "harness/cluster.hpp"
-#include "harness/parallel_cluster.hpp"
 #include "harness/table.hpp"
 #include "kv/audit.hpp"
 #include "kv/rig.hpp"
@@ -482,147 +471,11 @@ bool write_log(const char* path, const std::vector<RepairCellResult>& rows) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// --sim-threads determinism smoke: clos-16 reliable ring + a permanent host
-// kill, serial oracle vs conservative parallel engine (see bench_chaos for
-// the fig2-16 twin). CI runs N=0 and N=4 and byte-compares the artifacts.
-
-std::vector<std::size_t> smoke_ring(const std::vector<std::uint32_t>& pods) {
-  std::vector<std::size_t> order(pods.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return pods[a] < pods[b];
-                   });
-  std::vector<std::size_t> next(pods.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    next[order[i]] = order[(i + 1) % order.size()];
-  }
-  return next;
-}
-
-template <class Rig>
-struct SmokePump {
-  Rig& rig;
-  std::vector<std::size_t> next;
-  std::vector<int> remaining;
-  std::size_t skip;  // the killed host stops chaining
-
-  SmokePump(Rig& r, const std::vector<std::uint32_t>& pods, int msgs,
-            std::size_t victim)
-      : rig(r), next(smoke_ring(pods)), remaining(pods.size(), msgs),
-        skip(victim) {}
-
-  void send_next(std::size_t i) {
-    if (remaining[i] <= 0 || i == skip || next[i] == skip) return;
-    --remaining[i];
-    std::vector<std::uint8_t> payload(256,
-                                      static_cast<std::uint8_t>(0x40 + i));
-    rig.send(i, next[i], std::move(payload), {},
-             [this, i] { send_next(i); });
-  }
-};
-
-harness::ClusterConfig smoke_config() {
-  harness::ClusterConfig cc;
-  cc.num_hosts = 16;
-  cc.topo = harness::TopoKind::kClos;
-  cc.clos.k = 4;
-  cc.fw = harness::FirmwareKind::kReliable;
-  cc.mapper = harness::MapperKind::kOnDemand;
-  cc.fabric.seed = 3003;
-  return cc;
-}
-
-const char* smoke_scenario() {
-  return
-      "scenario repair-sim-threads-smoke\n"
-      "seed 23\n"
-      "at 400us error_ramp loss=0.002 corrupt=0.001 steps=3 over=600us\n"
-      "at 700us partition hosts=5\n";
-}
-
-std::string smoke_stats_text(const net::FabricStats& s) {
-  return "injected=" + std::to_string(s.injected) +
-         " delivered=" + std::to_string(s.delivered) +
-         " delivered_corrupt=" + std::to_string(s.delivered_corrupt) +
-         " corruptions=" + std::to_string(s.corruptions_injected) +
-         " drop_link=" + std::to_string(s.dropped_link_down) +
-         " drop_random=" + std::to_string(s.dropped_random) +
-         " drop_path_reset=" + std::to_string(s.dropped_path_reset);
-}
-
-std::string run_sim_threads_smoke(unsigned threads) {
-  constexpr sim::Time kHorizon = 3'000'000;  // 3 ms simulated
-  constexpr int kMsgs = 30;
-  constexpr std::size_t kVictim = 5;
-  const harness::ClusterConfig cc = smoke_config();
-
-  std::string stats;
-  std::string metrics;
-  std::string chaos_log;
-  if (threads == 0) {
-    harness::Cluster c(cc);
-    chaos::ChaosEngine eng(c.sched, c.fabric(),
-                           chaos::Scenario::parse(smoke_scenario()));
-    eng.arm();
-    SmokePump<harness::Cluster> pump(c, c.host_pods, kMsgs, kVictim);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      c.sched.at(1000 + i, [&pump, i] { pump.send_next(i); });
-    }
-    c.sched.run_until(kHorizon);
-    stats = smoke_stats_text(c.fabric().stats());
-    metrics = obs::Registry::of(c.sched).to_json();
-    chaos_log = eng.log_text();
-  } else {
-    harness::ParallelCluster pc(
-        harness::ParallelClusterConfig{cc, /*partitions=*/4, threads});
-    chaos::ChaosEngine eng(pc.engine->control(), pc.injector(),
-                           chaos::Scenario::parse(smoke_scenario()));
-    eng.arm();
-    SmokePump<harness::ParallelCluster> pump(pc, pc.host_pods, kMsgs, kVictim);
-    for (std::size_t i = 0; i < pc.size(); ++i) {
-      pc.sched_of(i).at(1000 + i, [&pump, i] { pump.send_next(i); });
-    }
-    pc.engine->run_until(kHorizon);
-    stats = smoke_stats_text(pc.fabric_stats());
-    metrics = pc.merged_metrics_json();
-    chaos_log = eng.log_text();
-  }
-  return "=== sim-threads determinism smoke: clos-16 ring + host kill ===\n" +
-         chaos_log + "stats: " + stats + "\nmetrics: " + metrics + "\n";
-}
-
-int run_sim_threads_mode(unsigned threads, const char* log_path) {
-  std::printf(
-      "sim-threads determinism smoke: clos-16 reliable ring + host kill, "
-      "%s\n",
-      threads == 0 ? "serial oracle"
-                   : ("parallel engine (4 partitions, " +
-                      std::to_string(threads) + " threads)")
-                         .c_str());
-  const std::string artifact = run_sim_threads_smoke(threads);
-  if (log_path != nullptr) {
-    std::FILE* f = std::fopen(log_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", log_path);
-      return 1;
-    }
-    std::fwrite(artifact.data(), 1, artifact.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s (%zu bytes)\n", log_path, artifact.size());
-  } else {
-    std::fwrite(artifact.data(), 1, artifact.size(), stdout);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   unsigned jobs = 1;
-  int sim_threads = -1;
   const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* log_path = nullptr;
@@ -635,21 +488,14 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--log") == 0 && i + 1 < argc) {
       log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      sim_threads = std::atoi(argv[++i]);
     } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--json <file>] "
-                   "[--metrics-json <file>] [--log <file>] [--jobs <N>] "
-                   "[--sim-threads <N>]\n",
+                   "[--metrics-json <file>] [--log <file>] [--jobs <N>]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (sim_threads >= 0) {
-    return run_sim_threads_mode(static_cast<unsigned>(sim_threads), log_path);
-  }
-
   // The throttle sweep. 20 kB/s stretches the drain to hundreds of
   // milliseconds — comfortably past the detection bound, so the mid-repair
   // read battery provably lands in the degraded window; 2 MB/s is two

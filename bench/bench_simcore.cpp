@@ -10,29 +10,20 @@
 //  * end-to-end — simulated packets/sec for a 4-node reliable-firmware
 //                 cluster streaming 4 KB messages ring-wise under §5.1.3
 //                 error injection (drop_interval=1000), the workload shape of
-//                 the Fig 5-8 and KV sweeps;
-//  * parallel   — the conservative PDES engine (sim/parallel_scheduler) on a
-//                 clos-256 reliable-firmware ring, swept over worker thread
-//                 counts {1, 2, 4, 8} at a fixed 8-way pod partitioning. The
-//                 speedup curve (wall_t1 / wall_tN) and a cross-thread wire
-//                 determinism check land in the JSON alongside the serial
-//                 numbers. `--sim-threads N` restricts the sweep to {1, N}.
+//                 the Fig 5-8 and KV sweeps.
 //
 // Numbers land in BENCH_simcore.json (override with --json <file>); the
 // committed floor bench/golden/simcore_floor.json is the regression gate for
 // `scripts/verify.sh --perf-smoke` (see docs/PERFORMANCE.md).
 //
-//   ./build/bench/bench_simcore [--quick] [--json <file>] [--sim-threads N]
-#include <algorithm>
+//   ./build/bench/bench_simcore [--quick] [--json <file>]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "harness/parallel_cluster.hpp"
 #include "net/crc.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -228,105 +219,18 @@ E2eResult bench_e2e(int msgs_per_host) {
   return r;
 }
 
-// --- parallel PDES sweep ----------------------------------------------------
-// A clos-256 reliable-firmware ring (pod-major, self-clocked) run to a fixed
-// simulated horizon on the conservative parallel engine. The partition count
-// is pinned at 8 — the determinism key — while the worker thread count
-// sweeps, so every run must produce identical wire totals; the bench fails
-// if any thread count disagrees.
-struct ParResult {
-  double wall_ms = 0;
-  std::uint64_t events = 0;
-  std::uint64_t wire_injected = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t messages = 0;  // cross-partition channel handoffs
-};
-
-ParResult bench_parallel(std::uint32_t threads, int msgs_per_host,
-                         sim::Time horizon) {
-  harness::ClusterConfig cc;
-  cc.topo = harness::TopoKind::kClos;
-  cc.clos = *net::clos_named_shape("clos-256");
-  cc.num_hosts = cc.clos.num_hosts;
-  cc.fw = harness::FirmwareKind::kReliable;
-  cc.nic.send_buffers = 32;
-  // The ring only exercises successor pairs; a full 256x255 route preload
-  // is minutes of BFS that the timed region never touches. Seed exactly the
-  // forward (data) and reverse (ack) routes instead.
-  cc.preload_routes = false;
-  harness::ParallelCluster pc(
-      harness::ParallelClusterConfig{cc, /*partitions=*/8, threads});
-
-  const std::size_t n = pc.size();
-  // Pod-major ring: sort hosts by (pod, index); successors mostly share a
-  // partition, the pod seams cross it.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return pc.host_pods[a] < pc.host_pods[b];
-  });
-  std::vector<std::size_t> next(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    next[order[i]] = order[(i + 1) % n];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (auto r = pc.topo.shortest_route(pc.hosts[i], pc.hosts[next[i]])) {
-      pc.rel(i).routes().set(pc.hosts[next[i]], *r);
-    }
-    if (auto r = pc.topo.shortest_route(pc.hosts[next[i]], pc.hosts[i])) {
-      pc.rel(next[i]).routes().set(pc.hosts[i], *r);
-    }
-  }
-
-  struct Pump {
-    harness::ParallelCluster& pc;
-    std::vector<std::size_t>& next;
-    std::vector<int> sent;
-    int limit;
-    void pump(std::size_t i) {
-      if (sent[i] >= limit) return;
-      ++sent[i];
-      pc.send(i, next[i],
-              std::vector<std::uint8_t>(1024, static_cast<std::uint8_t>(i)),
-              net::UserHeader{}, [this, i] { pump(i); });
-    }
-  } pump{pc, next, std::vector<int>(n, 0), msgs_per_host};
-
-  for (std::size_t i = 0; i < n; ++i) {
-    pc.sched_of(i).at(1 + i, [&pump, i] { pump.pump(i); });
-  }
-
-  const double t0 = now_sec();
-  pc.engine->run_until(horizon);
-  const double dt = now_sec() - t0;
-
-  ParResult r;
-  r.wall_ms = dt * 1e3;
-  r.events = pc.engine->stats().events_executed;
-  r.wire_injected = pc.fabric_stats().injected;
-  r.windows = pc.engine->stats().windows;
-  r.messages = pc.engine->stats().messages;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
   const char* json_path = "BENCH_simcore.json";
-  unsigned long sim_threads = 0;  // 0 = full {1,2,4,8} sweep
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      sim_threads = std::strtoul(argv[++i], nullptr, 10);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json <file>] [--sim-threads N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick] [--json <file>]\n", argv[0]);
       return 2;
     }
   }
@@ -366,51 +270,6 @@ int main(int argc, char** argv) {
       e2e.sim_pkts_per_sec, static_cast<unsigned long long>(e2e.wire_tx),
       e2e.wall_ms);
 
-  // Parallel PDES sweep. Fixed sim horizon => every thread count simulates
-  // the same work; speedup is pure wall-clock ratio.
-  const int par_msgs = quick ? 20 : 60;
-  const sim::Time par_horizon = sim::milliseconds(quick ? 3 : 8);
-  std::vector<unsigned> sweep = {1, 2, 4, 8};
-  if (sim_threads > 1) {
-    sweep = {1, static_cast<unsigned>(sim_threads)};
-  } else if (sim_threads == 1) {
-    sweep = {1};
-  }
-  std::printf("\nparallel clos-256 ring (8 partitions, %d msgs/host, %llu ms "
-              "sim):\n",
-              par_msgs,
-              static_cast<unsigned long long>(par_horizon / 1'000'000));
-  std::vector<ParResult> par(sweep.size());
-  bool par_deterministic = true;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    par[i] = bench_parallel(sweep[i], par_msgs, par_horizon);
-    std::printf(
-        "  threads=%u: %8.1f ms wall, %9llu events (%11.0f ev/s), "
-        "%llu wire tx, %llu windows, %llu channel msgs\n",
-        sweep[i], par[i].wall_ms,
-        static_cast<unsigned long long>(par[i].events),
-        par[i].wall_ms > 0 ? static_cast<double>(par[i].events) /
-                                 (par[i].wall_ms / 1e3)
-                           : 0.0,
-        static_cast<unsigned long long>(par[i].wire_injected),
-        static_cast<unsigned long long>(par[i].windows),
-        static_cast<unsigned long long>(par[i].messages));
-    if (par[i].wire_injected != par[0].wire_injected ||
-        par[i].events != par[0].events) {
-      par_deterministic = false;
-    }
-  }
-  if (!par_deterministic) {
-    std::fprintf(stderr,
-                 "PARALLEL DETERMINISM FAILED: wire/event totals differ "
-                 "across thread counts (partitions fixed at 8)\n");
-    return 1;
-  }
-  for (std::size_t i = 1; i < sweep.size(); ++i) {
-    std::printf("  speedup t%u/t1: %.2fx\n", sweep[i],
-                par[i].wall_ms > 0 ? par[0].wall_ms / par[i].wall_ms : 0.0);
-  }
-
   std::FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path);
@@ -426,33 +285,12 @@ int main(int argc, char** argv) {
                "  \"crc_64k_mbps\": %.1f,\n"
                "  \"e2e_sim_pkts_per_sec\": %.0f,\n"
                "  \"e2e_wire_tx\": %llu,\n"
-               "  \"e2e_wall_ms\": %.1f,\n"
-               "  \"par_partitions\": 8,\n"
-               "  \"par_events\": %llu,\n"
-               "  \"par_wire_tx\": %llu,\n"
-               "  \"par_channel_msgs\": %llu,\n"
-               "  \"par_windows\": %llu",
+               "  \"e2e_wall_ms\": %.1f\n"
+               "}\n",
                quick ? "true" : "false", churn_eps, cancel_eps, sched_eps,
                crc4k, crc64k,
                e2e.sim_pkts_per_sec,
-               static_cast<unsigned long long>(e2e.wire_tx), e2e.wall_ms,
-               static_cast<unsigned long long>(par[0].events),
-               static_cast<unsigned long long>(par[0].wire_injected),
-               static_cast<unsigned long long>(par[0].messages),
-               static_cast<unsigned long long>(par[0].windows));
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f, ",\n  \"par_wall_ms_t%u\": %.1f", sweep[i],
-                 par[i].wall_ms);
-    std::fprintf(f, ",\n  \"par_events_per_sec_t%u\": %.0f", sweep[i],
-                 par[i].wall_ms > 0 ? static_cast<double>(par[i].events) /
-                                          (par[i].wall_ms / 1e3)
-                                    : 0.0);
-    if (i > 0) {
-      std::fprintf(f, ",\n  \"par_speedup_t%u\": %.3f", sweep[i],
-                   par[i].wall_ms > 0 ? par[0].wall_ms / par[i].wall_ms : 0.0);
-    }
-  }
-  std::fprintf(f, "\n}\n");
+               static_cast<unsigned long long>(e2e.wire_tx), e2e.wall_ms);
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path);
   return 0;

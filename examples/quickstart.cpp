@@ -5,9 +5,10 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "harness/cluster.hpp"
-#include "harness/trace.hpp"
+#include "obs/metrics.hpp"
 #include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
 
@@ -59,7 +60,10 @@ int main() {
 
   vmmc::Endpoint alice(c.sched, c.nic(0));
   vmmc::Endpoint bob(c.sched, c.nic(1));
-  harness::PacketTrace trace(c.fabric(), c.sched, /*capacity=*/12);
+  // The packet-lifecycle trace ring every layer emits into (obs/trace.hpp),
+  // the firmware's injected drops and go-back-N retransmissions included.
+  obs::TraceRing& trace = obs::Registry::of(c.sched).trace();
+  trace.enable();
 
   bool done = false;
   run_demo(c, alice, bob, done);
@@ -76,7 +80,17 @@ int main() {
       static_cast<unsigned long long>(s.retrans_rounds));
   std::printf("transparent recovery: the application never noticed.\n");
 
-  std::printf("\nlast wire events (PacketTrace):\n");
-  trace.dump(stdout);
+  std::printf("\nrecovery timeline (obs::TraceRing, %llu events recorded):\n",
+              static_cast<unsigned long long>(trace.recorded()));
+  for (const obs::TraceEvent& e : trace.snapshot()) {
+    if (e.kind != obs::TraceKind::kInjectedDrop &&
+        e.kind != obs::TraceKind::kRetransmit &&
+        e.kind != obs::TraceKind::kDeliver) {
+      continue;
+    }
+    std::printf("%12.3f us  %-13s %u->%u seq=%u gen=%u\n", sim::to_micros(e.t),
+                std::string(obs::trace_kind_name(e.kind)).c_str(), e.src, e.dst,
+                e.seq, e.gen);
+  }
   return 0;
 }

@@ -18,10 +18,10 @@ std::string num_str(double v) {
 
 }  // namespace
 
-ChaosEngine::ChaosEngine(sim::Scheduler& sched, net::FaultInjector& injector,
+ChaosEngine::ChaosEngine(sim::Scheduler& sched, net::Fabric& fabric,
                          Scenario scenario)
     : sched_(sched),
-      fabric_(injector),
+      fabric_(fabric),
       scenario_(std::move(scenario)),
       rng_(scenario_.seed) {
   ops_applied_ = &obs::Registry::of(sched).counter(

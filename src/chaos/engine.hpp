@@ -37,13 +37,9 @@ class StateCorruptor;
 
 class ChaosEngine {
  public:
-  /// `sched` is where actions are scheduled and `injector` is what they act
-  /// on. Serial harnesses pass the Fabric itself; the parallel harness
-  /// passes the ParallelScheduler's control queue plus a fan-out injector,
-  /// so fault mutations of the shared topology land only at global sync
-  /// points (see harness/parallel_cluster.hpp).
-  ChaosEngine(sim::Scheduler& sched, net::FaultInjector& injector,
-              Scenario scenario);
+  /// `sched` is where actions are scheduled and `fabric` is what they act
+  /// on, through its fault surface (net::Fabric::fail_link and friends).
+  ChaosEngine(sim::Scheduler& sched, net::Fabric& fabric, Scenario scenario);
 
   /// Hook for nic_reset events: called with the host index. The harness
   /// binds this to firmware::ReliableFirmware::nic_reset for that host; the
@@ -84,7 +80,7 @@ class ChaosEngine {
   void note(std::string action);
 
   sim::Scheduler& sched_;
-  net::FaultInjector& fabric_;
+  net::Fabric& fabric_;
   Scenario scenario_;
   sim::Rng rng_;
   std::function<void(std::uint32_t)> nic_reset_fn_;

@@ -67,77 +67,6 @@ struct HostMsg {
   net::HostId src;
 };
 
-/// Topology plus the id/pod bookkeeping every rig needs. Shared by Cluster
-/// (serial) and ParallelCluster (partitioned), so both engines always run
-/// the exact same wiring for a given config — a precondition for the
-/// serial-vs-parallel equivalence battery.
-struct BuiltTopology {
-  net::Topology topo;
-  std::vector<net::HostId> hosts;
-  std::vector<net::SwitchId> switches;
-  std::vector<std::uint32_t> host_pods;
-  std::size_t num_pods = 1;
-};
-
-inline BuiltTopology build_cluster_topology(const ClusterConfig& cfg) {
-  BuiltTopology b;
-  if (cfg.topo == TopoKind::kSingleSwitch) {
-    auto sw = b.topo.add_switch(static_cast<std::uint8_t>(
-        std::min<std::size_t>(cfg.num_hosts + 2, 250)));
-    b.switches.push_back(sw);
-    for (std::size_t i = 0; i < cfg.num_hosts; ++i) {
-      auto h = b.topo.add_host();
-      b.topo.connect({net::Device::host(h), 0},
-                     {net::Device::sw(sw), static_cast<std::uint8_t>(i)});
-      b.hosts.push_back(h);
-    }
-    b.host_pods.assign(b.hosts.size(), 0);
-    b.num_pods = 1;
-  } else if (cfg.topo == TopoKind::kClos) {
-    auto clos = cfg.clos;
-    clos.num_hosts = cfg.num_hosts;
-    auto f = net::make_clos_fabric(clos);
-    b.topo = std::move(f.topo);
-    b.hosts = std::move(f.hosts);
-    // Creation order (switches[i].v == i): cores, then per pod the aggs
-    // followed by the edges.
-    b.switches = std::move(f.cores);
-    const std::size_t m = f.cfg.k / 2;
-    for (std::size_t pod = 0; pod < f.cfg.k; ++pod) {
-      for (std::size_t j = 0; j < m; ++j) {
-        b.switches.push_back(f.aggs[pod * m + j]);
-      }
-      for (std::size_t e = 0; e < m; ++e) {
-        b.switches.push_back(f.edges[pod * m + e]);
-      }
-    }
-    // Host i hangs off edge (i mod num_edges); edges are pod-major, m per
-    // pod — so pods stripe across consecutive host ids.
-    const std::size_t num_edges = f.edges.size();
-    for (std::size_t i = 0; i < b.hosts.size(); ++i) {
-      b.host_pods.push_back(static_cast<std::uint32_t>((i % num_edges) / m));
-    }
-    b.num_pods = f.cfg.k;
-  } else {
-    auto f = net::make_figure2_fabric(cfg.num_hosts);
-    b.topo = std::move(f.topo);
-    b.hosts = std::move(f.hosts);
-    b.switches = {f.sw8_a, f.sw16_a, f.sw16_b, f.sw8_b};
-    // Domain = the leaf switch the host is cabled into (round-robin with
-    // port-full skipping — read it back from the built topology).
-    for (const net::HostId h : b.hosts) {
-      auto att = b.topo.peer_of({net::Device::host(h), 0});
-      assert(att.has_value());
-      const net::SwitchId sw = att->peer.dev.as_switch();
-      const auto it = std::find(b.switches.begin(), b.switches.end(), sw);
-      b.host_pods.push_back(
-          static_cast<std::uint32_t>(it - b.switches.begin()));
-    }
-    b.num_pods = b.switches.size();
-  }
-  return b;
-}
-
 class Cluster {
  public:
   explicit Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)) {
@@ -241,12 +170,59 @@ class Cluster {
 
  private:
   void build_topology() {
-    BuiltTopology b = build_cluster_topology(cfg_);
-    topo = std::move(b.topo);
-    hosts = std::move(b.hosts);
-    switches = std::move(b.switches);
-    host_pods = std::move(b.host_pods);
-    num_pods = b.num_pods;
+    if (cfg_.topo == TopoKind::kSingleSwitch) {
+      auto sw = topo.add_switch(static_cast<std::uint8_t>(
+          std::min<std::size_t>(cfg_.num_hosts + 2, 250)));
+      switches.push_back(sw);
+      for (std::size_t i = 0; i < cfg_.num_hosts; ++i) {
+        auto h = topo.add_host();
+        topo.connect({net::Device::host(h), 0},
+                     {net::Device::sw(sw), static_cast<std::uint8_t>(i)});
+        hosts.push_back(h);
+      }
+      host_pods.assign(hosts.size(), 0);
+      num_pods = 1;
+    } else if (cfg_.topo == TopoKind::kClos) {
+      auto clos = cfg_.clos;
+      clos.num_hosts = cfg_.num_hosts;
+      auto f = net::make_clos_fabric(clos);
+      topo = std::move(f.topo);
+      hosts = std::move(f.hosts);
+      // Creation order (switches[i].v == i): cores, then per pod the aggs
+      // followed by the edges.
+      switches = std::move(f.cores);
+      const std::size_t m = f.cfg.k / 2;
+      for (std::size_t pod = 0; pod < f.cfg.k; ++pod) {
+        for (std::size_t j = 0; j < m; ++j) {
+          switches.push_back(f.aggs[pod * m + j]);
+        }
+        for (std::size_t e = 0; e < m; ++e) {
+          switches.push_back(f.edges[pod * m + e]);
+        }
+      }
+      // Host i hangs off edge (i mod num_edges); edges are pod-major, m per
+      // pod — so pods stripe across consecutive host ids.
+      const std::size_t num_edges = f.edges.size();
+      for (std::size_t i = 0; i < hosts.size(); ++i) {
+        host_pods.push_back(static_cast<std::uint32_t>((i % num_edges) / m));
+      }
+      num_pods = f.cfg.k;
+    } else {
+      auto f = net::make_figure2_fabric(cfg_.num_hosts);
+      topo = std::move(f.topo);
+      hosts = std::move(f.hosts);
+      switches = {f.sw8_a, f.sw16_a, f.sw16_b, f.sw8_b};
+      // Domain = the leaf switch the host is cabled into (round-robin with
+      // port-full skipping — read it back from the built topology).
+      for (const net::HostId h : hosts) {
+        auto att = topo.peer_of({net::Device::host(h), 0});
+        assert(att.has_value());
+        const net::SwitchId sw = att->peer.dev.as_switch();
+        const auto it = std::find(switches.begin(), switches.end(), sw);
+        host_pods.push_back(static_cast<std::uint32_t>(it - switches.begin()));
+      }
+      num_pods = switches.size();
+    }
   }
 
   ClusterConfig cfg_;

@@ -1,12 +1,9 @@
 #include "net/fabric.hpp"
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "net/crc.hpp"
-#include "net/partition.hpp"
-#include "sim/parallel_scheduler.hpp"
 
 namespace sanfault::net {
 
@@ -110,8 +107,8 @@ void Fabric::heal_host(HostId h) {
   notify_fault(FaultEvent{FaultKind::kHostHeal, h.v});
 }
 
-void Fabric::mirror_link_fault_rates(std::optional<LinkId> l, double loss,
-                                     double corrupt) {
+void Fabric::set_link_fault_rates(std::optional<LinkId> l, double loss,
+                                  double corrupt) {
   ensure_link_state();
   const std::uint32_t first = l ? l->v : 0;
   const std::uint32_t last =
@@ -120,23 +117,8 @@ void Fabric::mirror_link_fault_rates(std::optional<LinkId> l, double loss,
     link_faults_[i].loss_prob = loss;
     link_faults_[i].corrupt_prob = corrupt;
   }
-}
-
-void Fabric::set_link_fault_rates(std::optional<LinkId> l, double loss,
-                                  double corrupt) {
-  mirror_link_fault_rates(l, loss, corrupt);
   notify_fault(
       FaultEvent{FaultKind::kFaultRates, l ? l->v : kAllLinks, loss, corrupt});
-}
-
-void Fabric::bind_shard(sim::ParallelScheduler& engine, std::uint32_t partition,
-                        const FabricPartition& map,
-                        const std::vector<Fabric*>& shards) {
-  engine_ = &engine;
-  partition_ = partition;
-  part_map_ = &map;
-  shards_ = &shards;
-  ensure_link_state();
 }
 
 void Fabric::ensure_link_state() {
@@ -145,7 +127,7 @@ void Fabric::ensure_link_state() {
     link_srv_.emplace_back(sched_);
     link_faults_.emplace_back();
     // Stream seeds are a pure function of (experiment seed, link, direction),
-    // so a shard and a serial fabric derive identical streams for any link.
+    // so a link's streams do not depend on how many links exist.
     link_rng_.push_back(
         LinkRngs{sim::Rng(cfg_.seed ^ ((2 * l + 1) * 0x9e3779b97f4a7c15ull)),
                  sim::Rng(cfg_.seed ^ ((2 * l + 2) * 0x9e3779b97f4a7c15ull))});
@@ -195,34 +177,8 @@ void Fabric::deliver(Packet&& pkt, HostId dst) {
   rx_[dst.v](std::move(pkt));
 }
 
-void Fabric::arrive_host(Packet pkt, Device peer, std::size_t route_idx) {
-  if (route_idx != pkt.hdr.route.ports.size()) {
-    drop(pkt, DropReason::kMisroute);
-  } else {
-    deliver(std::move(pkt), peer.as_host());
-  }
-}
-
-void Fabric::schedule_hop(Device next_dev, sim::Time t,
-                          sim::Scheduler::EventFn fn) {
-  if (engine_ != nullptr) {
-    const std::uint32_t owner = part_map_->owner_of(next_dev);
-    if (owner != partition_) {
-      engine_->post(partition_, owner, t, std::move(fn));
-      return;
-    }
-  }
-  sched_.at(t, std::move(fn));
-}
-
 sim::Time Fabric::inject(HostId src, Packet pkt) {
   ensure_link_state();
-  if (engine_ != nullptr && part_map_->host_owner[src.v] != partition_) {
-    throw std::logic_error("Fabric::inject: host " + std::to_string(src.v) +
-                           " injected on shard " + std::to_string(partition_) +
-                           " but is owned by partition " +
-                           std::to_string(part_map_->host_owner[src.v]));
-  }
   pkt.crc = crc32(std::span<const std::uint8_t>(pkt.payload));
   pkt.corrupt_marker = false;
   pkt.wire_id = next_wire_id_++;
@@ -270,8 +226,7 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
   const bool fwd = (end_a == out);
   sim::FifoServer& srv = fwd ? link_srv_[l.v].ab : link_srv_[l.v].ba;
   // Fault draws come from this direction's own stream, in traversal order —
-  // independent of how unrelated events interleave, and identical between a
-  // serial run and the partition that owns this direction.
+  // independent of how unrelated events and other links' draws interleave.
   sim::Rng& rng = fwd ? link_rng_[l.v].ab : link_rng_[l.v].ba;
   const Device peer = att->peer.dev;
 
@@ -327,25 +282,19 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
       last_departure_ = completion;  // send-DMA finish time
     }
 
-    // The continuation executes on the shard owning the next device — which
-    // is `this` unless the packet is crossing a partition cut. Cross-shard
-    // arrival times carry at least one link latency beyond now(), which is
-    // exactly the lookahead net::make_partition derived for the pair.
-    Fabric* tgt = this;
-    if (engine_ != nullptr) {
-      const std::uint32_t owner = part_map_->owner_of(peer);
-      if (owner != partition_) tgt = (*shards_)[owner];
-    }
-
     if (peer.is_host()) {
       // Tail arrival: last byte propagates `latency` after leaving the link.
       const sim::Time tail_arrival =
           sim::time_add(sim::time_add(completion, model.latency),
                         reorder_extra);
-      schedule_hop(peer, tail_arrival,
-                   [tgt, pkt = std::move(p), peer, route_idx]() mutable {
-                     tgt->arrive_host(std::move(pkt), peer, route_idx);
-                   });
+      sched_.at(tail_arrival,
+                [this, pkt = std::move(p), peer, route_idx]() mutable {
+                  if (route_idx != pkt.hdr.route.ports.size()) {
+                    drop(pkt, DropReason::kMisroute);
+                  } else {
+                    deliver(std::move(pkt), peer.as_host());
+                  }
+                });
     } else {
       // Head arrival at the next crossbar, plus its fall-through delay. Record
       // the port the packet enters through (see Packet::in_ports). The
@@ -363,10 +312,10 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
           sim::time_add(sim::time_add(sim::time_add(start, model.latency),
                                       cfg_.switch_delay),
                         reorder_extra);
-      schedule_hop(peer, head_arrival,
-                   [tgt, pkt = std::move(p), peer, route_idx]() mutable {
-                     tgt->step(std::move(pkt), peer, route_idx);
-                   });
+      sched_.at(head_arrival,
+                [this, pkt = std::move(p), peer, route_idx]() mutable {
+                  step(std::move(pkt), peer, route_idx);
+                });
     }
   }
 }

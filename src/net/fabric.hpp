@@ -33,10 +33,6 @@
 #include "sim/server.hpp"
 #include "sim/time.hpp"
 
-namespace sanfault::sim {
-class ParallelScheduler;  // sim/parallel_scheduler.hpp
-}  // namespace sanfault::sim
-
 namespace sanfault::net {
 
 struct FabricConfig {
@@ -121,30 +117,7 @@ struct FaultEvent {
   double corrupt = 0.0;    // kFaultRates only
 };
 
-/// The coordinated fault surface the chaos campaign engine drives. Fabric
-/// implements it directly; the parallel harness implements it as a fan-out
-/// over fabric shards (mutating shared topology once, mirroring per-shard
-/// fault knobs) so a Scenario runs unchanged against either engine.
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-  virtual void fail_link(LinkId l) = 0;
-  virtual void restore_link(LinkId l) = 0;
-  /// A dead switch drops every packet that reaches it (all its routes die).
-  virtual void fail_switch(SwitchId s) = 0;
-  virtual void restore_switch(SwitchId s) = 0;
-  /// Partition a host: down its single access link. heal_host reverses it.
-  virtual void cut_host(HostId h) = 0;
-  virtual void heal_host(HostId h) = 0;
-  /// Set transient loss/corruption rates on one link, or on every link when
-  /// `l` is nullopt (the error-rate-ramp primitive).
-  virtual void set_link_fault_rates(std::optional<LinkId> l, double loss,
-                                    double corrupt) = 0;
-};
-
-struct FabricPartition;  // net/partition.hpp
-
-class Fabric : public FaultInjector {
+class Fabric {
  public:
   using RxHandler = std::function<void(Packet&&)>;
   using DropHook = std::function<void(const Packet&, DropReason)>;
@@ -179,45 +152,31 @@ class Fabric : public FaultInjector {
   LinkFaults& link_faults(LinkId l) { return link_faults_[l.v]; }
 
   // --- fault surface -------------------------------------------------------
-  // Coordinated fault-state mutations: each applies the change to the
-  // topology (or the per-link fault knobs) and notifies the fault hook, so
-  // every observer sees the same transition at the same simulated instant.
-  // Packets already in flight are unaffected until they next touch the
-  // failed element — exactly how a dying cable behaves.
+  // Coordinated fault-state mutations (the chaos campaign engine drives
+  // them): each applies the change to the topology (or the per-link fault
+  // knobs) and notifies the fault hook, so every observer sees the same
+  // transition at the same simulated instant. Packets already in flight are
+  // unaffected until they next touch the failed element — exactly how a
+  // dying cable behaves.
   void set_fault_hook(std::function<void(const FaultEvent&)> hook) {
     fault_hook_ = std::move(hook);
   }
-  void fail_link(LinkId l) override;
-  void restore_link(LinkId l) override;
-  void fail_switch(SwitchId s) override;
-  void restore_switch(SwitchId s) override;
-  void cut_host(HostId h) override;
-  void heal_host(HostId h) override;
+  void fail_link(LinkId l);
+  void restore_link(LinkId l);
+  /// A dead switch drops every packet that reaches it (all its routes die).
+  void fail_switch(SwitchId s);
+  void restore_switch(SwitchId s);
+  /// Partition a host: down its single access link. heal_host reverses it.
+  void cut_host(HostId h);
+  void heal_host(HostId h);
+  /// Set transient loss/corruption rates on one link, or on every link when
+  /// `l` is nullopt (the error-rate-ramp primitive).
   void set_link_fault_rates(std::optional<LinkId> l, double loss,
-                            double corrupt) override;
-  /// Update this shard's per-link fault knobs without counting a transition
-  /// or notifying hooks — the sharded fault fan-out applies the "real"
-  /// set_link_fault_rates to one shard and mirrors the knobs to the rest, so
-  /// the merged fabric.fault_transitions counter matches a serial run.
-  void mirror_link_fault_rates(std::optional<LinkId> l, double loss,
-                               double corrupt);
+                            double corrupt);
   /// Fault transitions applied through this API (not per-packet faults).
   [[nodiscard]] std::uint64_t fault_transitions() const {
     return fault_transitions_;
   }
-
-  // --- parallel sharding ---------------------------------------------------
-  /// Turn this fabric into shard `partition` of a partitioned simulation:
-  /// `shards[p]` is the fabric built on engine partition p's scheduler (all
-  /// over the one shared Topology). After binding, a packet hop whose next
-  /// device is owned by another partition is handed off through
-  /// engine.post() — arriving with its full wormhole pipeline timing — and
-  /// executes on the owning shard, so every per-link server, fault knob and
-  /// stats counter is touched only by its owner's worker thread. `map` and
-  /// `shards` must outlive the fabric.
-  void bind_shard(sim::ParallelScheduler& engine, std::uint32_t partition,
-                  const FabricPartition& map,
-                  const std::vector<Fabric*>& shards);
 
   /// Occupancy server for one direction of a link (exposed for tests and
   /// utilization reporting). dir 0: a->b, dir 1: b->a.
@@ -237,12 +196,6 @@ class Fabric : public FaultInjector {
   void step(Packet pkt, Device at, std::size_t route_idx);
   void drop(const Packet& pkt, DropReason reason);
   void deliver(Packet&& pkt, HostId dst);
-  /// Tail arrival at the destination host (shared by the local path and the
-  /// cross-shard handoff): misroute check, then delivery.
-  void arrive_host(Packet pkt, Device peer, std::size_t route_idx);
-  /// Schedule `fn` at `t` — locally, or through the parallel engine when the
-  /// continuation's device is owned by another shard.
-  void schedule_hop(Device next_dev, sim::Time t, sim::Scheduler::EventFn fn);
 
   /// Returns the serialization duration of `pkt` on a link.
   [[nodiscard]] sim::Duration ser_time(const Packet& pkt, LinkId l) const;
@@ -251,9 +204,9 @@ class Fabric : public FaultInjector {
   Topology* topo_;
   FabricConfig cfg_;
   /// One fault-RNG stream per link *direction*, derived from (seed, link,
-  /// dir). Draws on one link never perturb another's sequence — and because
-  /// a direction's draw order is its FIFO traversal order, the streams are
-  /// identical whether the simulation runs serial or partitioned.
+  /// dir). Draws on one link never perturb another link's sequence, nor the
+  /// opposite direction's: a fault knob set on one link leaves every other
+  /// link's drop and corruption pattern exactly as it was.
   struct LinkRngs {
     sim::Rng ab;
     sim::Rng ba;
@@ -269,11 +222,6 @@ class Fabric : public FaultInjector {
   std::uint64_t fault_transitions_ = 0;
   obs::TraceRing* trace_ = nullptr;  // packet-lifecycle hop/drop events
   std::uint64_t next_wire_id_ = 1;
-  // Shard binding (null when serial — the common case).
-  sim::ParallelScheduler* engine_ = nullptr;
-  std::uint32_t partition_ = 0;
-  const FabricPartition* part_map_ = nullptr;
-  const std::vector<Fabric*>* shards_ = nullptr;
   /// Set by step() on the injection hop (hosts do not forward, so the first
   /// synchronous step call is the only host-originated one).
   sim::Time last_departure_ = 0;

@@ -124,18 +124,6 @@ void Registry::collect() {
   for (auto& c : collectors_) c.fn();
 }
 
-void Registry::merge_from(Registry& other) {
-  other.collect();
-  for (auto& [name, m] : other.metrics_) {
-    Metric& mine = get_or_create(name, m.kind, m.unit, m.help);
-    switch (m.kind) {
-      case Kind::kCounter: mine.counter->inc(m.counter->value()); break;
-      case Kind::kGauge: mine.gauge->merge(*m.gauge); break;
-      case Kind::kHistogram: mine.histogram->merge(*m.histogram); break;
-    }
-  }
-}
-
 std::vector<std::string> Registry::names() const {
   std::vector<std::string> out;
   out.reserve(metrics_.size());

@@ -72,11 +72,6 @@ class Gauge {
   void add(std::int64_t d) { set(v_ + d); }
   [[nodiscard]] std::int64_t value() const { return v_; }
   [[nodiscard]] std::int64_t max() const { return max_; }
-  /// Fold another gauge in (registry merge): levels add, watermarks max.
-  void merge(const Gauge& o) {
-    v_ += o.v_;
-    if (o.max_ > max_) max_ = o.max_;
-  }
 
  private:
   std::int64_t v_ = 0;
@@ -89,7 +84,6 @@ class Histogram {
  public:
   void record(std::uint64_t v) { h_.add(v); }
   [[nodiscard]] const sim::HdrHistogram& hist() const { return h_; }
-  void merge(const Histogram& o) { h_.merge(o.h_); }
 
  private:
   sim::HdrHistogram h_;
@@ -132,14 +126,6 @@ class Registry {
 
   /// Run all collectors now (tests use this to observe live counters).
   void collect();
-
-  /// collect() `other` and fold its metrics into this one: counters add,
-  /// gauges add values and take the max watermark, histograms merge; units
-  /// and help strings carry over on first sight of a name. The parallel
-  /// harness folds every partition registry (and the control registry) into
-  /// a fresh Registry for export — per-instance metrics live in exactly one
-  /// shard, and the shared fabric counters sum to the serial run's totals.
-  void merge_from(Registry& other);
 
   [[nodiscard]] TraceRing& trace() { return trace_; }
 

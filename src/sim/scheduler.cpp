@@ -27,14 +27,6 @@ void Scheduler::run() {
   }
 }
 
-void Scheduler::run_before(Time t) {
-  for (;;) {
-    skim_cancelled();
-    if (heap_.empty() || key_time(heap_.front().key) >= t) return;
-    if (!step()) return;
-  }
-}
-
 void Scheduler::run_until(Time t) {
   for (;;) {
     // Skim first so a cancelled entry's timestamp cannot decide the loop:

@@ -164,21 +164,6 @@ class Scheduler {
   /// Run events with time <= t, then advance the clock to t.
   void run_until(Time t);
 
-  /// Run events with time strictly < t, leaving the clock at the last
-  /// executed event (never advanced to t). This is the safe-window primitive
-  /// of the conservative parallel engine (sim/parallel_scheduler.hpp): a
-  /// partition executes everything below its horizon, then may still accept
-  /// cross-partition events at any time >= the horizon.
-  void run_before(Time t);
-
-  /// Timestamp of the next live event, or kNever when the queue is empty.
-  /// Skims cancelled entries as a side effect (owner-thread only, like every
-  /// other member).
-  [[nodiscard]] Time peek_next_time() {
-    skim_cancelled();
-    return heap_.empty() ? kNever : key_time(heap_.front().key);
-  }
-
   /// Run for `d` more nanoseconds of simulated time.
   void run_for(Duration d) { run_until(time_add(now_, d)); }
 

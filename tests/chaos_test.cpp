@@ -549,8 +549,6 @@ TEST(ChaosRepair, Clos64HostKillRepairsThrottledAndDeterministic) {
   EXPECT_TRUE(run.throttle_bound_ok);
 
   // Same seed, fresh rig: stats, event logs and audit are byte-identical.
-  // (KV rigs run the serial scheduler; bench_repair covers the --sim-threads
-  // angle on the firmware layers below.)
   const auto again = run_clos_repair_case(77);
   EXPECT_EQ(run.transcript, again.transcript);
 }

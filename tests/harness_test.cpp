@@ -7,7 +7,6 @@
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
 #include "harness/table.hpp"
-#include "harness/trace.hpp"
 
 namespace sanfault {
 namespace {
@@ -147,71 +146,6 @@ TEST(TableFmt, FmtRoundsToRequestedDecimals) {
   EXPECT_EQ(harness::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(harness::fmt(3.14159, 0), "3");
   EXPECT_EQ(harness::fmt(119.96, 1), "120.0");
-}
-
-TEST(PacketTrace, RecordsDeliveriesWithProtocolFields) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched);
-  c.send(0, 1, std::vector<std::uint8_t>(64, 1));
-  c.sched.run_until(sim::milliseconds(5));
-  ASSERT_GE(trace.total_recorded(), 1u);
-  EXPECT_GE(trace.count(net::PacketType::kData), 1u);
-  const auto& first = trace.events().front();
-  EXPECT_FALSE(first.dropped);
-  EXPECT_EQ(first.src, c.hosts[0]);
-  EXPECT_EQ(first.dst, c.hosts[1]);
-  EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(first.payload_bytes, 64u);
-}
-
-TEST(PacketTrace, RecordsDropsWithReason) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched);
-  c.topo.set_link_up(net::LinkId{1}, false);
-  c.send(0, 1, std::vector<std::uint8_t>(16, 1));
-  c.sched.run_until(sim::milliseconds(5));
-  ASSERT_GE(trace.drops(), 1u);
-  bool saw_link_down = false;
-  for (const auto& e : trace.events()) {
-    saw_link_down = saw_link_down ||
-                    (e.dropped && e.reason == net::DropReason::kLinkDown);
-  }
-  EXPECT_TRUE(saw_link_down);
-}
-
-TEST(PacketTrace, CapacityBoundsRetainedWindow) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched, /*capacity=*/8);
-  for (int i = 0; i < 30; ++i) {
-    c.send(0, 1, std::vector<std::uint8_t>(8, 1));
-  }
-  c.sched.run_until(sim::milliseconds(50));
-  EXPECT_LE(trace.events().size(), 8u);
-  EXPECT_GE(trace.total_recorded(), 30u);  // counted even when evicted
-}
-
-TEST(PacketTrace, DumpRendersTimeline) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  Cluster c(cfg);
-  harness::PacketTrace trace(c.fabric(), c.sched);
-  c.send(0, 1, std::vector<std::uint8_t>(8, 1));
-  c.sched.run_until(sim::milliseconds(5));
-  char* buf = nullptr;
-  std::size_t len = 0;
-  FILE* mem = open_memstream(&buf, &len);
-  trace.dump(mem);
-  std::fclose(mem);
-  std::string out(buf, len);
-  free(buf);
-  EXPECT_NE(out.find("DATA"), std::string::npos);
-  EXPECT_NE(out.find("0->1"), std::string::npos);
 }
 
 TEST(Table, PrintsAlignedColumns) {

@@ -254,6 +254,87 @@ TEST_F(FabricFixture, DropHookSeesReason) {
   EXPECT_EQ(reasons[0], DropReason::kLinkDown);
 }
 
+// What one link direction's fault draws did to each packet of a flow.
+struct DrawOutcome {
+  bool dropped = false;
+  bool corrupt = false;
+  std::vector<std::uint8_t> payload;  // as delivered (locates a flipped byte)
+  bool operator==(const DrawOutcome&) const = default;
+};
+
+struct StreamProbe {
+  std::vector<DrawOutcome> b_fwd;   // flow h0->h1: crosses link B forward
+  std::uint64_t b_rev_packets = 0;  // packets that crossed B in reverse
+};
+
+// Three hosts on one crossbar. Flow F (h0->h1) crosses link B (h0's access
+// link) forward; flow R (h2->h0) crosses link A (h2's access link), then B
+// in reverse. B is lossy and corrupting in every run; only A's knobs vary.
+// Fault knobs are per link, so B's reverse direction is varied through what
+// it carries: A's loss thins flow R before it reaches B, and A's draws and
+// B's reverse draws both change in number.
+StreamProbe probe_link_streams(double a_loss, double a_corrupt) {
+  sim::Scheduler sched;
+  Topology topo;
+  const SwitchId sw = topo.add_switch(8);
+  const HostId h0 = topo.add_host();
+  const HostId h1 = topo.add_host();
+  const HostId h2 = topo.add_host();
+  const LinkId b = topo.connect({Device::host(h0), 0}, {Device::sw(sw), 0});
+  topo.connect({Device::host(h1), 0}, {Device::sw(sw), 1});
+  const LinkId a = topo.connect({Device::host(h2), 0}, {Device::sw(sw), 2});
+  Fabric f(sched, topo, {});
+  f.link_faults(b).loss_prob = 0.2;
+  f.link_faults(b).corrupt_prob = 0.2;
+  f.link_faults(a).loss_prob = a_loss;
+  f.link_faults(a).corrupt_prob = a_corrupt;
+
+  constexpr std::uint32_t kPackets = 200;
+  StreamProbe out;
+  out.b_fwd.resize(kPackets);
+  f.attach(h0, [](Packet&&) {});
+  f.attach(h1, [&out](Packet&& p) {
+    out.b_fwd[p.hdr.seq].corrupt = p.corrupt_marker;
+    out.b_fwd[p.hdr.seq].payload = p.payload.to_vector();
+  });
+  f.set_drop_hook([&out, h0](const Packet& p, DropReason r) {
+    if (p.hdr.src == h0 && r == DropReason::kRandomLoss) {
+      out.b_fwd[p.hdr.seq].dropped = true;
+    }
+  });
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    sched.at(i * 2000, [&f, h0, h1, h2, i] {
+      Packet fwd = FabricFixture::data_packet(h0, h1, Route{{1}}, 32);
+      fwd.hdr.seq = i;
+      f.inject(h0, std::move(fwd));
+      f.inject(h2, FabricFixture::data_packet(h2, h0, Route{{0}}, 32));
+    });
+  }
+  sched.run();
+  out.b_rev_packets = f.link_server(b, 1).jobs_served();
+  return out;
+}
+
+TEST(FabricRngStreams, OtherLinksNeverMoveALinkDirectionsFaultSequence) {
+  const StreamProbe quiet = probe_link_streams(0.0, 0.0);
+  const StreamProbe noisy = probe_link_streams(0.3, 0.3);
+  // The runs really differ on A and on B's reverse direction...
+  EXPECT_GT(quiet.b_rev_packets, noisy.b_rev_packets);
+  // ...and B's forward draws are nontrivial...
+  std::size_t drops = 0;
+  std::size_t corruptions = 0;
+  for (const DrawOutcome& o : quiet.b_fwd) {
+    drops += o.dropped ? 1 : 0;
+    corruptions += o.corrupt ? 1 : 0;
+  }
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(corruptions, 0u);
+  // ...yet every packet crossing B forward meets the same fate. A single
+  // fabric RNG, or one stream per link shared by both directions, would
+  // shift this sequence.
+  EXPECT_EQ(quiet.b_fwd, noisy.b_fwd);
+}
+
 TEST_F(FabricFixture, WireIdsAreUnique) {
   Fabric f = make_fabric();
   f.inject(h0, data_packet(h0, h1, Route{{1}}, 4));

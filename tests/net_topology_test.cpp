@@ -1,12 +1,10 @@
 // Unit tests for the static network graph: wiring, routes, failure state.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "net/partition.hpp"
 #include "net/topology.hpp"
 
 namespace sanfault::net {
@@ -533,84 +531,6 @@ TEST(ClosFabric, Clos1024RadixAndPodShape) {
   for (auto e : f.edges) EXPECT_EQ(per_switch[e.v], 8u) << "edge " << e.v;
   for (auto s : f.cores) EXPECT_EQ(per_switch[s.v], 0u);
   for (auto s : f.aggs) EXPECT_EQ(per_switch[s.v], 0u);
-}
-
-TEST(FabricPartition, Clos64PodPartitioningIsBalancedAndCoupled) {
-  auto f = make_clos_fabric(*clos_named_shape("clos-64"));
-  std::vector<std::uint32_t> host_pods;
-  for (std::size_t i = 0; i < f.hosts.size(); ++i) {
-    host_pods.push_back(static_cast<std::uint32_t>((i % f.edges.size()) /
-                                                   (f.cfg.k / 2)));
-  }
-  auto part = partition_clos_pods(f.topo, 8, host_pods, 8);
-  EXPECT_EQ(part.count, 8u);
-  // Hosts follow their pods exactly; pod switches follow their hosts.
-  for (std::size_t i = 0; i < f.hosts.size(); ++i) {
-    EXPECT_EQ(part.host_owner[i], host_pods[i]) << "host " << i;
-  }
-  for (std::size_t pod = 0; pod < 8; ++pod) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(part.switch_owner[f.edges[pod * 4 + j].v], pod);
-      EXPECT_EQ(part.switch_owner[f.aggs[pod * 4 + j].v], pod);
-    }
-  }
-  // The shared spine spreads across partitions instead of piling onto 0.
-  std::vector<std::size_t> core_count(8, 0);
-  for (auto c : f.cores) ++core_count[part.switch_owner[c.v]];
-  for (std::size_t p = 0; p < 8; ++p) EXPECT_EQ(core_count[p], 2u);
-  EXPECT_GT(part.cut_links, 0u);
-  // Every ordered pair is coupled at exactly one cut-link latency: the
-  // agg->core trunks keep every pod one hop from the shared spine.
-  for (std::uint32_t a = 0; a < 8; ++a) {
-    for (std::uint32_t b = 0; b < 8; ++b) {
-      if (a == b) continue;
-      EXPECT_EQ(part.pair_lookahead(a, b), 250u) << a << "->" << b;
-    }
-  }
-}
-
-TEST(FabricPartition, LookaheadIsTransitivelyClosed) {
-  // Regression: figure-2's partition graph is a path, not a clique. The
-  // direct-cut matrix leaves some ordered pairs uncoupled (kNever), which
-  // let the conservative horizon run past in-flight transitive traffic.
-  // The min-plus closure must couple every pair that any cut path joins.
-  auto f = make_figure2_fabric(16);
-  std::vector<std::uint32_t> owner;
-  const std::vector<SwitchId> leaves = {f.sw8_a, f.sw16_a, f.sw16_b, f.sw8_b};
-  for (auto h : f.hosts) {
-    auto att = f.topo.peer_of({Device::host(h), 0});
-    ASSERT_TRUE(att.has_value());
-    const auto it = std::find(leaves.begin(), leaves.end(),
-                              att->peer.dev.as_switch());
-    owner.push_back(static_cast<std::uint32_t>(it - leaves.begin()));
-  }
-  auto part = make_partition(f.topo, 4, owner);
-  for (std::uint32_t a = 0; a < 4; ++a) {
-    for (std::uint32_t b = 0; b < 4; ++b) {
-      if (a == b) continue;
-      const auto la = part.pair_lookahead(a, b);
-      EXPECT_NE(la, sim::kNever) << a << "->" << b;
-      // Closure over equal-latency cuts: a multiple of one link latency.
-      EXPECT_EQ(la % 250u, 0u) << a << "->" << b;
-    }
-  }
-}
-
-TEST(FabricPartition, RejectsBadHostAssignments) {
-  auto f = make_figure2_fabric(8);
-  EXPECT_THROW(make_partition(f.topo, 2, {0, 1}), std::invalid_argument);
-  std::vector<std::uint32_t> owner(f.hosts.size(), 0);
-  owner[3] = 7;
-  EXPECT_THROW(make_partition(f.topo, 2, owner), std::invalid_argument);
-}
-
-TEST(FabricPartition, SinglePartitionOwnsEverything) {
-  auto f = make_clos_fabric(*clos_named_shape("clos-64"));
-  auto part = partition_by_host_blocks(f.topo, 1);
-  EXPECT_EQ(part.count, 1u);
-  EXPECT_EQ(part.cut_links, 0u);
-  for (auto o : part.host_owner) EXPECT_EQ(o, 0u);
-  for (auto o : part.switch_owner) EXPECT_EQ(o, 0u);
 }
 
 }  // namespace
