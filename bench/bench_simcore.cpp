@@ -10,7 +10,8 @@
 //  * end-to-end — simulated packets/sec for a 4-node reliable-firmware
 //                 cluster streaming 4 KB messages ring-wise under §5.1.3
 //                 error injection (drop_interval=1000), the workload shape of
-//                 the Fig 5-8 and KV sweeps.
+//                 the Fig 5-8 and KV sweeps (harness::run_reliable_ring),
+//                 plus how many of its events heap-allocated their callable.
 //
 // Numbers land in BENCH_simcore.json (override with --json <file>); the
 // committed floor bench/golden/simcore_floor.json is the regression gate for
@@ -23,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "harness/cluster.hpp"
+#include "harness/microbench.hpp"
 #include "net/crc.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -144,81 +145,6 @@ double bench_crc(std::size_t len, std::uint64_t target_bytes) {
   return static_cast<double>(done) / dt / 1e6;
 }
 
-// --- end-to-end ------------------------------------------------------------
-struct E2eResult {
-  double sim_pkts_per_sec = 0;
-  std::uint64_t wire_tx = 0;
-  double wall_ms = 0;
-};
-
-E2eResult bench_e2e(int msgs_per_host) {
-  harness::ClusterConfig cfg;
-  cfg.num_hosts = 4;
-  cfg.fw = harness::FirmwareKind::kReliable;
-  cfg.nic.send_buffers = 32;
-  cfg.rel.drop_interval = 1000;  // §5.1.3 injection, 1e-3 error rate
-  cfg.rel.retrans_interval = sim::milliseconds(1);
-  // Keep the permanent-failure detector out of a transient-error workload.
-  cfg.rel.fail_threshold = sim::seconds(30);
-  cfg.rel.fail_min_rounds = 100000;
-  harness::Cluster c(cfg);
-
-  const std::size_t n = c.size();
-  const std::size_t msg_bytes = 4096;
-  std::vector<int> received(n, 0);
-  std::vector<int> submitted(n, 0);
-  bool all_done = false;
-
-  // Count deliveries directly; the generic lambda keeps this source
-  // compatible with any payload representation the NIC hands up.
-  for (std::size_t i = 0; i < n; ++i) {
-    c.nic(i).set_host_rx(
-        [&received, &all_done, &received_i = received[i], n, msgs_per_host,
-         &received_all = received](net::UserHeader, auto&&, net::HostId) {
-          ++received_i;
-          bool done = true;
-          for (std::size_t k = 0; k < n; ++k) {
-            done = done && received_all[k] >= msgs_per_host;
-          }
-          all_done = done;
-          (void)received;
-        });
-  }
-
-  // Ring traffic: host i streams to host (i+1) % n, self-clocked by the
-  // "send accepted" callback (data reached NIC SRAM).
-  struct Submitter {
-    harness::Cluster& c;
-    std::vector<int>& submitted;
-    int limit;
-    std::size_t msg_bytes;
-    void pump(std::size_t i) {
-      if (submitted[i] >= limit) return;
-      ++submitted[i];
-      c.send(i, (i + 1) % c.size(),
-             std::vector<std::uint8_t>(msg_bytes,
-                                       static_cast<std::uint8_t>(i + 1)),
-             net::UserHeader{}, [this, i] { pump(i); });
-    }
-  } sub{c, submitted, msgs_per_host, msg_bytes};
-
-  for (std::size_t i = 0; i < n; ++i) {
-    c.sched.after(1 + i, [&sub, i] { sub.pump(i); });
-  }
-
-  const double t0 = now_sec();
-  const sim::Time cap = sim::seconds(600);
-  while (!all_done && c.sched.now() < cap && c.sched.step()) {
-  }
-  const double dt = now_sec() - t0;
-
-  E2eResult r;
-  for (std::size_t i = 0; i < n; ++i) r.wire_tx += c.nic(i).stats().wire_tx;
-  r.wall_ms = dt * 1e3;
-  r.sim_pkts_per_sec = static_cast<double>(r.wire_tx) / dt;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,12 +189,16 @@ int main(int argc, char** argv) {
   const double crc64k = bench_crc(65536, crc_bytes);
   std::printf("crc32 64 KB buffers    : %12.1f MB/s\n", crc64k);
 
-  const E2eResult e2e = bench_e2e(e2e_msgs);
+  const harness::RingResult e2e = harness::run_reliable_ring(e2e_msgs);
+  const double e2e_pkts_per_sec =
+      static_cast<double>(e2e.wire_tx) / e2e.run_wall_s;
+  const double e2e_wall_ms = e2e.run_wall_s * 1e3;
   std::printf(
       "end-to-end 4-node ring : %12.0f simulated packets/sec "
-      "(%llu wire tx in %.0f ms)\n",
-      e2e.sim_pkts_per_sec, static_cast<unsigned long long>(e2e.wire_tx),
-      e2e.wall_ms);
+      "(%llu wire tx in %.0f ms, %llu of %llu events heap-allocated)\n",
+      e2e_pkts_per_sec, static_cast<unsigned long long>(e2e.wire_tx),
+      e2e_wall_ms, static_cast<unsigned long long>(e2e.inline_spills),
+      static_cast<unsigned long long>(e2e.events));
 
   std::FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
@@ -285,12 +215,13 @@ int main(int argc, char** argv) {
                "  \"crc_64k_mbps\": %.1f,\n"
                "  \"e2e_sim_pkts_per_sec\": %.0f,\n"
                "  \"e2e_wire_tx\": %llu,\n"
-               "  \"e2e_wall_ms\": %.1f\n"
+               "  \"e2e_wall_ms\": %.1f,\n"
+               "  \"e2e_inline_spills\": %llu\n"
                "}\n",
                quick ? "true" : "false", churn_eps, cancel_eps, sched_eps,
-               crc4k, crc64k,
-               e2e.sim_pkts_per_sec,
-               static_cast<unsigned long long>(e2e.wire_tx), e2e.wall_ms);
+               crc4k, crc64k, e2e_pkts_per_sec,
+               static_cast<unsigned long long>(e2e.wire_tx), e2e_wall_ms,
+               static_cast<unsigned long long>(e2e.inline_spills));
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path);
   return 0;

@@ -1,6 +1,7 @@
 #include "firmware/mapper_ondemand.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -127,6 +128,14 @@ std::optional<net::AltRoute>* OnDemandMapper::PathCache::backup_mut(HostId h) {
 
 OnDemandMapper::OnDemandMapper(nic::Nic& nic, OnDemandMapperConfig cfg)
     : nic_(nic), cfg_(cfg), path_cache_(cfg.path_cache_capacity) {
+  if (longest_probe_route(cfg_.max_depth) > net::PortList::kCapacity) {
+    throw std::invalid_argument(
+        "OnDemandMapper: max_depth " + std::to_string(cfg_.max_depth) +
+        " sends probe routes of " +
+        std::to_string(longest_probe_route(cfg_.max_depth)) +
+        " bytes; a route holds at most " +
+        std::to_string(net::PortList::kCapacity));
+  }
   // Mirror OnDemandMapperStats into the per-simulation metrics registry
   // (pull model — see docs/OBSERVABILITY.md).
   obs::Registry& reg = obs::Registry::of(nic_.sched());
@@ -360,10 +369,7 @@ void OnDemandMapper::request_route(HostId dst, RouteCallback cb) {
 void OnDemandMapper::inject_probe(Packet pkt) {
   // Probes use a small dedicated SRAM buffer (they never touch the send
   // pool) and one firmware dispatch on the control processor.
-  nic_.cpu().submit(nic_.costs().probe_process,
-                    [this, pkt = std::move(pkt)]() mutable {
-                      nic_.inject(std::move(pkt));
-                    });
+  nic_.inject_after_cpu(nic_.costs().probe_process, std::move(pkt));
 }
 
 void OnDemandMapper::on_probe_packet(Packet pkt) {
@@ -606,7 +612,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
     std::vector<std::size_t> next;
     for (const SilentPort& sp : silent) {
       const Route sw_forward = known[sp.sw].forward;
-      const std::vector<std::uint8_t> sw_reverse = known[sp.sw].reverse;
+      const net::PortList sw_reverse = known[sp.sw].reverse;
       Route nf = sw_forward;
       nf.ports.push_back(sp.port);
       // Identity verdict source: behavioral by default (the cycle probe
@@ -637,8 +643,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
         bool probe_back = false;
         if (!identity_db) {
           Route vr = nf;
-          vr.ports.insert(vr.ports.end(), known[j].reverse.begin(),
-                          known[j].reverse.end());
+          vr.ports.append(known[j].reverse.begin(), known[j].reverse.end());
           count_probe();
           probe_back = co_await probe_and_wait_impl(PacketType::kProbeSwitch,
                                                     vr, nullptr);
@@ -671,7 +676,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
         Route br = sw_forward;
         br.ports.push_back(sp.port);
         br.ports.push_back(y);
-        br.ports.insert(br.ports.end(), sw_reverse.begin(), sw_reverse.end());
+        br.ports.append(sw_reverse.begin(), sw_reverse.end());
         count_probe();
         if (co_await probe_and_wait_impl(PacketType::kProbeSwitch, br,
                                          nullptr)) {
@@ -680,8 +685,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
           ns.entry_port = y;
           ns.radix = guess_bound;
           ns.reverse.push_back(y);
-          ns.reverse.insert(ns.reverse.end(), sw_reverse.begin(),
-                            sw_reverse.end());
+          ns.reverse.append(sw_reverse.begin(), sw_reverse.end());
           known.push_back(std::move(ns));
           next.push_back(known.size() - 1);
           break;

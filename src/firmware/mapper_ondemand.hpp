@@ -55,7 +55,9 @@ struct OnDemandMapperConfig {
   const net::Topology* radix_oracle = nullptr;
   /// BFS depth bound (switches traversed). Redundant fabrics make switches
   /// re-discoverable through parallel paths — switches have no identity — so
-  /// the search must be bounded to terminate on cyclic topologies.
+  /// the search must be bounded to terminate on cyclic topologies. Probe
+  /// routes grow to OnDemandMapper::longest_probe_route(max_depth) bytes,
+  /// which must fit a net::PortList: the constructor rejects a deeper bound.
   std::size_t max_depth = 6;
   /// Hard cap on probes per mapping (runaway guard on unreachable targets;
   /// exhausting it fails the mapping and bumps probe_budget_exhausted).
@@ -138,8 +140,21 @@ struct OnDemandMapperStats {
 
 class OnDemandMapper final : public MapperIface {
  public:
+  /// Throws std::invalid_argument if cfg.max_depth lets probe routes
+  /// outgrow net::PortList (see longest_probe_route).
   OnDemandMapper(nic::Nic& nic, OnDemandMapperConfig cfg = {});
   ~OnDemandMapper() override;
+
+  /// Longest probe route, in bytes, a BFS bounded at `max_depth` sends. A
+  /// switch found at depth d has a forward route of d bytes and a way home
+  /// of d + 1. Level d sends host probes of d + 1 bytes, duplicate-detection
+  /// probes of (d + 1) + (d' + 1) bytes against a known switch at depth
+  /// d' <= d + 1, and entry-port bounces of (d + 2) + (d + 1) bytes. The
+  /// deepest level is max_depth - 1, so the longest is 2·max_depth + 1.
+  [[nodiscard]] static constexpr std::size_t longest_probe_route(
+      std::size_t max_depth) {
+    return 2 * max_depth + 1;
+  }
 
   // --- MapperIface ---------------------------------------------------------
   void request_route(net::HostId dst, RouteCallback cb) override;
@@ -204,7 +219,7 @@ class OnDemandMapper final : public MapperIface {
   /// A discovered crossbar: how to reach it and how its packets reach us.
   struct KnownSwitch {
     net::Route forward;                  // bytes from us to (into) the switch
-    std::vector<std::uint8_t> reverse;   // bytes from the switch back to us
+    net::PortList reverse;               // bytes from the switch back to us
     std::uint8_t entry_port = 0;         // port we enter it through
     std::uint8_t radix = 16;             // ports to probe on it
     /// Equal-length alternative forwards (multipath only; capped).

@@ -147,7 +147,7 @@ class Cluster {
   /// Convenience: submit a payload from host `from` to host `to`.
   void send(std::size_t from, std::size_t to,
             std::vector<std::uint8_t> payload, net::UserHeader user = {},
-            std::function<void()> on_accepted = {}) {
+            sim::InlineFn<void()> on_accepted = {}) {
     nic::SendRequest req;
     req.dst = hosts.at(to);
     req.user = user;

@@ -1,6 +1,8 @@
 #include "harness/microbench.hpp"
 
+#include <chrono>
 #include <memory>
+#include <vector>
 
 #include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
@@ -156,6 +158,67 @@ MicrobenchResult run_unidirectional_bw(Cluster& c, std::size_t msg_bytes,
   r.seconds = sim::to_seconds(st.t_last - st.t0);
   r.iterations = count;
   r.bytes = static_cast<std::uint64_t>(msg_bytes) * count;
+  return r;
+}
+
+RingResult run_reliable_ring(int msgs_per_host) {
+  ClusterConfig cfg;
+  cfg.num_hosts = 4;
+  cfg.fw = FirmwareKind::kReliable;
+  cfg.nic.send_buffers = 32;
+  cfg.rel.drop_interval = 1000;  // §5.1.3 injection, 1e-3 error rate
+  cfg.rel.retrans_interval = sim::milliseconds(1);
+  // Keep the permanent-failure detector out of a transient-error workload.
+  cfg.rel.fail_threshold = sim::seconds(30);
+  cfg.rel.fail_min_rounds = 100000;
+  Cluster c(cfg);
+
+  const std::size_t n = c.size();
+  const std::size_t msg_bytes = 4096;
+  std::vector<int> received(n, 0);
+  bool all_done = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    c.nic(i).set_host_rx([&received, &all_done, i, msgs_per_host](
+                             net::UserHeader, net::PayloadRef, net::HostId) {
+      ++received[i];
+      bool done = true;
+      for (const int r : received) done = done && r >= msgs_per_host;
+      all_done = done;
+    });
+  }
+
+  // Ring traffic, self-clocked by the "send accepted" callback (data reached
+  // NIC SRAM).
+  struct Submitter {
+    Cluster& c;
+    std::vector<int> submitted;
+    int limit;
+    std::size_t msg_bytes;
+    void pump(std::size_t i) {
+      if (submitted[i] >= limit) return;
+      ++submitted[i];
+      c.send(i, (i + 1) % c.size(),
+             std::vector<std::uint8_t>(msg_bytes,
+                                       static_cast<std::uint8_t>(i + 1)),
+             net::UserHeader{}, [this, i] { pump(i); });
+    }
+  } sub{c, std::vector<int>(n, 0), msgs_per_host, msg_bytes};
+  for (std::size_t i = 0; i < n; ++i) {
+    c.sched.after(1 + i, [&sub, i] { sub.pump(i); });
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const sim::Time cap = sim::seconds(600);
+  while (!all_done && c.sched.now() < cap && c.sched.step()) {
+  }
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+
+  RingResult r;
+  for (std::size_t i = 0; i < n; ++i) r.wire_tx += c.nic(i).stats().wire_tx;
+  r.events = c.sched.events_executed();
+  r.inline_spills = c.sched.inline_spills();
+  r.run_wall_s = dt.count();
   return r;
 }
 

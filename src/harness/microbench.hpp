@@ -6,6 +6,9 @@
 //                             how fast data can be put onto the network.
 // All three run over VMMC endpoints on hosts 0 and 1 of a Cluster, after an
 // untimed warm-up exchange (routes mapped, pools steady).
+//
+// run_reliable_ring is the simulator's own end-to-end workload (bench_simcore
+// times it, sched_perf_semantics_test checks its allocation behavior).
 #pragma once
 
 #include <cstddef>
@@ -40,5 +43,19 @@ MicrobenchResult run_pingpong_bw(Cluster& c, std::size_t msg_bytes, int iters);
 /// measured at the receiver's last-byte delivery.
 MicrobenchResult run_unidirectional_bw(Cluster& c, std::size_t msg_bytes,
                                        int count);
+
+struct RingResult {
+  std::uint64_t wire_tx = 0;        // packets put on the wire, all NICs
+  std::uint64_t events = 0;         // scheduler events executed
+  std::uint64_t inline_spills = 0;  // events whose callable heap-allocated
+  double run_wall_s = 0;            // host wall time of the event loop only
+};
+
+/// A 4-node reliable-firmware cluster (32 send buffers, §5.1.3 error
+/// injection at drop_interval 1000) in which host i streams `msgs_per_host`
+/// 4 KB messages to host (i + 1) % 4, each send issued from the previous
+/// one's "accepted" completion — the workload shape of the Fig 5-8 and KV
+/// sweeps. Runs until every host has received all of its messages.
+RingResult run_reliable_ring(int msgs_per_host);
 
 }  // namespace sanfault::harness

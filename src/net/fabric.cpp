@@ -3,8 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "net/crc.hpp"
-
 namespace sanfault::net {
 
 Fabric::Fabric(sim::Scheduler& sched, Topology& topo, FabricConfig cfg)
@@ -169,9 +167,7 @@ void Fabric::deliver(Packet&& pkt, HostId dst) {
     return;
   }
   ++stats_.delivered;
-  const bool ok =
-      !pkt.corrupt_marker &&
-      crc32(std::span<const std::uint8_t>(pkt.payload)) == pkt.crc;
+  const bool ok = !pkt.corrupt_marker && pkt.payload.crc() == pkt.crc;
   if (!ok) ++stats_.delivered_corrupt;
   if (delivery_hook_) delivery_hook_(pkt, dst);
   rx_[dst.v](std::move(pkt));
@@ -179,7 +175,7 @@ void Fabric::deliver(Packet&& pkt, HostId dst) {
 
 sim::Time Fabric::inject(HostId src, Packet pkt) {
   ensure_link_state();
-  pkt.crc = crc32(std::span<const std::uint8_t>(pkt.payload));
+  pkt.crc = pkt.payload.crc();
   pkt.corrupt_marker = false;
   pkt.wire_id = next_wire_id_++;
   ++stats_.injected;
@@ -235,8 +231,8 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
     // Wormhole blocking: the packet head sits in the fabric until the
     // hardware deadlock timer fires and the path reset flushes it.
     sched_.after(cfg_.deadlock_timeout,
-                 [this, pkt = std::move(pkt)] {
-                   drop(pkt, DropReason::kPathReset);
+                 [this, h = in_flight_.put(std::move(pkt))] {
+                   drop(in_flight_.take(h), DropReason::kPathReset);
                  });
     return;
   }
@@ -288,7 +284,8 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
           sim::time_add(sim::time_add(completion, model.latency),
                         reorder_extra);
       sched_.at(tail_arrival,
-                [this, pkt = std::move(p), peer, route_idx]() mutable {
+                [this, h = in_flight_.put(std::move(p)), peer, route_idx] {
+                  Packet pkt = in_flight_.take(h);
                   if (route_idx != pkt.hdr.route.ports.size()) {
                     drop(pkt, DropReason::kMisroute);
                   } else {
@@ -313,8 +310,8 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
                                       cfg_.switch_delay),
                         reorder_extra);
       sched_.at(head_arrival,
-                [this, pkt = std::move(p), peer, route_idx]() mutable {
-                  step(std::move(pkt), peer, route_idx);
+                [this, h = in_flight_.put(std::move(p)), peer, route_idx] {
+                  step(in_flight_.take(h), peer, route_idx);
                 });
     }
   }

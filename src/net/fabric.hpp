@@ -10,7 +10,8 @@
 //
 // Failure surface (what §3.3 of the paper enumerates):
 //  * hardware packet corruption  -> per-link corrupt probability; the CRC
-//    computed at injection no longer matches at the receiver
+//    stamped at injection no longer matches the corrupted bytes' CRC at the
+//    receiver
 //  * hardware packet loss        -> per-link loss probability
 //  * blocked path / deadlock     -> a Blocked link holds the packet for the
 //    hardware deadlock-timeout, then the path reset drops it
@@ -31,6 +32,7 @@
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/server.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/time.hpp"
 
 namespace sanfault::net {
@@ -130,7 +132,8 @@ class Fabric {
   void attach(HostId h, RxHandler rx);
 
   /// Inject a packet from `src`'s NIC. The packet must carry its route; the
-  /// CRC over the payload is computed here, as the network send-DMA does.
+  /// CRC over the payload is stamped here, as the network send-DMA does (the
+  /// payload buffer computes it once and keeps it, see PayloadRef::crc).
   /// Returns the time the packet's tail leaves the first link — i.e. when
   /// the send DMA finishes, including queueing behind earlier injections.
   /// Protocols use this as the send timestamp so that retransmission timers
@@ -221,6 +224,10 @@ class Fabric {
   std::function<void(const FaultEvent&)> fault_hook_;
   std::uint64_t fault_transitions_ = 0;
   obs::TraceRing* trace_ = nullptr;  // packet-lifecycle hop/drop events
+  /// Packets between hops: each hop, tail-arrival and path-reset event
+  /// captures a handle into this pool instead of the packet, so its closure
+  /// stays inside the scheduler's inline buffer.
+  sim::SlotPool<Packet> in_flight_;
   std::uint64_t next_wire_id_ = 1;
   /// Set by step() on the injection hop (hosts do not forward, so the first
   /// synchronous step call is the only host-originated one).

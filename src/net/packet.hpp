@@ -3,15 +3,13 @@
 // One struct serves every layer: the fabric reads the route, the reliability
 // firmware reads type/seq/ack/generation/flags, and VMMC reads the UserHeader
 // words. Payload bytes are carried for real (applications move actual data
-// through the simulated network); the CRC is computed over them at injection
-// exactly as the Myrinet network DMA does.
+// through the simulated network), and the CRC over them is stamped at
+// injection exactly as the Myrinet network DMA does. A Packet is a flat
+// value: its route and entry-port record are inline PortLists and its
+// payload is a refcounted buffer, so copying one never allocates.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
-#include <iterator>
-#include <stdexcept>
 
 #include "net/ids.hpp"
 #include "net/payload.hpp"
@@ -63,55 +61,14 @@ struct PacketHeader {
 inline constexpr std::size_t kHeaderWireBytes = 20;
 inline constexpr std::size_t kCrcWireBytes = 4;
 
-/// Fixed-capacity inline port list: a packet crosses at most as many switches
-/// as the network diameter (<= 5 in every topology this repo models), so the
-/// per-hop entry-port record fits in one 16-byte word — copying a Packet then
-/// never allocates for it. Overflow throws: a route longer than the capacity
-/// is a modeling bug, not a degradation to tolerate silently.
-class InPortList {
- public:
-  using const_iterator = const std::uint8_t*;
-  using const_reverse_iterator = std::reverse_iterator<const_iterator>;
-
-  void push_back(std::uint8_t port) {
-    if (size_ == kCapacity) {
-      throw std::length_error("Packet in_ports overflow (route too deep)");
-    }
-    v_[size_++] = port;
-  }
-  void clear() { size_ = 0; }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  std::uint8_t operator[](std::size_t i) const { return v_[i]; }
-
-  [[nodiscard]] const_iterator begin() const { return v_.data(); }
-  [[nodiscard]] const_iterator end() const { return v_.data() + size_; }
-  [[nodiscard]] const_reverse_iterator rbegin() const {
-    return const_reverse_iterator(end());
-  }
-  [[nodiscard]] const_reverse_iterator rend() const {
-    return const_reverse_iterator(begin());
-  }
-
-  friend bool operator==(const InPortList& a, const InPortList& b) {
-    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
-  }
-
- private:
-  static constexpr std::size_t kCapacity = 15;
-  std::uint8_t size_ = 0;
-  std::array<std::uint8_t, kCapacity> v_{};
-};
-
 struct Packet {
   PacketHeader hdr;
-  /// Refcounted immutable bytes: copying a Packet (hop closures, the
-  /// retransmission queue) shares the buffer instead of duplicating it.
+  /// Refcounted immutable bytes: copying a Packet (the retransmission
+  /// queue, the wire copy) shares the buffer instead of duplicating it.
   PayloadRef payload;
 
   // --- set by the fabric / injection path ---
-  std::uint32_t crc = 0;         // CRC32 over payload, computed at injection
+  std::uint32_t crc = 0;         // payload.crc() stamped at injection
   bool corrupt_marker = false;   // forces CRC mismatch for empty payloads
   std::uint64_t wire_id = 0;     // unique per injection, for tracing
   /// Ports through which the packet *entered* each switch, appended hop by
@@ -119,7 +76,7 @@ struct Packet {
   /// real Myrinet mapper reconstructs with loop-back probes; recording it on
   /// the packet is a modeling simplification that preserves probe counts and
   /// timing for host probes (switch detection still pays for its guesses).
-  InPortList in_ports;
+  PortList in_ports;
 
   [[nodiscard]] std::size_t payload_bytes() const { return payload.size(); }
   [[nodiscard]] std::size_t wire_bytes() const {

@@ -5,12 +5,15 @@
 // submits a packet and returned when the firmware moves it back to the global
 // free queue (immediately after injection without reliability; on cumulative
 // ACK with reliability). Waiters are granted FIFO, which models the host
-// blocking "due to a lack of send buffers".
+// blocking "due to a lack of send buffers". A waiter is an inline callable
+// (the NIC's capture a this-pointer and a handle), so blocking allocates
+// nothing beyond the wait queue's own storage.
 #pragma once
 
 #include <cstddef>
 #include <deque>
-#include <functional>
+
+#include "sim/inline_fn.hpp"
 
 namespace sanfault::nic {
 
@@ -21,7 +24,7 @@ class BufferPool {
 
   /// Request one buffer; `granted` runs immediately (synchronously) if one is
   /// free, otherwise when a release reaches the front of the wait queue.
-  void acquire(std::function<void()> granted) {
+  void acquire(sim::InlineFn<void()> granted) {
     if (free_ > 0) {
       --free_;
       granted();
@@ -56,7 +59,7 @@ class BufferPool {
   std::size_t capacity_;
   std::size_t free_;
   std::size_t buffer_bytes_;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<sim::InlineFn<void()>> waiters_;
 };
 
 }  // namespace sanfault::nic

@@ -1,8 +1,7 @@
 #include "nic/nic.hpp"
 
-#include <cassert>
-
-#include "net/crc.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace sanfault::nic {
 
@@ -54,46 +53,58 @@ Nic::~Nic() {
   if (auto* r = obs::Registry::find(sched_)) r->remove_collectors(this);
 }
 
-void Nic::host_submit(SendRequest req, std::function<void()> on_accepted) {
-  assert(fw_ != nullptr && "firmware must be loaded before traffic");
-  assert(req.payload.size() <= cfg_.costs.buffer_bytes &&
-         "segmentation is the caller's job (VMMC segments at 4 KB)");
+void Nic::host_submit(SendRequest req, sim::InlineFn<void()> on_accepted) {
+  if (fw_ == nullptr) {
+    throw std::logic_error("Nic::host_submit: no firmware loaded on node " +
+                           std::to_string(self_.v));
+  }
+  if (req.payload.size() > cfg_.costs.buffer_bytes) {
+    throw std::logic_error(
+        "Nic::host_submit: " + std::to_string(req.payload.size()) +
+        "-byte payload exceeds one " + std::to_string(cfg_.costs.buffer_bytes) +
+        "-byte send buffer (segmentation is the caller's job)");
+  }
   ++stats_.host_submits;
 
   // Host library overhead, then block until a send buffer is free.
-  sched_.after(cfg_.host.send_overhead, [this, req = std::move(req),
-                                         on_accepted = std::move(on_accepted)]() mutable {
+  const SubmitHandle h =
+      submits_.put(Submission{std::move(req), std::move(on_accepted)});
+  sched_.after(cfg_.host.send_overhead, [this, h] {
     buf_in_use_->record(pool_.in_use());
     if (pool_.free_count() == 0) ++stats_.injection_stalls;
-    pool_.acquire([this, req = std::move(req),
-                   on_accepted = std::move(on_accepted)]() mutable {
-      const std::size_t bytes = req.payload.size();
-      auto to_cpu = [this, req = std::move(req),
-                     on_accepted = std::move(on_accepted)]() mutable {
-        if (on_accepted) on_accepted();
-        const sim::Duration cost = fw_->tx_cpu_cost(req);
-        cpu_.submit(cost, [this, req = std::move(req)]() mutable {
-          fw_->on_host_packet(std::move(req));
-        });
-      };
-      if (bytes <= cfg_.host.pio_threshold) {
-        // Programmed I/O: the host CPU stores the message into NIC SRAM.
-        ++stats_.pio_sends;
-        const auto pio = cfg_.host.pio_base +
-                         static_cast<sim::Duration>(
-                             cfg_.host.pio_per_byte_ns * static_cast<double>(bytes));
-        sched_.after(pio, std::move(to_cpu));
-      } else {
-        // DMA: host posts a descriptor; the PCI engine moves the data.
-        ++stats_.dma_sends;
-        sched_.after(cfg_.host.dma_setup, [this, bytes, to_cpu = std::move(to_cpu)]() mutable {
-          host_dma_.submit(
-              kDmaEngineStart +
-                  sim::transfer_time(bytes, cfg_.host.pci_bandwidth_bps),
-              std::move(to_cpu));
-        });
-      }
+    pool_.acquire([this, h] { copy_to_sram(h); });
+  });
+}
+
+void Nic::copy_to_sram(SubmitHandle h) {
+  const std::size_t bytes = submits_[h].req.payload.size();
+  if (bytes <= cfg_.host.pio_threshold) {
+    // Programmed I/O: the host CPU stores the message into NIC SRAM.
+    ++stats_.pio_sends;
+    const auto pio = cfg_.host.pio_base +
+                     static_cast<sim::Duration>(
+                         cfg_.host.pio_per_byte_ns * static_cast<double>(bytes));
+    sched_.after(pio, [this, h] { dispatch_to_firmware(h); });
+  } else {
+    // DMA: host posts a descriptor; the PCI engine moves the data.
+    ++stats_.dma_sends;
+    sched_.after(cfg_.host.dma_setup, [this, h, bytes] {
+      host_dma_.submit(
+          kDmaEngineStart +
+              sim::transfer_time(bytes, cfg_.host.pci_bandwidth_bps),
+          [this, h] { dispatch_to_firmware(h); });
     });
+  }
+}
+
+void Nic::dispatch_to_firmware(SubmitHandle h) {
+  // The completion may submit again (growing submits_), so it runs from a
+  // local and the request is looked up afresh afterwards.
+  sim::InlineFn<void()> accepted = std::move(submits_[h].on_accepted);
+  if (accepted) accepted();
+  const sim::Duration cost = fw_->tx_cpu_cost(submits_[h].req);
+  cpu_.submit(cost, [this, h] {
+    fw_->on_host_packet(submits_.take(h).req);
   });
 }
 
@@ -103,18 +114,25 @@ sim::Time Nic::inject(net::Packet pkt) {
   return fabric_.inject(self_, std::move(pkt));
 }
 
+void Nic::inject_after_cpu(sim::Duration cpu_cost, net::Packet pkt) {
+  cpu_.submit(cpu_cost, [this, h = packets_.put(std::move(pkt))] {
+    inject(packets_.take(h));
+  });
+}
+
 void Nic::on_fabric_rx(net::Packet&& pkt) {
   ++stats_.wire_rx;
   stats_.bytes_rx += pkt.payload.size();
-  // Hardware CRC check: the receive DMA recomputes the CRC on the fly, so
-  // this costs no control-processor time.
-  const bool crc_ok =
-      !pkt.corrupt_marker &&
-      net::crc32(std::span<const std::uint8_t>(pkt.payload)) == pkt.crc;
+  // Hardware CRC check: the receive DMA computes the CRC of the arrived
+  // bytes on the fly, so this costs no control-processor time. The payload
+  // buffer keeps its CRC (PayloadRef::crc), and a corrupted payload is a
+  // buffer of its own, so the comparison fails exactly when the bytes
+  // changed since injection.
+  const bool crc_ok = !pkt.corrupt_marker && pkt.payload.crc() == pkt.crc;
   if (!crc_ok) ++stats_.crc_failures;
   const sim::Duration cost = fw_->rx_cpu_cost(pkt);
-  cpu_.submit(cost, [this, pkt = std::move(pkt), crc_ok]() mutable {
-    fw_->on_wire_packet(std::move(pkt), crc_ok);
+  cpu_.submit(cost, [this, h = packets_.put(std::move(pkt)), crc_ok] {
+    fw_->on_wire_packet(packets_.take(h), crc_ok);
   });
 }
 
@@ -123,8 +141,9 @@ void Nic::deliver_to_host(net::Packet pkt) {
   const std::size_t bytes = pkt.payload.size();
   host_dma_.submit(
       kDmaEngineStart + sim::transfer_time(bytes, cfg_.host.pci_bandwidth_bps),
-      [this, pkt = std::move(pkt)]() mutable {
-        sched_.after(cfg_.host.rx_notify, [this, pkt = std::move(pkt)]() mutable {
+      [this, h = packets_.put(std::move(pkt))] {
+        sched_.after(cfg_.host.rx_notify, [this, h] {
+          net::Packet pkt = packets_.take(h);
           if (host_rx_) {
             host_rx_(pkt.hdr.user, std::move(pkt.payload), pkt.hdr.src);
           }

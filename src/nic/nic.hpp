@@ -15,15 +15,16 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "net/fabric.hpp"
 #include "net/packet.hpp"
 #include "nic/buffers.hpp"
 #include "nic/cost_model.hpp"
 #include "obs/metrics.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/server.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/time.hpp"
 
 namespace sanfault::nic {
@@ -103,8 +104,9 @@ class Nic {
   /// PIO or DMA, charges the firmware's tx cost, then hands to firmware.
   /// `on_accepted` (optional) fires when the data has fully reached NIC SRAM —
   /// the moment the blocking library send call returns and the user buffer is
-  /// reusable.
-  void host_submit(SendRequest req, std::function<void()> on_accepted = {});
+  /// reusable. Throws std::logic_error if no firmware is loaded or the
+  /// payload exceeds one send buffer (segmentation is the caller's job).
+  void host_submit(SendRequest req, sim::InlineFn<void()> on_accepted = {});
 
   // --- firmware-facing services -------------------------------------------
   [[nodiscard]] sim::Scheduler& sched() { return sched_; }
@@ -117,6 +119,10 @@ class Nic {
   /// Returns the send-DMA completion time (see net::Fabric::inject).
   sim::Time inject(net::Packet pkt);
 
+  /// Charge `cpu_cost` on the control processor, then inject `pkt` — a
+  /// firmware dispatch that ends in a send (mapper probes and replies).
+  void inject_after_cpu(sim::Duration cpu_cost, net::Packet pkt);
+
   /// DMA a received packet's payload into host memory and notify the host.
   void deliver_to_host(net::Packet pkt);
 
@@ -127,7 +133,17 @@ class Nic {
   [[nodiscard]] const NicStats& stats() const { return stats_; }
 
  private:
+  /// A host submission between its stages (host overhead, buffer wait,
+  /// PIO/DMA into SRAM, control-processor dispatch).
+  struct Submission {
+    SendRequest req;
+    sim::InlineFn<void()> on_accepted;
+  };
+  using SubmitHandle = sim::SlotPool<Submission>::Handle;
+
   void on_fabric_rx(net::Packet&& pkt);
+  void copy_to_sram(SubmitHandle h);
+  void dispatch_to_firmware(SubmitHandle h);
 
   sim::Scheduler& sched_;
   net::Fabric& fabric_;
@@ -140,6 +156,11 @@ class Nic {
   sim::FifoServer host_dma_;  // SRAM <-> host memory over PCI (one engine)
   BufferPool pool_;
   NicStats stats_;
+
+  // Values parked across events, so every closure on the send, receive and
+  // delivery paths captures a handle and fits the scheduler's inline buffer.
+  sim::SlotPool<Submission> submits_;
+  sim::SlotPool<net::Packet> packets_;
 
   // Observability (src/obs): queue-depth distribution sampled per submit.
   obs::Histogram* buf_in_use_ = nullptr;

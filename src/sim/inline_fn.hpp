@@ -1,14 +1,16 @@
 // InlineFn: a move-only callable wrapper with small-buffer storage.
 //
 // std::function's inline buffer (16 bytes on libstdc++) is too small for the
-// simulator's event lambdas — a fabric hop closure carries a whole
-// net::Packet — so nearly every scheduled event used to pay a heap
+// simulator's event lambdas, so every capture beyond two words paid a heap
 // allocation. InlineFn stores callables up to `InlineBytes` directly in the
 // wrapper (and the wrapper itself lives in the scheduler's pooled event
-// nodes), falling back to the heap only for oversized captures. Two raw
-// function pointers replace the vtable, keeping invocation a single indirect
-// call. Trivially-copyable inline callables (most event lambdas: a few
-// pointers/ints) skip the manage pointer entirely — moves are a plain
+// nodes), falling back to the heap only for oversized captures. Whether a
+// capture fits is the call site's business: the packet and send-request
+// paths park their payload in a sim::SlotPool and capture an 8-byte handle,
+// and Scheduler::inline_spills() counts the events that still spill. Two
+// raw function pointers replace the vtable, keeping invocation a single
+// indirect call. Trivially-copyable inline callables (most event lambdas: a
+// few pointers/ints) skip the manage pointer entirely — moves are a plain
 // buffer copy and destruction is a no-op, with no indirect call.
 //
 // Requirements on the wrapped callable: move-constructible; invoked
@@ -79,6 +81,16 @@ class InlineFn<R(Args...), InlineBytes> {
 
   [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
 
+  /// True when a callable of type D is stored in the inline buffer.
+  template <class D>
+  static constexpr bool fits_inline =
+      sizeof(D) <= InlineBytes && alignof(D) <= alignof(std::max_align_t);
+
+  /// True if the wrapped callable took the heap fallback.
+  [[nodiscard]] bool heap_allocated() const {
+    return manage_ != nullptr && manage_(nullptr, nullptr);
+  }
+
   R operator()(Args... args) {
     return invoke_(buf_, std::forward<Args>(args)...);
   }
@@ -86,13 +98,14 @@ class InlineFn<R(Args...), InlineBytes> {
  private:
   // manage(src, dst): dst == nullptr => destroy the callable in src;
   // otherwise move it from src into dst (and destroy the src copy).
+  // src == nullptr is a query that touches nothing; every call returns
+  // whether the callable lives on the heap.
   using InvokePtr = R (*)(void*, Args&&...);
-  using ManagePtr = void (*)(void* src, void* dst);
+  using ManagePtr = bool (*)(void* src, void* dst);
 
   template <class D, class F>
   void construct(F&& f) {
-    if constexpr (sizeof(D) <= InlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t)) {
+    if constexpr (fits_inline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       invoke_ = &invoke_inline<D>;
       // Trivially-copyable callables need no manage function: moving is a
@@ -111,10 +124,12 @@ class InlineFn<R(Args...), InlineBytes> {
         std::forward<Args>(args)...);
   }
   template <class D>
-  static void manage_inline(void* src, void* dst) {
+  static bool manage_inline(void* src, void* dst) {
+    if (src == nullptr) return false;
     D* f = std::launder(reinterpret_cast<D*>(src));
     if (dst != nullptr) ::new (dst) D(std::move(*f));
     f->~D();
+    return false;
   }
   template <class D>
   static R invoke_heap(void* buf, Args&&... args) {
@@ -122,13 +137,15 @@ class InlineFn<R(Args...), InlineBytes> {
         std::forward<Args>(args)...);
   }
   template <class D>
-  static void manage_heap(void* src, void* dst) {
+  static bool manage_heap(void* src, void* dst) {
+    if (src == nullptr) return true;
     D** p = std::launder(reinterpret_cast<D**>(src));
     if (dst != nullptr) {
       ::new (dst) D*(*p);  // pointer moves; the heap object stays put
     } else {
       delete *p;
     }
+    return true;
   }
 
   void move_from(InlineFn& o) noexcept {

@@ -8,8 +8,10 @@
 //  * the ready queue is an indexed binary heap of 24-byte PODs
 //    (time, seq, slot) — sift operations never move callables;
 //  * callables live in a pool of slot-indexed nodes, inline up to
-//    kEventInlineBytes via InlineFn, so the common timer/delivery/hop
-//    lambdas never touch the allocator after the pool warms up;
+//    kEventInlineBytes via InlineFn; the packet paths park packets and send
+//    requests in sim::SlotPools and capture handles, so timer, hop, receive,
+//    delivery and submission lambdas never touch the allocator after the
+//    pools warm up, and inline_spills() counts the events that still do;
 //  * cancellation is lazy — cancel() flips a flag in the node (O(1), no
 //    hash lookup, destroys the capture immediately) — but bounded: when
 //    cancelled entries outnumber live ones the heap is compacted in O(n),
@@ -54,12 +56,14 @@ class EventHandle {
 
 class Scheduler {
  public:
-  /// Inline capture budget for event callables. Sized for the common
-  /// timer/delivery/completion lambdas (a this-pointer plus a few words);
-  /// oversized captures (e.g. closures carrying a whole net::Packet) take
-  /// InlineFn's heap fallback, which is what std::function did for *every*
-  /// capture beyond two words. Kept modest on purpose: the node pool's cache
-  /// footprint scales with this at high pending-event counts.
+  /// Inline capture budget for event callables. Sized for a this-pointer
+  /// plus a few words — a timer, a completion, or a packet path closure
+  /// holding a sim::SlotPool handle instead of the packet itself. Oversized
+  /// captures take InlineFn's heap fallback and are counted by
+  /// inline_spills(). Kept modest on purpose: every pooled event node grows
+  /// with this. Raising it to 144 B so whole packets fit measured no faster
+  /// than pooling and grows each node from 80 to 176 bytes
+  /// (docs/PERFORMANCE.md, "Packet hot path").
   static constexpr std::size_t kEventInlineBytes = 48;
   using EventFn = InlineFn<void(), kEventInlineBytes>;
 
@@ -88,6 +92,7 @@ class Scheduler {
   /// (or after(0, ...)), which runs after already-queued same-time events.
   EventHandle at(Time t, EventFn fn) {
     if (t < now_) throw_past_time(t);
+    if (fn.heap_allocated()) ++inline_spills_;
     const std::uint32_t slot = acquire_slot();
     nodes_[slot].fn = std::move(fn);
     return push_entry(t, slot);
@@ -101,6 +106,7 @@ class Scheduler {
                 std::is_invocable_v<std::decay_t<F>&>>>
   EventHandle at(Time t, F&& fn) {
     if (t < now_) throw_past_time(t);
+    if constexpr (!EventFn::fits_inline<std::decay_t<F>>) ++inline_spills_;
     const std::uint32_t slot = acquire_slot();
     nodes_[slot].fn.emplace(std::forward<F>(fn));
     return push_entry(t, slot);
@@ -171,6 +177,11 @@ class Scheduler {
   [[nodiscard]] std::size_t pending_events() const { return live_; }
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+
+  /// Events scheduled whose callable did not fit kEventInlineBytes and was
+  /// heap-allocated. Deliberately not an obs::Registry metric, so registry
+  /// dumps stay identical whatever the capture sizes.
+  [[nodiscard]] std::uint64_t inline_spills() const { return inline_spills_; }
 
  private:
   /// Heap element: ordering key plus the index of the node holding the
@@ -329,6 +340,7 @@ class Scheduler {
   std::size_t live_ = 0;
   std::size_t cancelled_in_heap_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t inline_spills_ = 0;
 };
 
 }  // namespace sanfault::sim

@@ -4,6 +4,7 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -38,6 +39,22 @@ ClusterConfig ondemand_cfg(std::size_t hosts, TopoKind topo) {
   cfg.preload_routes = false;  // cold start: no routes anywhere
   cfg.rel.fail_threshold = sim::milliseconds(20);
   return cfg;
+}
+
+// Probe routes are inline PortLists, so the BFS depth bound is checked
+// where the mapper is built rather than overflowing mid-run.
+TEST(OnDemandMapper, DepthBoundKeepsProbeRoutesInsideAPortList) {
+  using firmware::OnDemandMapper;
+  EXPECT_EQ(OnDemandMapper::longest_probe_route(6), 13u);
+  EXPECT_LE(OnDemandMapper::longest_probe_route(
+                firmware::OnDemandMapperConfig{}.max_depth),
+            net::PortList::kCapacity);
+
+  ClusterConfig cfg = ondemand_cfg(4, TopoKind::kFigure2);
+  cfg.ondemand.max_depth = 7;  // 15-byte probes: the deepest bound that fits
+  EXPECT_NO_THROW(Cluster{cfg});
+  cfg.ondemand.max_depth = 8;
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
 TEST(OnDemandMapper, ColdStartDiscoversRouteAndDelivers) {

@@ -1,7 +1,8 @@
 // Cross-checks the slice-by-8 CRC32 against the one-table reference
 // implementation: random lengths, unaligned starts (the sliced path has an
 // alignment prologue whose every phase must agree), and the streaming split
-// property crc(ab) == crc over a then b for arbitrary splits.
+// property crc(ab) == crc over a then b for arbitrary splits. The
+// PayloadCrc cases pin the CRC a payload buffer computes once and keeps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "net/crc.hpp"
+#include "net/payload.hpp"
 #include "sim/rng.hpp"
 
 namespace sanfault::net {
@@ -100,6 +102,40 @@ TEST(Crc32, DetectsSingleBitFlips) {
     EXPECT_NE(crc32(std::span<const std::uint8_t>(buf)), clean);
     buf[byte] ^= bit;
   }
+}
+
+// --- the CRC kept in a payload buffer ---------------------------------------
+
+TEST(PayloadCrc, MatchesCrc32OverTheBytes) {
+  sim::Rng rng(0xC0C);
+  const std::size_t sizes[] = {0, 1, 4096};
+  for (const std::size_t n : sizes) {
+    const PayloadRef p(random_bytes(rng, n));
+    const std::uint32_t expect = crc32(p.span());
+    EXPECT_EQ(p.crc(), expect) << n;
+    EXPECT_EQ(p.crc(), expect) << n << " (kept value)";
+  }
+}
+
+TEST(PayloadCrc, CopiesReportTheSameCrc) {
+  sim::Rng rng(0xC0D);
+  const PayloadRef original(random_bytes(rng, 512));
+  const PayloadRef before = original;  // copied before the first crc()
+  const std::uint32_t crc = original.crc();
+  const PayloadRef after = original;   // copied after
+  EXPECT_EQ(before.crc(), crc);
+  EXPECT_EQ(after.crc(), crc);
+}
+
+TEST(PayloadCrc, CorruptedCopyHasItsOwnCrcAndSourceKeepsItsOwn) {
+  sim::Rng rng(0xC0E);
+  const PayloadRef src(random_bytes(rng, 256));
+  const std::uint32_t clean = src.crc();
+  const PayloadRef bad = src.corrupted(17, 0x5A);
+  EXPECT_EQ(bad.crc(), crc32(bad.span()));
+  EXPECT_NE(bad.crc(), clean);
+  EXPECT_EQ(src.crc(), clean);
+  EXPECT_EQ(src.crc(), crc32(src.span()));
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
-// Tests for the dynamic fabric: timing, contention, CRC, and fault injection.
+// Tests for the dynamic fabric: timing, contention, CRC, and fault
+// injection — plus the inline PortList that routes and entry-port records
+// share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "net/crc.hpp"
@@ -188,6 +192,34 @@ TEST_F(FabricFixture, CorruptionIsDetectedByCrc) {
   EXPECT_NE(crc32(std::span<const std::uint8_t>(p.payload)), p.crc);
 }
 
+// The retransmission path: the sender keeps one PayloadRef and re-injects
+// it. Corruption on the first traversal must land on a private copy, so the
+// CRC the sender's buffer keeps stays the clean one and the retransmission
+// is delivered clean.
+TEST_F(FabricFixture, CorruptionNeverPoisonsTheSendersCrc) {
+  Fabric f = make_fabric();
+  const Packet sent = data_packet(h0, h1, Route{{1}}, 256);
+  const std::uint32_t clean = crc32(sent.payload.span());
+  f.link_faults(l0).corrupt_prob = 1.0;
+  f.inject(h0, sent);
+  sched.run();
+  f.link_faults(l0).corrupt_prob = 0.0;
+  f.inject(h0, sent);  // retransmission from the same buffer
+  sched.run();
+
+  ASSERT_EQ(rx1.got.size(), 2u);
+  EXPECT_EQ(f.stats().delivered_corrupt, 1u);
+  EXPECT_EQ(f.stats().corruptions_injected, 1u);
+  const Packet& first = rx1.got[0].second;
+  const Packet& second = rx1.got[1].second;
+  EXPECT_EQ(first.crc, clean);
+  EXPECT_NE(crc32(first.payload.span()), first.crc);
+  EXPECT_EQ(second.crc, clean);
+  EXPECT_FALSE(second.corrupt_marker);
+  EXPECT_EQ(crc32(second.payload.span()), second.crc);
+  EXPECT_EQ(sent.payload.crc(), clean);
+}
+
 TEST_F(FabricFixture, EmptyPayloadCorruptionUsesMarker) {
   Fabric f = make_fabric();
   f.link_faults(l0).corrupt_prob = 1.0;
@@ -364,6 +396,57 @@ TEST_F(FabricFixture, MultiHopTimingAddsPerHopLatency) {
   // plus final 250 propagation.
   const sim::Duration ser2 = sim::transfer_time(p.wire_bytes(), 160.0e6);
   EXPECT_EQ(rx2.got[0].first, 2 * (250u + 300u) + ser2 + 250u);
+}
+
+// --- PortList: route bytes and entry-port records ---------------------------
+
+TEST(PortList, SixteenthEntryThrowsForRoutesAndInPortsAlike) {
+  Route r;
+  Packet p;
+  for (std::uint8_t i = 0; i < PortList::kCapacity; ++i) {
+    r.ports.push_back(i);
+    p.in_ports.push_back(i);
+  }
+  EXPECT_EQ(r.hops(), 15u);
+  EXPECT_EQ(p.in_ports.size(), 15u);
+  EXPECT_THROW(r.ports.push_back(15), std::length_error);
+  EXPECT_THROW(p.in_ports.push_back(15), std::length_error);
+  const std::vector<std::uint8_t> one{1};
+  EXPECT_THROW(r.ports.append(one.begin(), one.end()), std::length_error);
+}
+
+TEST(PortList, AppendAtEndReverseAndMutableBytes) {
+  Route r{{3, 1}};
+  const std::vector<std::uint8_t> home{0, 2};
+  r.ports.append(home.begin(), home.end());
+  EXPECT_EQ(r.ports, (std::vector<std::uint8_t>{3, 1, 0, 2}));
+  EXPECT_EQ(r.wire_bytes(), 4u);
+
+  std::reverse(r.ports.begin(), r.ports.end());
+  EXPECT_EQ(r.ports, (std::vector<std::uint8_t>{2, 0, 1, 3}));
+
+  // The access chaos::StateCorruptor uses to garble a cached route.
+  r.ports[1] ^= 0xFF;
+  for (auto& byte : r.ports) byte += 1;
+  EXPECT_EQ(r.ports, (std::vector<std::uint8_t>{3, 0, 2, 4}));
+
+  Packet p;
+  p.in_ports = {5, 6, 7};
+  Route back;
+  back.ports.assign(p.in_ports.rbegin(), p.in_ports.rend());
+  EXPECT_EQ(back.ports, (std::vector<std::uint8_t>{7, 6, 5}));
+}
+
+TEST(PortList, EqualityComparesOnlyTheLiveEntries) {
+  Route a{{1, 2}};
+  Route b{{1, 2, 9}};
+  EXPECT_NE(a, b);
+  b.ports.clear();
+  b.ports.push_back(1);
+  b.ports.push_back(2);
+  EXPECT_EQ(a, b);  // the stale third byte is not compared
+  EXPECT_EQ(Route{}, Route{{}});
+  EXPECT_FALSE(a.ports == (std::vector<std::uint8_t>{1}));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // DMA contention, and end-to-end transit with the raw (unreliable) firmware.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "firmware/raw.hpp"
@@ -245,6 +246,32 @@ TEST_F(NicBasic, NicCpuIsASharedSerialResource) {
   sched.run();
   EXPECT_EQ(nic0.cpu().busy_time(), 2 * nic0.costs().mcp_tx);
   EXPECT_EQ(nic1.cpu().busy_time(), 2 * nic1.costs().mcp_rx);
+}
+
+// host_submit's preconditions hold in every build type, not only under
+// assert: segmentation is the caller's job and firmware must be loaded.
+TEST_F(NicBasic, PayloadOverOneSendBufferThrows) {
+  const std::size_t buf = nic0.costs().buffer_bytes;
+  EXPECT_THROW(nic0.host_submit(make_req(h1, buf + 1)), std::logic_error);
+  EXPECT_EQ(nic0.stats().host_submits, 0u);
+  nic0.host_submit(make_req(h1, buf));  // exactly one buffer is fine
+  sched.run();
+  ASSERT_EQ(rx1.size(), 1u);
+  EXPECT_EQ(rx1[0].payload.size(), buf);
+}
+
+TEST(NicPreconditions, SubmitBeforeFirmwareThrows) {
+  sim::Scheduler sched;
+  HostId h0, h1;
+  net::Topology topo = NicFixture::make_topo(h0, h1);
+  net::Fabric fabric(sched, topo, {});
+  Nic nic(sched, fabric, h0, {});
+  SendRequest req;
+  req.dst = h1;
+  req.payload.assign(4, 1);
+  EXPECT_THROW(nic.host_submit(std::move(req)), std::logic_error);
+  EXPECT_EQ(nic.stats().host_submits, 0u);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Semantics tests for the performance-oriented scheduler internals: lazy
-// cancellation, slot/generation reuse, heap compaction, and the determinism
-// contract the parallel sweep runner (bench/parallel_sweep.hpp) relies on.
-// The basics (ordering, FIFO ties, cancel visibility) live in
-// sim_scheduler_test.cpp; these tests drive the edges the lazy
-// representation introduces.
+// cancellation, slot/generation reuse, heap compaction, the inline-capture
+// (spill) budget of the packet hot path, and the determinism contract the
+// parallel sweep runner (bench/parallel_sweep.hpp) relies on. The basics
+// (ordering, FIFO ties, cancel visibility) live in sim_scheduler_test.cpp;
+// these tests drive the edges the lazy representation introduces.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -13,9 +14,13 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
+#include "harness/microbench.hpp"
+#include "kv/rig.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/server.hpp"
+#include "traffic/engine.hpp"
 
 namespace sanfault {
 namespace {
@@ -197,6 +202,58 @@ TEST(SchedReArm, CancelThenReArmKeepsOneLiveTimer) {
   }
   s.run();
   EXPECT_EQ(timer_fired, 1);
+}
+
+// --- inline spills ---------------------------------------------------------
+
+TEST(SchedInlineSpills, CountsOnlyOversizedCaptures) {
+  sim::Scheduler s;
+  const std::array<char, 64> big{};
+  int small = 0;
+  s.after(1, [&small] { ++small; });
+  s.after(1, [big] { (void)big; });
+  sim::FifoServer srv(s);
+  srv.submit(1, [&small] { ++small; });
+  srv.submit(1, [big] { (void)big; });  // arrives as a built EventFn
+  EXPECT_EQ(s.inline_spills(), 2u);
+  s.run();
+  EXPECT_EQ(small, 2);
+  EXPECT_EQ(s.inline_spills(), 2u);
+}
+
+// The packet hot path's bound on a service workload: fewer than 5% of the
+// events a KV run executes may heap-allocate their callable — here with
+// the on-demand mapper (probe injection) and SWIM gossip on as well.
+TEST(SchedInlineSpills, KvServiceOnFigure2SpillsUnderFivePercent) {
+  kv::KvRigConfig rc;
+  rc.cluster.topo = harness::TopoKind::kFigure2;
+  rc.cluster.mapper = harness::MapperKind::kOnDemand;
+  rc.membership = true;
+  kv::KvRig rig(rc);
+  traffic::TrafficConfig tc;
+  tc.num_clients = 64;
+  tc.total_requests = 3000;
+  tc.rate_rps = 50000;
+  tc.seed = 5;
+  traffic::TrafficEngine engine(rig.c.sched, rig.client_view(), tc);
+  engine.start();
+  const sim::Time cap = sim::seconds(60);
+  while (!engine.done() && rig.c.sched.now() < cap && rig.c.sched.step()) {
+  }
+  ASSERT_TRUE(engine.done());
+  const std::uint64_t events = rig.c.sched.events_executed();
+  const std::uint64_t spills = rig.c.sched.inline_spills();
+  EXPECT_GT(events, 100000u);
+  EXPECT_LT(spills * 20, events) << spills << " of " << events << " events";
+}
+
+// bench_simcore's end-to-end ring (4 KB segments, reliable firmware, injected
+// drops and retransmissions): every hop, receive, delivery, submission and
+// ACK closure fits the inline buffer.
+TEST(SchedInlineSpills, ReliableRingNeverSpills) {
+  const harness::RingResult r = harness::run_reliable_ring(1000);
+  EXPECT_GT(r.wire_tx, 4000u);
+  EXPECT_EQ(r.inline_spills, 0u) << "of " << r.events << " events";
 }
 
 // --- determinism under the parallel sweep runner ---------------------------

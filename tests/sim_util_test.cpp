@@ -1,10 +1,13 @@
-// Unit tests for the RNG and statistics utilities.
+// Unit tests for the RNG, statistics and slot-pool utilities.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "sim/rng.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/stats.hpp"
 
 namespace sanfault::sim {
@@ -115,6 +118,37 @@ TEST(Log2Histogram, CountsSamples) {
   h.add(7);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.bucket(3), 3u);  // 4..7 land in bucket 3
+}
+
+TEST(SlotPool, TakeReturnsTheParkedValue) {
+  SlotPool<std::string> pool;
+  const auto a = pool.put("a");
+  const auto b = pool.put("b");
+  EXPECT_EQ(pool[b], "b");
+  EXPECT_EQ(pool.take(a), "a");
+  EXPECT_EQ(pool.take(b), "b");
+}
+
+TEST(SlotPool, ReuseBumpsTheGeneration) {
+  SlotPool<int> pool;
+  const auto first = pool.put(1);
+  (void)pool.take(first);
+  const auto second = pool.put(2);  // the freed slot is reused
+  EXPECT_NE(first.id(), second.id());
+  EXPECT_EQ(first.id() >> 32, second.id() >> 32) << "same slot";
+  EXPECT_EQ(pool.take(second), 2);
+}
+
+TEST(SlotPool, StaleOrRepeatedTakeThrows) {
+  SlotPool<int> pool;
+  const auto h = pool.put(7);
+  EXPECT_EQ(pool.take(h), 7);
+  EXPECT_THROW((void)pool.take(h), std::logic_error);  // repeated
+  const auto fresh = pool.put(8);                      // reuses h's slot
+  EXPECT_THROW((void)pool.take(h), std::logic_error);  // stale
+  EXPECT_THROW((void)pool[h], std::logic_error);
+  EXPECT_THROW((void)pool.take(SlotPool<int>::Handle{}), std::logic_error);
+  EXPECT_EQ(pool.take(fresh), 8);
 }
 
 }  // namespace
