@@ -30,8 +30,9 @@
 // area), the exactly-once KV audit, and the chaos invariant checker. Any
 // invariant violation fails the process — this is the CI gate.
 //
-// Two state-corruption modes ride along (docs/CHAOS.md "State corruption"):
-// `--corrupt-smoke` runs one fixed-seed convergence cell per corruption
+// Two state-corruption modes ride along (docs/CHAOS.md "State corruption"),
+// both over chaos::run_convergence_case, the cell the property battery
+// runs too: `--corrupt-smoke` runs one fixed-seed case per corruption
 // class and emits a byte-comparable artifact (verify.sh double-runs and
 // diffs it); `--soak <seed> [--soak-cases N]` derives N randomized cases
 // from the master seed — the nightly workflow's randomized battery, whose
@@ -49,11 +50,10 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "chaos/corruptor.hpp"
+#include "chaos/convergence.hpp"
 #include "chaos/engine.hpp"
 #include "chaos/recovery.hpp"
 #include "chaos/scenario.hpp"
@@ -461,259 +461,9 @@ bool write_log(const char* path, const std::vector<CellResult>& rows) {
 }
 
 // ---------------------------------------------------------------------------
-// State-corruption convergence cell, shared by --corrupt-smoke (fixed seed,
-// all six classes, byte-comparable artifact) and --soak (randomized cases
-// derived from a master seed; the nightly workflow's needle-mover). Mirrors
-// the tests/property_test SelfStabilization battery: three DSL-driven live
-// corruptions plus a trunk kill, then Phase A loss/order accounting, a
-// scrub/restart witness, and a post-horizon exactly-once Phase B burst.
-
-constexpr const char* kCorruptClasses[6] = {"seq",        "ack",
-                                            "gen",        "retx_queue",
-                                            "path_cache", "backup_slot"};
-
-struct CorruptCaseResult {
-  std::string dsl;        // exact scenario text — the replay recipe
-  std::string chaos_log;  // engine log incl. corruption audit lines
-  std::string fw_stats;   // endpoint scrub/restart counters
-  std::uint64_t applied = 0;
-  std::uint64_t witness = 0;
-  std::string metrics_json;
-  std::vector<std::string> violations;  // empty == converged
-  [[nodiscard]] bool converged() const { return violations.empty(); }
-};
-
-/// Links a route traverses from `src`, access link first; empty when the
-/// route dead-ends (only possible for corrupted routes, never the primary).
-std::vector<net::LinkId> corrupt_route_links(const harness::Cluster& c,
-                                             std::size_t src,
-                                             const net::Route& r) {
-  std::vector<net::LinkId> links;
-  auto att = c.topo.peer_of({net::Device::host(c.hosts[src]), 0});
-  if (!att.has_value()) return links;
-  links.push_back(att->link);
-  net::Device cur = att->peer.dev;
-  for (const std::uint8_t p : r.ports) {
-    auto hop = c.topo.peer_of({cur, p});
-    if (!hop.has_value()) return {};
-    links.push_back(hop->link);
-    cur = hop->peer.dev;
-  }
-  return links;
-}
-
-CorruptCaseResult run_corrupt_case(harness::TopoKind topo,
-                                   std::size_t num_hosts, int cls,
-                                   std::uint64_t seed, bool want_metrics) {
-  CorruptCaseResult out;
-  const char* cls_name = kCorruptClasses[cls];
-  sim::Rng knobs(seed ^ 0x5E1F57ABull);
-  harness::ClusterConfig cfg;
-  cfg.num_hosts = num_hosts;
-  cfg.topo = topo;
-  cfg.fw = harness::FirmwareKind::kReliable;
-  cfg.mapper = harness::MapperKind::kOnDemand;
-  cfg.ondemand.proactive_backup = true;
-  cfg.ondemand.probe_retries = 6;
-  cfg.ondemand.probe_timeout = sim::milliseconds(2);
-  cfg.rel.fail_threshold = sim::milliseconds(10);
-  cfg.rel.fail_min_rounds = 8;
-  cfg.nic.send_buffers = 64;
-  cfg.fabric.seed = seed;
-  harness::Cluster c(cfg);
-
-  std::size_t dsti = 0;
-  std::vector<net::LinkId> plinks;
-  for (std::size_t h = 1; h < c.hosts.size(); ++h) {
-    auto r = c.topo.shortest_route(c.hosts[0], c.hosts[h]);
-    if (!r.has_value()) continue;
-    auto links = corrupt_route_links(c, 0, *r);
-    if (links.size() >= 4) {
-      dsti = h;
-      plinks = std::move(links);
-      break;
-    }
-  }
-  if (dsti == 0) {
-    out.violations.emplace_back("no multi-trunk destination in topology");
-    return out;
-  }
-  for (std::uint32_t l = 0; l < c.topo.num_links(); ++l) {
-    auto& lf = c.fabric().link_faults(net::LinkId{l});
-    lf.loss_prob = 0.02 * knobs.uniform_double();
-    lf.dup_prob = 0.02 * knobs.uniform_double();
-  }
-
-  const bool dst_side = cls == 1 || (cls == 2 && seed % 2 == 1);
-  const std::uint32_t chost = dst_side ? c.hosts[dsti].v : c.hosts[0].v;
-  const std::uint32_t cpeer = dst_side ? c.hosts[0].v : c.hosts[dsti].v;
-  const bool pin_peer = cls == 4;  // see property_test: flips must land live
-  const char* modes[] = {"flip", "zero", "rand"};
-  std::ostringstream sc;
-  sc << "scenario soak-" << cls_name << "-" << seed << "\nseed " << seed
-     << "\n"
-     << "at 2ms corrupt host=" << chost << " state=" << cls_name
-     << " mode=" << modes[seed % 3]
-     << (pin_peer ? " peer=" + std::to_string(cpeer) : "") << "\n"
-     << "at 2600us corrupt host=" << chost << " state=" << cls_name
-     << " mode=" << modes[(seed + 1) % 3] << " peer=" << cpeer << "\n"
-     << "at 3200us corrupt host=" << chost << " state=" << cls_name
-     << " mode=" << modes[(seed + 2) % 3]
-     << (pin_peer ? " peer=" + std::to_string(cpeer) : "") << "\n"
-     << "at " << (cls == 3 ? "1500us" : "4ms")
-     << " link_down link=" << plinks[1].v << "\n";
-  out.dsl = sc.str();
-
-  chaos::ChaosEngine eng(c.sched, c.fabric(),
-                         chaos::Scenario::parse(out.dsl));
-  chaos::StateCorruptor corr(c.sched, seed ^ 0xC0DE5EEDull);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    corr.bind(c.hosts[i], &c.rel(i), &c.mapper(i));
-  }
-  eng.set_corruptor(&corr);
-  eng.arm();
-
-  std::uint64_t witness_events = 0;
-  const auto witness_hook = [&](const firmware::FwEvent& ev) {
-    const bool counts = ev.kind == firmware::FwEvent::Kind::kScrubRepair ||
-                        ev.kind == firmware::FwEvent::Kind::kGenRestart ||
-                        ev.kind == firmware::FwEvent::Kind::kNicReset;
-    if (counts && c.sched.now() >= sim::milliseconds(2)) ++witness_events;
-  };
-  c.rel(0).set_event_hook(witness_hook);
-  c.rel(dsti).set_event_hook(witness_hook);
-
-  constexpr std::uint64_t kPhaseA = 40;
-  constexpr std::uint64_t kPhaseB = 20;
-  constexpr std::uint64_t kBTag = 100;
-  std::vector<std::uint64_t> tags;
-  c.nic(dsti).set_host_rx([&](net::UserHeader u, net::PayloadRef,
-                              net::HostId) { tags.push_back(u.w0); });
-  for (std::uint64_t i = 0; i < kPhaseA; ++i) {
-    c.sched.after(static_cast<sim::Duration>(i) * sim::microseconds(300),
-                  [&c, dsti, i] {
-                    net::UserHeader u;
-                    u.w0 = i;
-                    c.send(0, dsti,
-                           std::vector<std::uint8_t>(
-                               96, static_cast<std::uint8_t>(i)),
-                           u);
-                  });
-  }
-  const auto drained = [&] {
-    if (c.sched.now() < sim::milliseconds(13)) return false;
-    const firmware::TxChannel* ch = c.rel(0).chaos_tx_channel(c.hosts[dsti]);
-    return ch != nullptr && ch->retrans_queue.empty() &&
-           !ch->remap_in_flight && !ch->unreachable;
-  };
-  while (!drained() && c.sched.now() < sim::seconds(120) && c.sched.step()) {
-  }
-  c.sched.run_until(c.sched.now() + sim::milliseconds(20));
-
-  out.applied = corr.applied();
-  out.witness = witness_events;
-  if (out.applied == 0) {
-    out.violations.emplace_back("no corruption rewrote live state");
-  }
-  if (witness_events == 0) {
-    out.violations.emplace_back(
-        "corruption repaired with no scrub/restart witness");
-  }
-
-  // Phase A accounting (see the battery for why `ack` is exempt from the
-  // ordering check and gets a loss allowance instead).
-  std::vector<char> seen_a(kPhaseA, 0);
-  std::uint64_t prev_first = 0;
-  bool have_first = false;
-  std::size_t distinct_a = 0;
-  for (std::uint64_t t : tags) {
-    if (t >= kPhaseA || seen_a[t] != 0) continue;
-    seen_a[t] = 1;
-    ++distinct_a;
-    if (have_first && cls != 1 && t <= prev_first) {
-      out.violations.push_back("phase A first deliveries reordered: " +
-                               std::to_string(t) + " after " +
-                               std::to_string(prev_first));
-    }
-    prev_first = t;
-    have_first = true;
-  }
-  if (cls == 1 ? distinct_a < kPhaseA - 12 : distinct_a != kPhaseA) {
-    out.violations.push_back("phase A silent loss: " +
-                             std::to_string(distinct_a) + "/" +
-                             std::to_string(kPhaseA) + " delivered");
-  }
-
-  // Phase B: past the scrub horizon, exactly-once in order again.
-  const std::size_t b_start = tags.size();
-  for (std::uint64_t i = 0; i < kPhaseB; ++i) {
-    c.sched.after(static_cast<sim::Duration>(i) * sim::microseconds(300),
-                  [&c, dsti, i] {
-                    net::UserHeader u;
-                    u.w0 = kBTag + i;
-                    c.send(0, dsti,
-                           std::vector<std::uint8_t>(
-                               96, static_cast<std::uint8_t>(i)),
-                           u);
-                  });
-  }
-  std::vector<char> seen_b(kPhaseB, 0);
-  const auto b_done = [&] {
-    std::size_t d = 0;
-    for (std::size_t i = b_start; i < tags.size(); ++i) {
-      const std::uint64_t t = tags[i];
-      if (t >= kBTag && t < kBTag + kPhaseB) seen_b[t - kBTag] = 1;
-    }
-    for (char s : seen_b) d += (s != 0) ? 1 : 0;
-    return d >= kPhaseB;
-  };
-  const sim::Time b_deadline = c.sched.now() + sim::seconds(60);
-  while (!b_done() && c.sched.now() < b_deadline && c.sched.step()) {
-  }
-  c.sched.run_until(c.sched.now() + sim::milliseconds(20));
-
-  std::vector<std::uint64_t> b_tags;
-  for (std::size_t i = b_start; i < tags.size(); ++i) {
-    if (tags[i] >= kBTag && tags[i] < kBTag + kPhaseB) {
-      b_tags.push_back(tags[i]);
-    }
-  }
-  if (b_tags.size() != kPhaseB) {
-    out.violations.push_back("phase B not exactly-once: " +
-                             std::to_string(b_tags.size()) + "/" +
-                             std::to_string(kPhaseB) + " deliveries");
-  } else {
-    for (std::uint64_t i = 0; i < kPhaseB; ++i) {
-      if (b_tags[i] != kBTag + i) {
-        out.violations.push_back("phase B out of order at index " +
-                                 std::to_string(i));
-        break;
-      }
-    }
-  }
-
-  const auto& s0 = c.rel(0).stats();
-  const auto& sd = c.rel(dsti).stats();
-  out.fw_stats =
-      "scrub_passes=" + std::to_string(s0.scrub_passes + sd.scrub_passes) +
-      " tx_repairs=" +
-      std::to_string(s0.scrub_tx_repairs + sd.scrub_tx_repairs) +
-      " rx_repairs=" +
-      std::to_string(s0.scrub_rx_repairs + sd.scrub_rx_repairs) +
-      " gen_adoptions=" +
-      std::to_string(s0.scrub_gen_adoptions + sd.scrub_gen_adoptions) +
-      " bogus_acks=" +
-      std::to_string(s0.scrub_bogus_acks + sd.scrub_bogus_acks) +
-      " misroute_drops=" +
-      std::to_string(s0.misroute_drops + sd.misroute_drops) +
-      " gen_restarts=" +
-      std::to_string(s0.generation_restarts + sd.generation_restarts);
-  out.chaos_log = eng.log_text();
-  if (want_metrics) {
-    out.metrics_json = obs::Registry::of(c.sched).to_json();
-  }
-  return out;
-}
+// State-corruption convergence modes. Both drive the shared cell
+// (chaos::run_convergence_case) that the tests/property_test
+// SelfStabilization battery also runs.
 
 /// --corrupt-smoke: one fixed-seed cell per corruption class on fig2-16.
 /// The artifact (written to --log) is fully deterministic — verify.sh runs
@@ -727,10 +477,12 @@ int run_corrupt_smoke(const char* log_path, const char* metrics_path) {
   std::string metrics = "[\n";
   bool all_ok = true;
   for (int cls = 0; cls < 6; ++cls) {
-    const CorruptCaseResult r =
-        run_corrupt_case(harness::TopoKind::kFigure2, 16, cls, kSmokeSeed,
-                         metrics_path != nullptr);
-    artifact += "--- class=" + std::string(kCorruptClasses[cls]) + " ---\n" +
+    const auto state = static_cast<chaos::CorruptState>(cls);
+    const std::string name(chaos::corrupt_state_name(state));
+    const chaos::ConvergenceResult r =
+        chaos::run_convergence_case(harness::TopoKind::kFigure2, 16, state,
+                                    kSmokeSeed, metrics_path != nullptr);
+    artifact += "--- class=" + name + " ---\n" +
                 r.dsl + r.chaos_log + "fw: " + r.fw_stats + "\nresult: ";
     if (r.converged()) {
       artifact += "converged (applied=" + std::to_string(r.applied) +
@@ -743,12 +495,11 @@ int run_corrupt_smoke(const char* log_path, const char* metrics_path) {
       }
     }
     if (metrics_path != nullptr) {
-      metrics += "{\"cell\": {\"scenario\": \"corrupt-" +
-                 std::string(kCorruptClasses[cls]) +
+      metrics += "{\"cell\": {\"scenario\": \"corrupt-" + name +
                  "\", \"hosts\": 16},\n\"metrics\": " + r.metrics_json + "}" +
                  (cls + 1 < 6 ? "," : "") + "\n";
     }
-    std::printf("corrupt-smoke class=%-11s %s\n", kCorruptClasses[cls],
+    std::printf("corrupt-smoke class=%-11s %s\n", name.c_str(),
                 r.converged() ? "converged" : "FAILED");
   }
   metrics += "]\n";
@@ -794,17 +545,18 @@ int run_soak(std::uint64_t master_seed, std::uint64_t cases,
               static_cast<unsigned long long>(cases));
   std::uint64_t failures = 0;
   for (std::uint64_t i = 0; i < cases; ++i) {
-    const int cls = static_cast<int>(master.uniform(6));
+    const auto state = static_cast<chaos::CorruptState>(master.uniform(6));
+    const std::string name(chaos::corrupt_state_name(state));
     const std::uint64_t case_seed = master.next();
     // Every fifth case runs on the 64-host fat-tree; the rest on fig2-16.
     const bool clos = i % 5 == 4;
     const harness::TopoKind topo =
         clos ? harness::TopoKind::kClos : harness::TopoKind::kFigure2;
     const std::size_t hosts = clos ? 64 : 16;
-    const CorruptCaseResult r =
-        run_corrupt_case(topo, hosts, cls, case_seed, /*want_metrics=*/false);
-    artifact += "--- case " + std::to_string(i) + ": class=" +
-                kCorruptClasses[cls] + " seed=" + std::to_string(case_seed) +
+    const chaos::ConvergenceResult r =
+        chaos::run_convergence_case(topo, hosts, state, case_seed);
+    artifact += "--- case " + std::to_string(i) + ": class=" + name +
+                " seed=" + std::to_string(case_seed) +
                 " topo=" + (clos ? "clos-64" : "fig2-16") + " ---\n" + r.dsl;
     if (r.converged()) {
       artifact += "result: converged (applied=" + std::to_string(r.applied) +
@@ -816,7 +568,7 @@ int run_soak(std::uint64_t master_seed, std::uint64_t cases,
         artifact += "  violation: " + v + "\n";
       }
       std::printf("soak case %llu FAILED: class=%s seed=%llu topo=%s\n",
-                  static_cast<unsigned long long>(i), kCorruptClasses[cls],
+                  static_cast<unsigned long long>(i), name.c_str(),
                   static_cast<unsigned long long>(case_seed),
                   clos ? "clos-64" : "fig2-16");
       for (const std::string& v : r.violations) {

@@ -4,81 +4,14 @@
 // Paper: intervals of 100 us or less cost > 17% bandwidth across message
 // sizes (timer scans + false retransmissions when the timer is shorter than
 // the ack latency); 1 ms or longer is near-free.
-#include <cstdio>
-#include <cstring>
-#include <functional>
-#include <vector>
-
-#include "harness/table.hpp"
-#include "parallel_sweep.hpp"
 #include "sweep_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace sanfault;
-  bool full = false;
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr, "usage: %s [--full] [--jobs <N>]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  const std::vector<sim::Duration> intervals = {
-      sim::microseconds(10), sim::microseconds(100), sim::milliseconds(1),
-      sim::milliseconds(10), sim::seconds(1)};
-  const std::vector<std::size_t> sizes = {4,     64,    1024,   4096,
-                                          16384, 65536, 262144, 1048576};
-
-  std::printf("=== Figure 5: retransmission interval, no errors, q=32 ===\n\n");
-
-  // Measure every point once (each yields bidi + uni). Cells are declared in
-  // report order and may run on any worker thread; see parallel_sweep.hpp.
-  std::vector<std::function<benchsweep::PointResult()>> cells;
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    benchsweep::PointConfig base;
-    base.msg_bytes = sizes[si];
-    base.full = full;
-    base.with_ft = false;
-    cells.emplace_back([base] { return benchsweep::run_point(base); });
-    for (auto iv : intervals) {
-      benchsweep::PointConfig pc = base;
-      pc.with_ft = true;
-      pc.retrans_interval = iv;
-      cells.emplace_back([pc] { return benchsweep::run_point(pc); });
-    }
-  }
-  const auto res = bench::run_cells<benchsweep::PointResult>(jobs, cells);
-
-  const std::size_t stride = 1 + intervals.size();
-  std::vector<std::vector<benchsweep::PointResult>> grid(sizes.size());
-  std::vector<benchsweep::PointResult> baseline(sizes.size());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    baseline[si] = res[si * stride];
-    grid[si].assign(res.begin() + static_cast<std::ptrdiff_t>(si * stride + 1),
-                    res.begin() + static_cast<std::ptrdiff_t>((si + 1) * stride));
-  }
-
-  for (const bool uni : {false, true}) {
-    harness::Table t({"Size", "No FT", "10us", "100us", "1ms", "10ms", "1s"});
-    for (std::size_t si = 0; si < sizes.size(); ++si) {
-      std::vector<std::string> row{harness::fmt_bytes(sizes[si])};
-      row.push_back(harness::fmt(
-          uni ? baseline[si].uni_mbps : baseline[si].bidi_mbps, 1));
-      for (const auto& r : grid[si]) {
-        row.push_back(harness::fmt(uni ? r.uni_mbps : r.bidi_mbps, 1));
-      }
-      t.add_row(std::move(row));
-    }
-    std::printf("--- %s bandwidth (MB/s) ---\n",
-                uni ? "Unidirectional" : "Bidirectional");
-    t.print();
-    std::printf("\n");
-  }
-  std::printf(
-      "Paper reference: <=100us drops bandwidth by >17%%; >=1ms is within a "
-      "few %% of No FT.\n");
-  return 0;
+  using namespace sanfault::benchsweep;
+  return run_figure(
+      argc, argv,
+      {"Figure 5: retransmission interval, no errors, q=32",
+       interval_settings(), kNoErrors, kAllSizes, kAllSizes,
+       "Paper reference: <=100us drops bandwidth by >17%; >=1ms is within a "
+       "few % of No FT.\n"});
 }

@@ -4,87 +4,15 @@
 // Paper: the 1 ms timer is the robust choice — at error rate 1e-4 it keeps
 // bandwidth within ~10% of error-free for >= 4 KB messages, while 100 us
 // loses > 18% and 1 s loses > 72% at the same sizes.
-#include <cstdio>
-#include <cstring>
-#include <functional>
-#include <vector>
-
-#include "harness/table.hpp"
-#include "parallel_sweep.hpp"
 #include "sweep_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace sanfault;
-  bool full = false;
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr, "usage: %s [--full] [--jobs <N>]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  const std::vector<sim::Duration> intervals = {
-      sim::microseconds(10), sim::microseconds(100), sim::milliseconds(1),
-      sim::milliseconds(10), sim::seconds(1)};
-  const std::vector<std::uint64_t> rates = {100, 1000, 10000};  // 1/err
-  const std::vector<std::size_t> sizes =
-      full ? std::vector<std::size_t>{4096, 16384, 65536, 262144, 1048576}
-           : std::vector<std::size_t>{4096, 65536, 1048576};
-
-  std::printf("=== Figure 6: retransmission interval with errors, q=32 ===\n\n");
-
-  // Cell list in report order: rate -> size -> [No-FT baseline, intervals...].
-  std::vector<std::function<benchsweep::PointResult()>> cells;
-  for (std::uint64_t rate : rates) {
-    (void)rate;
-    for (std::size_t bytes : sizes) {
-      benchsweep::PointConfig base;
-      base.msg_bytes = bytes;
-      base.full = full;
-      base.with_ft = false;
-      base.drop_interval = 0;  // the No-FT reference runs error-free
-      cells.emplace_back([base] { return benchsweep::run_point(base); });
-      for (auto iv : intervals) {
-        benchsweep::PointConfig pc = base;
-        pc.with_ft = true;
-        pc.retrans_interval = iv;
-        pc.drop_interval = rate;
-        cells.emplace_back([pc] { return benchsweep::run_point(pc); });
-      }
-    }
-  }
-  const auto res = bench::run_cells<benchsweep::PointResult>(jobs, cells);
-
-  const std::size_t stride = 1 + intervals.size();
-  std::size_t cell = 0;
-  for (std::uint64_t rate : rates) {
-    std::printf("--- error rate 1e-%d (drop every %llu packets) ---\n",
-                rate == 100 ? 2 : rate == 1000 ? 3 : 4,
-                static_cast<unsigned long long>(rate));
-    harness::Table t({"Size", "Dir", "No FT(q32)", "10us", "100us", "1ms",
-                      "10ms", "1s"});
-    for (std::size_t bytes : sizes) {
-      const benchsweep::PointResult& raw = res[cell];
-      for (const bool uni : {false, true}) {
-        std::vector<std::string> row{harness::fmt_bytes(bytes),
-                                     uni ? "uni" : "bidi"};
-        row.push_back(harness::fmt(uni ? raw.uni_mbps : raw.bidi_mbps, 1));
-        for (std::size_t k = 1; k < stride; ++k) {
-          const benchsweep::PointResult& r = res[cell + k];
-          row.push_back(harness::fmt(uni ? r.uni_mbps : r.bidi_mbps, 1));
-        }
-        t.add_row(std::move(row));
-      }
-      cell += stride;
-    }
-    t.print();
-    std::printf("\n");
-  }
-  std::printf(
-      "Paper reference: 1ms stays within ~10%% of error-free at 1e-4 for\n"
-      ">=4KB messages; 100us loses >18%%, 1s loses >72%% at the same sizes.\n");
-  return 0;
+  using namespace sanfault::benchsweep;
+  return run_figure(
+      argc, argv,
+      {"Figure 6: retransmission interval with errors, q=32",
+       interval_settings(), kPaperErrorRates,
+       kErrorSizes, kErrorQuickSizes,
+       "Paper reference: 1ms stays within ~10% of error-free at 1e-4 for\n"
+       ">=4KB messages; 100us loses >18%, 1s loses >72% at the same sizes.\n"});
 }

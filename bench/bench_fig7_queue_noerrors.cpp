@@ -3,76 +3,13 @@
 //
 // Paper: only very small queues hurt; any queue size above 8 reaches
 // close-to-maximum bandwidth.
-#include <cstdio>
-#include <cstring>
-#include <functional>
-#include <vector>
-
-#include "harness/table.hpp"
-#include "parallel_sweep.hpp"
 #include "sweep_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace sanfault;
-  bool full = false;
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr, "usage: %s [--full] [--jobs <N>]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  const std::vector<std::size_t> queues = {2, 8, 32, 128};
-  const std::vector<std::size_t> sizes = {4,     64,    1024,   4096,
-                                          16384, 65536, 262144, 1048576};
-
-  std::printf("=== Figure 7: NIC send queue size, no errors, r=1ms ===\n\n");
-
-  std::vector<std::function<benchsweep::PointResult()>> cells;
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    benchsweep::PointConfig base;
-    base.msg_bytes = sizes[si];
-    base.full = full;
-    base.with_ft = false;
-    base.queue = 32;
-    cells.emplace_back([base] { return benchsweep::run_point(base); });
-    for (std::size_t q : queues) {
-      benchsweep::PointConfig pc = base;
-      pc.with_ft = true;
-      pc.queue = q;
-      cells.emplace_back([pc] { return benchsweep::run_point(pc); });
-    }
-  }
-  const auto res = bench::run_cells<benchsweep::PointResult>(jobs, cells);
-
-  const std::size_t stride = 1 + queues.size();
-  std::vector<benchsweep::PointResult> baseline(sizes.size());
-  std::vector<std::vector<benchsweep::PointResult>> grid(sizes.size());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    baseline[si] = res[si * stride];
-    grid[si].assign(res.begin() + static_cast<std::ptrdiff_t>(si * stride + 1),
-                    res.begin() + static_cast<std::ptrdiff_t>((si + 1) * stride));
-  }
-
-  for (const bool uni : {false, true}) {
-    harness::Table t({"Size", "No FT(q32)", "q2", "q8", "q32", "q128"});
-    for (std::size_t si = 0; si < sizes.size(); ++si) {
-      std::vector<std::string> row{harness::fmt_bytes(sizes[si])};
-      row.push_back(harness::fmt(
-          uni ? baseline[si].uni_mbps : baseline[si].bidi_mbps, 1));
-      for (const auto& r : grid[si]) {
-        row.push_back(harness::fmt(uni ? r.uni_mbps : r.bidi_mbps, 1));
-      }
-      t.add_row(std::move(row));
-    }
-    std::printf("--- %s bandwidth (MB/s) ---\n",
-                uni ? "Unidirectional" : "Bidirectional");
-    t.print();
-    std::printf("\n");
-  }
-  std::printf("Paper reference: any queue size above 8 is close to maximum.\n");
-  return 0;
+  using namespace sanfault::benchsweep;
+  return run_figure(
+      argc, argv,
+      {"Figure 7: NIC send queue size, no errors, r=1ms", queue_settings(),
+       kNoErrors, kAllSizes, kAllSizes,
+       "Paper reference: any queue size above 8 is close to maximum.\n"});
 }

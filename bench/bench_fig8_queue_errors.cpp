@@ -5,80 +5,14 @@
 // q128 unidirectional bandwidth collapses by > 30%: sender-based feedback
 // defers ACK requests when buffers are plentiful, so each drop rolls back a
 // much deeper go-back-N window (no selective retransmission).
-#include <cstdio>
-#include <cstring>
-#include <functional>
-#include <vector>
-
-#include "harness/table.hpp"
-#include "parallel_sweep.hpp"
 #include "sweep_common.hpp"
 
 int main(int argc, char** argv) {
-  using namespace sanfault;
-  bool full = false;
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr, "usage: %s [--full] [--jobs <N>]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  const std::vector<std::size_t> queues = {2, 8, 32, 128};
-  const std::vector<std::uint64_t> rates = {100, 1000, 10000};
-  const std::vector<std::size_t> sizes =
-      full ? std::vector<std::size_t>{4096, 16384, 65536, 262144, 1048576}
-           : std::vector<std::size_t>{4096, 65536, 1048576};
-
-  std::printf("=== Figure 8: NIC send queue size with errors, r=1ms ===\n\n");
-
-  // Cell list in report order: rate -> size -> [No-FT baseline, queues...].
-  std::vector<std::function<benchsweep::PointResult()>> cells;
-  for (std::uint64_t rate : rates) {
-    for (std::size_t bytes : sizes) {
-      benchsweep::PointConfig base;
-      base.msg_bytes = bytes;
-      base.full = full;
-      base.with_ft = false;
-      cells.emplace_back([base] { return benchsweep::run_point(base); });
-      for (std::size_t q : queues) {
-        benchsweep::PointConfig pc = base;
-        pc.with_ft = true;
-        pc.queue = q;
-        pc.drop_interval = rate;
-        cells.emplace_back([pc] { return benchsweep::run_point(pc); });
-      }
-    }
-  }
-  const auto res = bench::run_cells<benchsweep::PointResult>(jobs, cells);
-
-  const std::size_t stride = 1 + queues.size();
-  std::size_t cell = 0;
-  for (std::uint64_t rate : rates) {
-    std::printf("--- error rate 1e-%d ---\n", rate == 100 ? 2 : rate == 1000 ? 3 : 4);
-    harness::Table t({"Size", "Dir", "No FT(q32)", "q2", "q8", "q32", "q128"});
-    for (std::size_t bytes : sizes) {
-      const benchsweep::PointResult& raw = res[cell];
-      for (const bool uni : {false, true}) {
-        std::vector<std::string> row{harness::fmt_bytes(bytes),
-                                     uni ? "uni" : "bidi"};
-        row.push_back(harness::fmt(uni ? raw.uni_mbps : raw.bidi_mbps, 1));
-        for (std::size_t k = 1; k < stride; ++k) {
-          const benchsweep::PointResult& r = res[cell + k];
-          row.push_back(harness::fmt(uni ? r.uni_mbps : r.bidi_mbps, 1));
-        }
-        t.add_row(std::move(row));
-      }
-      cell += stride;
-    }
-    t.print();
-    std::printf("\n");
-  }
-  std::printf(
-      "Paper reference: q>=8 near-best at <=1e-4; at 1e-2 the q128\n"
-      "unidirectional case degrades by >30%% (deep go-back-N rollbacks).\n");
-  return 0;
+  using namespace sanfault::benchsweep;
+  return run_figure(
+      argc, argv,
+      {"Figure 8: NIC send queue size with errors, r=1ms", queue_settings(),
+       kPaperErrorRates, kErrorSizes, kErrorQuickSizes,
+       "Paper reference: q>=8 near-best at <=1e-4; at 1e-2 the q128\n"
+       "unidirectional case degrades by >30% (deep go-back-N rollbacks).\n"});
 }

@@ -1,7 +1,9 @@
-// Shared sweep machinery for the Figure 5-8 benchmarks: measure ping-pong
-// ("bidirectional") and unidirectional bandwidth for one protocol
-// configuration (retransmission interval, send-queue size, injected error
-// rate) at one message size.
+// The Figure 5-8 sweep, shared by all four figure binaries: bandwidth
+// against one protocol setting (retransmission interval or send-queue
+// size), without and with injected errors. Every point measures ping-pong
+// ("bidirectional") and unidirectional bandwidth at one message size; each
+// size's No-FT baseline (raw firmware, error-free) is simulated once and
+// shared by every table.
 //
 // Stream lengths follow the paper's methodology — "generate enough packets
 // to allow at least ten packets to be dropped at the lower error rate" in
@@ -12,9 +14,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
+#include "harness/table.hpp"
+#include "parallel_sweep.hpp"
 
 namespace sanfault::benchsweep {
 
@@ -77,6 +86,127 @@ inline PointResult run_point(const PointConfig& pc) {
             .mbytes_per_sec();
   }
   return r;
+}
+
+/// One swept protocol setting: a table column.
+struct Setting {
+  const char* label;
+  sim::Duration retrans_interval;
+  std::size_t queue;
+};
+
+/// Figures 5 and 6: the retransmission interval, send queue fixed at 32.
+inline std::vector<Setting> interval_settings() {
+  return {{"10us", sim::microseconds(10), 32},
+          {"100us", sim::microseconds(100), 32},
+          {"1ms", sim::milliseconds(1), 32},
+          {"10ms", sim::milliseconds(10), 32},
+          {"1s", sim::seconds(1), 32}};
+}
+
+/// Figures 7 and 8: the send-queue size, retransmission interval 1 ms.
+inline std::vector<Setting> queue_settings() {
+  const sim::Duration r = sim::milliseconds(1);
+  return {{"q2", r, 2}, {"q8", r, 8}, {"q32", r, 32}, {"q128", r, 128}};
+}
+
+/// Drop intervals (1/error-rate), one table each; 0 is the error-free run.
+inline const std::vector<std::uint64_t> kNoErrors = {0};
+inline const std::vector<std::uint64_t> kPaperErrorRates = {100, 1000, 10000};
+
+/// Message sizes: all of them for the error-free figures; the error figures
+/// start at one full packet, and thin out further at default scale.
+inline const std::vector<std::size_t> kAllSizes = {
+    4, 64, 1024, 4096, 16384, 65536, 262144, 1048576};
+inline const std::vector<std::size_t> kErrorSizes = {4096, 16384, 65536,
+                                                     262144, 1048576};
+inline const std::vector<std::size_t> kErrorQuickSizes = {4096, 65536,
+                                                          1048576};
+
+struct FigureSpec {
+  const char* title;  // banner line
+  std::vector<Setting> settings;
+  std::vector<std::uint64_t> drop_intervals;
+  std::vector<std::size_t> full_sizes;   // message sizes with --full
+  std::vector<std::size_t> quick_sizes;  // message sizes by default
+  const char* reference;  // closing paper-reference note
+};
+
+/// The whole figure binary: parse `[--full] [--jobs <N>]`, simulate every
+/// cell, print one table per drop interval with a bidi and a uni row per
+/// size. Output is byte-identical for every --jobs N (parallel_sweep.hpp).
+inline int run_figure(int argc, char** argv, const FigureSpec& spec) {
+  bool full = false;
+  unsigned jobs = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--full") == 0) {
+      full = true;
+    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
+      std::fprintf(stderr, "usage: %s [--full] [--jobs <N>]\n", argv[0]);
+      return 2;
+    }
+  }
+  const std::vector<std::size_t>& sizes =
+      full ? spec.full_sizes : spec.quick_sizes;
+  std::printf("=== %s ===\n\n", spec.title);
+
+  // Cells in report order: the No-FT baseline per size, then drop interval
+  // -> size -> setting.
+  std::vector<std::function<PointResult()>> cells;
+  for (std::size_t bytes : sizes) {
+    PointConfig pc;
+    pc.msg_bytes = bytes;
+    pc.full = full;
+    pc.with_ft = false;
+    cells.emplace_back([pc] { return run_point(pc); });
+  }
+  for (std::uint64_t drop : spec.drop_intervals) {
+    for (std::size_t bytes : sizes) {
+      for (const Setting& s : spec.settings) {
+        PointConfig pc;
+        pc.msg_bytes = bytes;
+        pc.full = full;
+        pc.retrans_interval = s.retrans_interval;
+        pc.queue = s.queue;
+        pc.drop_interval = drop;
+        cells.emplace_back([pc] { return run_point(pc); });
+      }
+    }
+  }
+  const auto res = bench::run_cells<PointResult>(jobs, cells);
+
+  std::vector<std::string> header{"Size", "Dir", "No FT(q32)"};
+  for (const Setting& s : spec.settings) header.emplace_back(s.label);
+  std::size_t cell = sizes.size();
+  for (std::uint64_t drop : spec.drop_intervals) {
+    if (drop == 0) {
+      std::printf("--- no injected errors ---\n");
+    } else {
+      int exponent = 0;
+      for (std::uint64_t d = drop; d > 1; d /= 10) ++exponent;
+      std::printf("--- error rate 1e-%d (drop every %llu packets) ---\n",
+                  exponent, static_cast<unsigned long long>(drop));
+    }
+    harness::Table t(header);
+    for (std::size_t si = 0; si < sizes.size(); ++si) {
+      for (const bool uni : {false, true}) {
+        const auto mbps = [uni](const PointResult& r) {
+          return harness::fmt(uni ? r.uni_mbps : r.bidi_mbps, 1);
+        };
+        std::vector<std::string> row{harness::fmt_bytes(sizes[si]),
+                                     uni ? "uni" : "bidi", mbps(res[si])};
+        for (std::size_t k = 0; k < spec.settings.size(); ++k) {
+          row.push_back(mbps(res[cell + k]));
+        }
+        t.add_row(std::move(row));
+      }
+      cell += spec.settings.size();
+    }
+    t.print();
+    std::printf("\n");
+  }
+  std::fputs(spec.reference, stdout);
+  return 0;
 }
 
 }  // namespace sanfault::benchsweep

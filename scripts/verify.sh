@@ -131,6 +131,18 @@ cmp build/repair_quick.json build/repair_quick2.json
 cmp build/repair_quick_events.log build/repair_quick2_events.log
 echo "repair determinism OK: double run bit-identical"
 
+# Paper-figure gate (EXPERIMENTS.md Figures 5-8): each figure binary runs at
+# its default size serially and on every core; bench/parallel_sweep.hpp
+# promises byte-identical output for every --jobs N, so the two must match.
+echo "--- figure gate: Figures 5-8 at --jobs 1 vs --jobs $(nproc)"
+for fig in fig5_interval_noerrors fig6_interval_errors fig7_queue_noerrors \
+           fig8_queue_errors; do
+  ./build/bench/bench_$fig --jobs 1 >"build/${fig}_jobs1.txt"
+  ./build/bench/bench_$fig --jobs "$(nproc)" >"build/${fig}_jobsn.txt"
+  cmp "build/${fig}_jobs1.txt" "build/${fig}_jobsn.txt"
+done
+echo "figure determinism OK: serial and parallel runs bit-identical"
+
 # Workflow static validation (actionlint stand-in; no-op without PyYAML).
 python3 scripts/validate_ci.py
 

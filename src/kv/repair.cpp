@@ -50,11 +50,7 @@ RepairMachine::~RepairMachine() {
 }
 
 void RepairMachine::start() {
-  vmmc::MsgEndpoint::Tap prev = msgs_.tap();
-  msgs_.set_tap([this, prev = std::move(prev)](const vmmc::Msg& m) {
-    if (handle(m)) return true;
-    return prev ? prev(m) : false;
-  });
+  msgs_.add_tap([this](const vmmc::Msg& m) { return handle(m); });
   worker();
 }
 

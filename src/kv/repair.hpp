@@ -83,8 +83,8 @@ class RepairMachine {
                 const ec::RsCodec& codec, RepairConfig cfg = {});
   ~RepairMachine();
 
-  /// Chain onto the endpoint tap (fetch replies / spare-write acks) and
-  /// spawn the repair worker. Call after the membership agent's start().
+  /// Add this machine's tap (fetch replies / spare-write acks) to the
+  /// endpoint and spawn the repair worker.
   void start();
 
   /// Membership oracle (same contract as StripedClient's).

@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ec/placement.hpp"
@@ -56,8 +57,8 @@ struct KvRigConfig {
 
   /// Run the erasure-coded striped object class (src/ec) alongside the
   /// primary-backup service: a StripedStore + RepairMachine on every server
-  /// and a StripedClient on every client host, sharing the same message
-  /// endpoints via chained taps. Degraded reads and on-confirm repair need
+  /// and a StripedClient on every client host, each adding its own tap to
+  /// the shared message endpoints. Degraded reads and on-confirm repair need
   /// `membership` on; without it everything is simply presumed live.
   bool striped = false;
   ec::StripeMapConfig stripe;
@@ -133,7 +134,7 @@ class KvRig {
       for (std::size_t i = 0; i < n; ++i) {
         agents.push_back(std::make_unique<membership::SwimAgent>(
             c.sched, *msgs[i], c.hosts, cfg_.swim));
-        agents.back()->set_confirm_hook(
+        agents.back()->add_confirm_hook(
             [this, i](net::HostId dead, sim::Time) {
               c.rel(i).exclude_peer(dead);
             });
@@ -165,8 +166,6 @@ class KvRig {
       for (auto& a : agents) a->start();
     }
 
-    // Striped taps chain on AFTER membership installed its gossip tap, so
-    // unit traffic is claimed first and everything else falls through.
     if (cfg_.striped) {
       for (auto& st : stores) st->start();
       for (auto& rm : repairs) rm->start();
@@ -256,23 +255,24 @@ class KvRig {
   // case every host probes every other and the mesh must be full.
   void connect_mesh() {
     bool done = false;
-    [](KvRig& r, bool& flag) -> sim::Process {
+    bool failed = false;
+    [](KvRig& r, bool& flag, bool& any_failed) -> sim::Process {
       const std::size_t s = r.cfg_.num_servers;
       const std::size_t n = r.c.size();
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t targets = (i < s || r.cfg_.membership) ? n : s;
         for (std::size_t j = 0; j < targets; ++j) {
           if (i == j) continue;
-          const bool ok = co_await r.msgs[i]->connect(r.c.hosts[j]);
-          assert(ok);
-          (void)ok;
+          if (!co_await r.msgs[i]->connect(r.c.hosts[j])) any_failed = true;
         }
       }
       flag = true;
-    }(*this, done);
+    }(*this, done, failed);
     while (!done && c.sched.step()) {
     }
-    assert(done && "mesh connect did not complete");
+    if (!done || failed) {
+      throw std::logic_error("KvRig: mesh connect did not complete");
+    }
   }
 };
 

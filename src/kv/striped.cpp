@@ -34,11 +34,7 @@ StripedStore::~StripedStore() {
 }
 
 void StripedStore::start() {
-  vmmc::MsgEndpoint::Tap prev = msgs_.tap();
-  msgs_.set_tap([this, prev = std::move(prev)](const vmmc::Msg& m) {
-    if (handle(m)) return true;
-    return prev ? prev(m) : false;
-  });
+  msgs_.add_tap([this](const vmmc::Msg& m) { return handle(m); });
 }
 
 bool StripedStore::handle(const vmmc::Msg& m) {
@@ -149,11 +145,7 @@ StripedClient::~StripedClient() {
 }
 
 void StripedClient::start() {
-  vmmc::MsgEndpoint::Tap prev = msgs_.tap();
-  msgs_.set_tap([this, prev = std::move(prev)](const vmmc::Msg& m) {
-    if (handle(m)) return true;
-    return prev ? prev(m) : false;
-  });
+  msgs_.add_tap([this](const vmmc::Msg& m) { return handle(m); });
 }
 
 bool StripedClient::handle(const vmmc::Msg& m) {

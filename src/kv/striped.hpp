@@ -9,8 +9,8 @@
 // exact original bytes without waiting for repair.
 //
 // Two components, both riding the existing vmmc::MsgEndpoint as pre-inbox
-// taps (the primary-backup KvServer never sees unit traffic, and membership
-// gossip chains through untouched):
+// taps (the primary-backup KvServer never sees unit traffic; membership
+// gossip is a disjoint message family on its own tap of the same list):
 //
 //  * StripedStore  — server side. Owns this node's unit store, dedups unit
 //    writes per (writer id, unit) so transport retries and repair re-writes
@@ -59,8 +59,7 @@ class StripedStore {
   StripedStore(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs);
   ~StripedStore();
 
-  /// Chain onto the endpoint tap. Call after any membership agent installed
-  /// its own tap (unit messages are claimed first, the rest fall through).
+  /// Add this store's tap (unit puts and gets) to the endpoint.
   void start();
 
   /// Apply a unit write originating on this very node (repair loopback) —
@@ -145,7 +144,7 @@ class StripedClient {
                 StripedClientConfig cfg = {});
   ~StripedClient();
 
-  /// Chain onto the endpoint tap (after membership).
+  /// Add this client's tap (unit acks and replies) to the endpoint.
   void start();
 
   /// Membership oracle, same contract as KvClientHost::set_dead_hook: unit

@@ -5,9 +5,9 @@
 // kv::KvRig with cfg.membership instead.
 #pragma once
 
-#include <cassert>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -28,9 +28,6 @@ struct SwimRigConfig {
   /// Per-host config tweak (host index, config) — e.g. give one member an
   /// ack_delay to model a processing-bound host.
   std::function<void(std::size_t, SwimConfig&)> tweak;
-  /// Wire each agent's confirm hook to ReliableFirmware::exclude_peer, the
-  /// production integration (requires reliable firmware).
-  bool wire_exclusion = true;
 };
 
 class SwimRig {
@@ -49,9 +46,10 @@ class SwimRig {
       if (cfg_.tweak) cfg_.tweak(i, s);
       agents.push_back(
           std::make_unique<SwimAgent>(c.sched, *msgs[i], c.hosts, s));
-      if (cfg_.wire_exclusion &&
-          c.config().fw == harness::FirmwareKind::kReliable) {
-        agents.back()->set_confirm_hook([this, i](net::HostId dead, sim::Time) {
+      // The production integration: a confirm excludes the dead peer at
+      // this host's firmware (needs the reliable firmware).
+      if (c.config().fw == harness::FirmwareKind::kReliable) {
+        agents.back()->add_confirm_hook([this, i](net::HostId dead, sim::Time) {
           c.rel(i).exclude_peer(dead);
         });
       }
@@ -80,21 +78,22 @@ class SwimRig {
  private:
   void connect_mesh() {
     bool done = false;
-    [](SwimRig& r, bool& flag) -> sim::Process {
+    bool failed = false;
+    [](SwimRig& r, bool& flag, bool& any_failed) -> sim::Process {
       const std::size_t n = r.c.size();
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
           if (i == j) continue;
-          const bool ok = co_await r.msgs[i]->connect(r.c.hosts[j]);
-          assert(ok);
-          (void)ok;
+          if (!co_await r.msgs[i]->connect(r.c.hosts[j])) any_failed = true;
         }
       }
       flag = true;
-    }(*this, done);
+    }(*this, done, failed);
     while (!done && c.sched.step()) {
     }
-    assert(done && "gossip mesh connect did not complete");
+    if (!done || failed) {
+      throw std::logic_error("SwimRig: gossip mesh connect did not complete");
+    }
   }
 };
 

@@ -10,8 +10,8 @@ namespace sanfault::membership {
 
 namespace {
 
-// Gossip wire family. Leading type byte is disjoint from kv::MsgType (1..4)
-// so both can share one MsgEndpoint ring via the pre-inbox tap.
+// Gossip wire family. Leading type byte is disjoint from kv::MsgType (1..8)
+// so both can share one MsgEndpoint ring via its pre-inbox taps.
 constexpr std::uint8_t kPingByte = 0x21;
 constexpr std::uint8_t kAckByte = 0x22;
 constexpr std::uint8_t kPingReqByte = 0x23;
@@ -107,13 +107,12 @@ SwimAgent::SwimAgent(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
 
 SwimAgent::~SwimAgent() {
   if (auto* r = obs::Registry::find(sched_)) r->remove_collectors(this);
-  if (started_) msgs_.set_tap({});
 }
 
 void SwimAgent::start() {
   assert(!started_ && "SwimAgent::start() called twice");
   started_ = true;
-  msgs_.set_tap([this](const vmmc::Msg& m) { return on_msg(m); });
+  msgs_.add_tap([this](const vmmc::Msg& m) { return on_msg(m); });
   period_loop();
 }
 

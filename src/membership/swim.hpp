@@ -5,8 +5,8 @@
 //
 // One SwimAgent per member host, riding the host's vmmc::MsgEndpoint as a
 // sideband message family (a pre-inbox tap claims gossip messages by their
-// leading type byte, so a KV server and its membership agent share one
-// ring). Every protocol period the agent:
+// leading type byte, so a KV server, its striped store and its membership
+// agent share one ring). Every protocol period the agent:
 //
 //  * probes one member (shuffled round-robin, seeded Rng — deterministic);
 //  * on direct-ack timeout, asks k other members to probe indirectly
@@ -98,7 +98,7 @@ class SwimAgent {
             const std::vector<net::HostId>& members, SwimConfig cfg = {});
   ~SwimAgent();
 
-  /// Install the gossip tap and spawn the probe loop.
+  /// Add the gossip tap to the endpoint and spawn the probe loop.
   void start();
 
   /// Fires exactly once per member this node confirms dead (whether by its
@@ -106,10 +106,6 @@ class SwimAgent {
   /// installation order — firmware exclusion and the EC repair machine both
   /// listen without knowing about each other.
   using ConfirmHook = std::function<void(net::HostId dead, sim::Time at)>;
-  void set_confirm_hook(ConfirmHook hook) {
-    confirm_hooks_.clear();
-    confirm_hooks_.push_back(std::move(hook));
-  }
   void add_confirm_hook(ConfirmHook hook) {
     confirm_hooks_.push_back(std::move(hook));
   }

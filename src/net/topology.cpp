@@ -166,9 +166,11 @@ std::optional<Device> Topology::device_after(HostId from,
   return cur;
 }
 
-std::optional<Device> Topology::trace_route(HostId from, const Route& r) const {
+std::optional<Device> Topology::walk_route(HostId from, const Route& r,
+                                          std::vector<LinkId>* links) const {
   auto att = peer_of(Port{Device::host(from), 0});
   if (!att) return std::nullopt;
+  if (links) links->push_back(att->link);
   Device cur = att->peer.dev;
   std::size_t next = 0;
   while (cur.is_switch()) {
@@ -177,10 +179,21 @@ std::optional<Device> Topology::trace_route(HostId from, const Route& r) const {
     if (port >= switches_[cur.index].num_ports) return std::nullopt;
     auto hop = peer_of(Port{cur, port});
     if (!hop) return std::nullopt;  // unconnected port: packet falls off
+    if (links) links->push_back(hop->link);
     cur = hop->peer.dev;
   }
   if (next != r.ports.size()) return std::nullopt;  // leftover bytes corrupt
   return cur;
+}
+
+std::optional<Device> Topology::trace_route(HostId from, const Route& r) const {
+  return walk_route(from, r, nullptr);
+}
+
+std::vector<LinkId> Topology::route_links(HostId from, const Route& r) const {
+  std::vector<LinkId> links;
+  if (!walk_route(from, r, &links)) links.clear();
+  return links;
 }
 
 std::optional<Device> Topology::trace_route_up(HostId from,

@@ -106,6 +106,12 @@ class Topology {
   [[nodiscard]] std::optional<Device> trace_route(HostId from,
                                                   const Route& r) const;
 
+  /// The links the trace_route walk crosses, in path order: the source's
+  /// access link, one link per route byte, the destination's access link
+  /// last. Empty when the walk falls off the fabric.
+  [[nodiscard]] std::vector<LinkId> route_links(HostId from,
+                                                const Route& r) const;
+
   /// Device sitting at the end of a route *prefix* from `from` — unlike
   /// trace_route, running out of route bytes at a switch returns that
   /// switch. Used as the mapper's "radix oracle" (operators know their
@@ -150,6 +156,9 @@ class Topology {
 
   std::optional<LinkId>& port_slot(Port p);
   [[nodiscard]] const std::optional<LinkId>* port_slot_const(Port p) const;
+  /// The trace_route walk; appends each crossed link to `links` if non-null.
+  [[nodiscard]] std::optional<Device> walk_route(
+      HostId from, const Route& r, std::vector<LinkId>* links) const;
   [[nodiscard]] std::optional<Route> constrained_route(
       HostId from, HostId to, const std::vector<char>& link_banned,
       const std::vector<char>& switch_banned, std::uint64_t salt) const;

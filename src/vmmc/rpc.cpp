@@ -1,6 +1,7 @@
 #include "vmmc/rpc.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 
 namespace sanfault::vmmc {
@@ -8,10 +9,10 @@ namespace sanfault::vmmc {
 MsgEndpoint::MsgEndpoint(sim::Scheduler& sched, Endpoint& ep,
                          std::size_t per_peer_bytes, std::size_t max_peers)
     : sched_(sched), ep_(ep), per_peer_(per_peer_bytes) {
-  const ExportId ring = ep_.export_buffer(per_peer_bytes * max_peers);
-  assert(ring == kRingExport &&
-         "MsgEndpoint must own the first export of its Endpoint");
-  (void)ring;
+  if (ep_.export_buffer(per_peer_bytes * max_peers) != kRingExport) {
+    throw std::logic_error(
+        "MsgEndpoint must own the first export of its Endpoint");
+  }
   pump();
 
   obs::Registry& reg = obs::Registry::of(sched_);
@@ -42,10 +43,21 @@ sim::Task<void> MsgEndpoint::post(net::HostId remote,
                                   std::vector<std::uint8_t> bytes,
                                   std::uint64_t tag) {
   auto it = peers_.find(remote);
-  assert(it != peers_.end() && "post() before connect()");
-  Peer& p = it->second;
-  assert(bytes.size() <= per_peer_ && "message exceeds ring partition");
+  if (it == peers_.end()) {
+    throw std::logic_error("MsgEndpoint::post() before connect() to host " +
+                           std::to_string(remote.v));
+  }
+  if (bytes.size() > per_peer_) {
+    throw std::length_error("MsgEndpoint::post(): " +
+                            std::to_string(bytes.size()) +
+                            " B message exceeds the " +
+                            std::to_string(per_peer_) + " B ring partition");
+  }
+  return write(it->second, std::move(bytes), tag);
+}
 
+sim::Task<void> MsgEndpoint::write(Peer& p, std::vector<std::uint8_t> bytes,
+                                   std::uint64_t tag) {
   // Our partition of the remote ring starts at self * per_peer. Messages are
   // laid out sequentially; one that would cross the partition end wraps to
   // its start instead (messages are never split across the wrap).
@@ -72,8 +84,10 @@ sim::Process MsgEndpoint::pump() {
                                                               ev.length));
     ++stats_.msgs_rx;
     stats_.bytes_rx += m.bytes.size();
-    if (tap_ && tap_(m)) continue;  // consumed by the sideband protocol
-    inbox_.push(sched_, std::move(m));
+    if (std::none_of(taps_.begin(), taps_.end(),
+                     [&m](const Tap& t) { return t(m); })) {
+      inbox_.push(sched_, std::move(m));
+    }
   }
 }
 

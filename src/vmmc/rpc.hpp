@@ -59,6 +59,7 @@ class MsgEndpoint {
 
   /// `per_peer_bytes` is one sender's ring partition; a message must fit in
   /// it. `max_peers` bounds the partition count (indexed by sender HostId).
+  /// Throws std::logic_error if `ep` already has an export.
   MsgEndpoint(sim::Scheduler& sched, Endpoint& ep,
               std::size_t per_peer_bytes = 64 * 1024,
               std::size_t max_peers = 16);
@@ -74,21 +75,22 @@ class MsgEndpoint {
 
   /// Post one message to a connected remote; resumes when the local NIC has
   /// accepted every segment (source buffer reusable), not when delivered.
+  /// Throws, before any simulated work, std::logic_error if `remote` is not
+  /// connected and std::length_error if the message exceeds the partition.
   sim::Task<void> post(net::HostId remote, std::vector<std::uint8_t> bytes,
                        std::uint64_t tag = 0);
 
   /// Inbound messages from all peers, in per-peer order.
   [[nodiscard]] sim::Channel<Msg>& inbox() { return inbox_; }
 
-  /// Optional pre-inbox intercept. The pump offers every complete message to
-  /// the tap first; returning true consumes it (it never reaches the inbox).
-  /// Lets a sideband protocol (membership gossip) share a service's ring
-  /// without the service's dispatch loop having to know its message types.
+  /// Pre-inbox intercepts. The pump offers every complete message to the
+  /// taps in the order they were added; the first to return true consumes
+  /// it, and a message no tap claims goes to the inbox. Lets sideband
+  /// protocols (membership gossip, striped units) share a service's ring
+  /// without the service's dispatch loop knowing their message types. Taps
+  /// are never removed, so what a tap captures must outlive the run.
   using Tap = std::function<bool(const Msg&)>;
-  void set_tap(Tap tap) { tap_ = std::move(tap); }
-  /// Current tap, for chaining: a second sideband protocol captures the
-  /// installed tap and installs a composite that tries it first.
-  [[nodiscard]] const Tap& tap() const { return tap_; }
+  void add_tap(Tap tap) { taps_.push_back(std::move(tap)); }
 
   [[nodiscard]] net::HostId host() const { return ep_.host(); }
   [[nodiscard]] const MsgEndpointStats& stats() const { return stats_; }
@@ -99,6 +101,8 @@ class MsgEndpoint {
     std::size_t next_off = 0;  // within this sender's partition
   };
 
+  sim::Task<void> write(Peer& p, std::vector<std::uint8_t> bytes,
+                        std::uint64_t tag);
   sim::Process pump();
 
   sim::Scheduler& sched_;
@@ -106,7 +110,7 @@ class MsgEndpoint {
   std::size_t per_peer_;
   std::unordered_map<net::HostId, Peer> peers_;
   sim::Channel<Msg> inbox_;
-  Tap tap_;
+  std::vector<Tap> taps_;
   MsgEndpointStats stats_;
 };
 

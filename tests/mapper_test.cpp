@@ -391,23 +391,6 @@ ClusterConfig proactive_cfg(std::size_t hosts, TopoKind topo) {
   return cfg;
 }
 
-/// Links a route traverses, in path order (access links included).
-std::vector<net::LinkId> route_links(const Cluster& c, std::size_t src,
-                                     const net::Route& r) {
-  std::vector<net::LinkId> links;
-  auto att = c.topo.peer_of({net::Device::host(c.hosts[src]), 0});
-  EXPECT_TRUE(att.has_value());
-  links.push_back(att->link);
-  net::Device cur = att->peer.dev;
-  for (const std::uint8_t p : r.ports) {
-    auto hop = c.topo.peer_of({cur, p});
-    EXPECT_TRUE(hop.has_value());
-    links.push_back(hop->link);
-    cur = hop->peer.dev;
-  }
-  return links;
-}
-
 TEST(ProactiveBackup, PromotionServesFailoverWithZeroProbes) {
   Cluster c(proactive_cfg(8, TopoKind::kFigure2));
   const auto& st = c.mapper(0).stats();
@@ -454,7 +437,7 @@ TEST(ProactiveBackup, StaleBackupIsRejectedAndFallsBackToProbing) {
   // Kill an interior link of the *backup* route: the backup is now as dead
   // as the primary will be. Promotion must refuse it — never deliver over a
   // wrong route — and drop the whole entry instead.
-  const auto links = route_links(c, 0, (*slot)->route);
+  const auto links = c.topo.route_links(c.hosts[0], (*slot)->route);
   ASSERT_GT(links.size(), 2u);  // host3 is 4 switches away: has interior
   c.topo.set_link_up(links[1], false);
 

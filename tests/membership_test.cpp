@@ -135,7 +135,7 @@ TEST(Swim, DeadMemberConfirmedWithinBoundAndHookFiresOnce) {
   const std::size_t victim = 3;
   std::vector<int> hook_fires(r.agents.size(), 0);
   for (std::size_t i = 0; i < r.agents.size(); ++i) {
-    r.agents[i]->set_confirm_hook(
+    r.agents[i]->add_confirm_hook(
         [&, i](net::HostId dead, sim::Time) {
           // The cut victim's own agent legitimately confirms everyone ELSE
           // (from behind the partition the whole world went dark); survivors

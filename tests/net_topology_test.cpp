@@ -354,6 +354,27 @@ TEST(Figure2Fabric, BuildsAndConnectsAllHosts) {
   }
 }
 
+TEST(Figure2Fabric, RouteLinksListAccessTrunksAccess) {
+  auto f = make_figure2_fabric(8);  // host 0 on sw8_a, host 3 on sw8_b
+  const auto r = f.topo.shortest_route(f.hosts[0], f.hosts[3]);
+  ASSERT_TRUE(r.has_value());
+  const auto links = f.topo.route_links(f.hosts[0], *r);
+  ASSERT_EQ(links.size(), 5u);  // access + 3 trunks + access
+  EXPECT_EQ(links.front(), *f.topo.host_access_link(f.hosts[0]));
+  EXPECT_EQ(links.back(), *f.topo.host_access_link(f.hosts[3]));
+  // The trunks are the six switch-to-switch links, wired first (ids 0..5):
+  // one from each redundant pair, in chain order.
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_EQ(links[i].v / 2, i - 1) << "hop " << i;
+  }
+  // A route that dead-ends on an unwired port, or leaves bytes over at the
+  // destination, yields no links at all.
+  EXPECT_TRUE(f.topo.route_links(f.hosts[0], Route{{6}}).empty());
+  Route longer = *r;
+  longer.ports.push_back(0);
+  EXPECT_TRUE(f.topo.route_links(f.hosts[0], longer).empty());
+}
+
 TEST(Figure2Fabric, SurvivesSingleTrunkLinkDeath) {
   auto f = make_figure2_fabric(8);
   // Kill one of the two sw8_a - sw16_a trunks (link id 0 by construction).

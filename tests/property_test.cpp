@@ -11,13 +11,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
-#include "chaos/corruptor.hpp"
-#include "chaos/engine.hpp"
-#include "chaos/scenario.hpp"
+#include "chaos/convergence.hpp"
 #include "firmware/raw.hpp"
 #include "firmware/reliability.hpp"
 #include "firmware/updown.hpp"
@@ -470,23 +468,6 @@ TEST_P(ReliabilityBattery, StaleGenerationDropsOnlyAfterGenerationRestart) {
   EXPECT_EQ(rx.data_rx_in_order, static_cast<std::uint64_t>(tags.size()));
 }
 
-/// Links a route traverses, in path order (access links included).
-std::vector<net::LinkId> route_links(const harness::Cluster& c,
-                                     std::size_t src, const net::Route& r) {
-  std::vector<net::LinkId> links;
-  auto att = c.topo.peer_of({net::Device::host(c.hosts[src]), 0});
-  EXPECT_TRUE(att.has_value());
-  links.push_back(att->link);
-  net::Device cur = att->peer.dev;
-  for (const std::uint8_t p : r.ports) {
-    auto hop = c.topo.peer_of({cur, p});
-    EXPECT_TRUE(hop.has_value());
-    links.push_back(hop->link);
-    cur = hop->peer.dev;
-  }
-  return links;
-}
-
 TEST_P(ReliabilityBattery, ExactlyOnceWhenPromotedBackupIsItselfDead) {
   // Proactive backups with a poisoned failover: the fault pattern kills the
   // primary's first trunk AND the backup's middle trunk, so the promotion
@@ -520,8 +501,8 @@ TEST_P(ReliabilityBattery, ExactlyOnceWhenPromotedBackupIsItselfDead) {
   const auto* slot = c.mapper(0).cached_backup(c.hosts[3]);
   ASSERT_NE(slot, nullptr);
   ASSERT_TRUE(slot->has_value());
-  const auto plinks = route_links(c, 0, *primary);
-  const auto blinks = route_links(c, 0, (*slot)->route);
+  const auto plinks = c.topo.route_links(c.hosts[0], *primary);
+  const auto blinks = c.topo.route_links(c.hosts[0], (*slot)->route);
   ASSERT_EQ(plinks.size(), 5u);  // access + 3 trunks + access
   ASSERT_EQ(blinks.size(), 5u);
   c.topo.set_link_up(plinks[1], false);  // primary's sw8_a - sw16_a trunk
@@ -576,221 +557,20 @@ INSTANTIATE_TEST_SUITE_P(FaultSchedules, ReliabilityBattery,
                          ::testing::Range<std::uint64_t>(1000, 1070));
 
 // ---------------------------------------------------------------------------
-// Self-stabilization battery (ROADMAP item 4, docs/CHAOS.md "State
-// corruption"): 6 corruption classes x (25 seeds on fig2-16 + 10 seeds on
-// clos-64) = 210 deterministic cases. Each case garbles live protocol state
-// three times mid-stream through the chaos scenario DSL (all three rewrite
-// modes, seed-rotated), kills a trunk on the primary route for good measure,
-// and then demands:
-//  * Phase A (under corruption): first deliveries in submission order, no
-//    silent loss except from receiver-cursor (`ack`) corruption, which can
-//    forfeit at most the in-flight window;
-//  * a witness: at least one scrub repair, generation restart or NIC reset
-//    at/after the first corruption — corrupted state is repaired, never
-//    silently tolerated;
-//  * Phase B (after the scrub horizon): a fresh message burst delivered
-//    exactly-once, in order — the Dolev-style convergence property.
+// Self-stabilization battery (docs/CHAOS.md "State corruption"): 6
+// corruption classes x (25 seeds on fig2-16 + 10 seeds on clos-64) = 210
+// deterministic cases of the convergence cell that `bench_chaos
+// --corrupt-smoke` and the nightly soak also run (src/chaos/convergence.hpp
+// states the property). Each violation fails the case with its replay
+// recipe: the scenario DSL, the engine log and the firmware counters.
 
-constexpr const char* kCorruptClasses[] = {"seq",        "ack",
-                                           "gen",        "retx_queue",
-                                           "path_cache", "backup_slot"};
-
-void run_self_stab_case(harness::TopoKind topo, std::size_t num_hosts,
-                        int cls, std::uint64_t seed) {
-  const char* cls_name = kCorruptClasses[cls];
-  sim::Rng knobs(seed ^ 0x5E1F57ABull);
-  harness::ClusterConfig cfg;
-  cfg.num_hosts = num_hosts;
-  cfg.topo = topo;
-  cfg.fw = harness::FirmwareKind::kReliable;
-  cfg.mapper = harness::MapperKind::kOnDemand;
-  cfg.ondemand.proactive_backup = true;  // backup_slot needs a live slot
-  cfg.ondemand.probe_retries = 6;
-  cfg.ondemand.probe_timeout = sim::milliseconds(2);
-  cfg.rel.fail_threshold = sim::milliseconds(10);
-  cfg.rel.fail_min_rounds = 8;
-  cfg.nic.send_buffers = 64;
-  cfg.fabric.seed = seed;
-  harness::Cluster c(cfg);
-
-  // Pick the first destination whose route crosses >= 2 trunks, so killing
-  // the first trunk leaves the redundant rest of the fabric to remap over.
-  std::size_t dsti = 0;
-  std::vector<net::LinkId> plinks;
-  for (std::size_t h = 1; h < c.hosts.size(); ++h) {
-    auto r = c.topo.shortest_route(c.hosts[0], c.hosts[h]);
-    ASSERT_TRUE(r.has_value());
-    auto links = route_links(c, 0, *r);
-    if (links.size() >= 4) {
-      dsti = h;
-      plinks = std::move(links);
-      break;
-    }
-  }
-  ASSERT_NE(dsti, 0u) << "no multi-trunk destination in this topology";
-
-  // Background link noise: light loss and duplication everywhere.
-  for (std::uint32_t l = 0; l < c.topo.num_links(); ++l) {
-    auto& lf = c.fabric().link_faults(net::LinkId{l});
-    lf.loss_prob = 0.02 * knobs.uniform_double();
-    lf.dup_prob = 0.02 * knobs.uniform_double();
-  }
-
-  // Three corruptions mid-Phase-A cycling all rewrite modes, then a trunk
-  // kill. `ack` garbles the receiver cursor, so it targets dst; `gen` hits
-  // either end by seed; everything else is sender-side state. retx_queue
-  // kills the trunk FIRST so the queue is guaranteed non-empty (no acks
-  // drain it) when the corruptions land. `path_cache` pins every event to
-  // the traffic peer: a flip on an idle entry (or onto a parallel trunk
-  // that still reaches dst) is semantically harmless and would leave no
-  // repair to witness, so the final rewrite must land on the live route.
-  const bool dst_side = cls == 1 || (cls == 2 && seed % 2 == 1);
-  const std::uint32_t chost = dst_side ? c.hosts[dsti].v : c.hosts[0].v;
-  const std::uint32_t cpeer = dst_side ? c.hosts[0].v : c.hosts[dsti].v;
-  const bool pin_peer = cls == 4;
-  const char* modes[] = {"flip", "zero", "rand"};
-  std::ostringstream sc;
-  sc << "scenario selfstab-" << cls_name << "\nseed " << seed << "\n"
-     << "at 2ms corrupt host=" << chost << " state=" << cls_name
-     << " mode=" << modes[seed % 3]
-     << (pin_peer ? " peer=" + std::to_string(cpeer) : "") << "\n"
-     << "at 2600us corrupt host=" << chost << " state=" << cls_name
-     << " mode=" << modes[(seed + 1) % 3] << " peer=" << cpeer << "\n"
-     << "at 3200us corrupt host=" << chost << " state=" << cls_name
-     << " mode=" << modes[(seed + 2) % 3]
-     << (pin_peer ? " peer=" + std::to_string(cpeer) : "") << "\n"
-     << "at " << (cls == 3 ? "1500us" : "4ms")
-     << " link_down link=" << plinks[1].v << "\n";
-
-  chaos::ChaosEngine eng(c.sched, c.fabric(),
-                         chaos::Scenario::parse(sc.str()));
-  chaos::StateCorruptor corr(c.sched, seed ^ 0xC0DE5EEDull);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    corr.bind(c.hosts[i], &c.rel(i), &c.mapper(i));
-  }
-  eng.set_corruptor(&corr);
-  eng.arm();
-
-  // Witness: recovery machinery demonstrably fired at/after the first
-  // corruption (the trunk kill guarantees a generation restart even when a
-  // corruption lands benignly, e.g. on an entry acked before any scrub).
-  std::uint64_t witness_events = 0;
-  const auto witness_hook = [&](const firmware::FwEvent& ev) {
-    const bool counts = ev.kind == firmware::FwEvent::Kind::kScrubRepair ||
-                        ev.kind == firmware::FwEvent::Kind::kGenRestart ||
-                        ev.kind == firmware::FwEvent::Kind::kNicReset;
-    if (counts && c.sched.now() >= sim::milliseconds(2)) ++witness_events;
-  };
-  c.rel(0).set_event_hook(witness_hook);
-  c.rel(dsti).set_event_hook(witness_hook);
-
-  constexpr std::uint64_t kPhaseA = 40;
-  constexpr std::uint64_t kPhaseB = 20;
-  constexpr std::uint64_t kBTag = 100;  // Phase B tags: 100..119
-  std::vector<std::uint64_t> tags;
-  c.nic(dsti).set_host_rx([&](net::UserHeader u, net::PayloadRef,
-                              net::HostId) { tags.push_back(u.w0); });
-  for (std::uint64_t i = 0; i < kPhaseA; ++i) {
-    c.sched.after(static_cast<sim::Duration>(i) * sim::microseconds(300),
-                  [&c, dsti, i] {
-                    net::UserHeader u;
-                    u.w0 = i;
-                    c.send(0, dsti,
-                           std::vector<std::uint8_t>(
-                               96, static_cast<std::uint8_t>(i)),
-                           u);
-                  });
-  }
-
-  // Phase A horizon: converged when the sender's channel has drained and no
-  // remap is in flight (receiver-cursor corruption can forfeit deliveries,
-  // so "all 40 arrived" is not the convergence signal).
-  run_until_done(c, sim::seconds(120), [&] {
-    if (c.sched.now() < sim::milliseconds(13)) return false;
-    const firmware::TxChannel* ch =
-        c.rel(0).chaos_tx_channel(c.hosts[dsti]);
-    return ch != nullptr && ch->retrans_queue.empty() &&
-           !ch->remap_in_flight && !ch->unreachable;
-  });
-  c.sched.run_until(c.sched.now() + sim::milliseconds(20));  // settle dups
-
-  ASSERT_GE(corr.applied(), 1u)
-      << cls_name << ": no corruption rewrote live state\n"
-      << eng.log_text();
-  EXPECT_GE(witness_events, 1u)
-      << cls_name << ": corruption repaired with no scrub/restart witness\n"
-      << eng.log_text() << "tx0: gen_restarts="
-      << c.rel(0).stats().generation_restarts
-      << " path_failures=" << c.rel(0).stats().path_failures
-      << " scrub_tx=" << c.rel(0).stats().scrub_tx_repairs
-      << " bogus=" << c.rel(0).stats().scrub_bogus_acks;
-
-  // Phase A: first deliveries in submission order; silent loss only from
-  // the receiver-cursor class, bounded by the in-flight window. That class
-  // is also exempt from the ordering check: a forward-jumped expected_seq
-  // dup-drops in-flight messages whose replay (after the generation restart)
-  // then lands *after* tags the jumped cursor already admitted.
-  std::vector<char> seen_a(kPhaseA, 0);
-  std::uint64_t prev_first = 0;
-  bool have_first = false;
-  std::size_t distinct_a = 0;
-  for (std::uint64_t t : tags) {
-    if (t >= kPhaseA || seen_a[t]) continue;
-    seen_a[t] = 1;
-    ++distinct_a;
-    if (have_first && cls != 1) {
-      EXPECT_GT(t, prev_first) << cls_name << ": first deliveries reordered";
-    }
-    prev_first = t;
-    have_first = true;
-  }
-  if (cls == 1) {
-    EXPECT_GE(distinct_a, kPhaseA - 12)
-        << cls_name << ": lost more than the in-flight window";
-  } else {
-    EXPECT_EQ(distinct_a, kPhaseA) << cls_name << ": silent message loss";
-  }
-
-  // Phase B: past the scrub horizon the protocol must be exactly-once
-  // in-order again.
-  const std::size_t b_start = tags.size();
-  for (std::uint64_t i = 0; i < kPhaseB; ++i) {
-    c.sched.after(static_cast<sim::Duration>(i) * sim::microseconds(300),
-                  [&c, dsti, i] {
-                    net::UserHeader u;
-                    u.w0 = kBTag + i;
-                    c.send(0, dsti,
-                           std::vector<std::uint8_t>(
-                               96, static_cast<std::uint8_t>(i)),
-                           u);
-                  });
-  }
-  std::size_t distinct_b = 0;
-  std::vector<char> seen_b(kPhaseB, 0);
-  run_until_done(c, c.sched.now() + sim::seconds(60), [&] {
-    distinct_b = 0;
-    for (std::size_t i = b_start; i < tags.size(); ++i) {
-      const std::uint64_t t = tags[i];
-      if (t >= kBTag && t < kBTag + kPhaseB && !seen_b[t - kBTag]) {
-        seen_b[t - kBTag] = 1;
-      }
-    }
-    for (char s : seen_b) distinct_b += (s != 0);
-    return distinct_b >= kPhaseB;
-  });
-  c.sched.run_until(c.sched.now() + sim::milliseconds(20));  // trailing dups
-
-  std::vector<std::uint64_t> b_tags;
-  for (std::size_t i = b_start; i < tags.size(); ++i) {
-    if (tags[i] >= kBTag && tags[i] < kBTag + kPhaseB) {
-      b_tags.push_back(tags[i]);
-    }
-  }
-  ASSERT_EQ(b_tags.size(), kPhaseB)
-      << cls_name << ": post-horizon burst was not exactly-once";
-  for (std::uint64_t i = 0; i < kPhaseB; ++i) {
-    EXPECT_EQ(b_tags[i], kBTag + i)
-        << cls_name << ": post-horizon burst out of order";
+void expect_converges(harness::TopoKind topo, std::size_t num_hosts, int cls,
+                      std::uint64_t seed) {
+  const chaos::ConvergenceResult r = chaos::run_convergence_case(
+      topo, num_hosts, static_cast<chaos::CorruptState>(cls), seed);
+  for (const std::string& v : r.violations) {
+    ADD_FAILURE() << v << "\n"
+                  << r.dsl << r.chaos_log << "fw: " << r.fw_stats;
   }
 }
 
@@ -801,13 +581,13 @@ class SelfStabilizationClos : public ::testing::TestWithParam<SelfStabParam> {
 };
 
 TEST_P(SelfStabilization, ConvergesOnFigure2) {
-  run_self_stab_case(harness::TopoKind::kFigure2, 16,
-                     std::get<0>(GetParam()), std::get<1>(GetParam()));
+  expect_converges(harness::TopoKind::kFigure2, 16, std::get<0>(GetParam()),
+                   std::get<1>(GetParam()));
 }
 
 TEST_P(SelfStabilizationClos, ConvergesOnClos64) {
-  run_self_stab_case(harness::TopoKind::kClos, 64, std::get<0>(GetParam()),
-                     std::get<1>(GetParam()));
+  expect_converges(harness::TopoKind::kClos, 64, std::get<0>(GetParam()),
+                   std::get<1>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

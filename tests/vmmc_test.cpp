@@ -1,15 +1,19 @@
 // Tests for the VMMC layer: export/import protection, direct deposit,
 // segmentation, notifications, and behavior over the reliable firmware with
-// injected faults. Also validates the micro-benchmark harness against the
-// paper's §6.1.1 calibration numbers.
+// injected faults; the MsgEndpoint message layer's tap list and contract
+// checks. Also validates the micro-benchmark harness against the paper's
+// §6.1.1 calibration numbers.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <vector>
 
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
 #include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
+#include "vmmc/rpc.hpp"
 
 namespace sanfault {
 namespace {
@@ -203,6 +207,134 @@ TEST(Vmmc, SegmentedTransferSurvivesInjectedDrops) {
   }(r, done);
   r.drive(done);
   EXPECT_GT(r.c.rel(0).stats().injected_drops, 0u);
+}
+
+// --- MsgEndpoint: messages over one exported ring -------------------------
+
+/// Both hosts own a message ring; host 0 posts to host 1.
+struct MsgRig : VmmcRig {
+  static constexpr std::size_t kPartition = 1024;
+  vmmc::MsgEndpoint ma{c.sched, a, kPartition, /*max_peers=*/2};
+  vmmc::MsgEndpoint mb{c.sched, b, kPartition, /*max_peers=*/2};
+  std::uint64_t next_tag = 0;
+
+  void connect() {
+    bool done = false;
+    [](MsgRig& r, bool& done) -> sim::Process {
+      EXPECT_TRUE(co_await r.ma.connect(r.c.hosts[1]));
+      done = true;
+    }(*this, done);
+    drive(done);
+  }
+
+  /// Post one two-byte message per type byte, tagged in post order,
+  /// and let the last one land.
+  void post_all(const std::vector<std::uint8_t>& types) {
+    bool done = false;
+    [](MsgRig& r, const std::vector<std::uint8_t>& types,
+       bool& done) -> sim::Process {
+      for (std::uint8_t t : types) {
+        std::vector<std::uint8_t> msg(2, t);
+        co_await r.ma.post(r.c.hosts[1], std::move(msg), r.next_tag++);
+      }
+      done = true;
+    }(*this, types, done);
+    drive(done);
+    c.sched.run_for(sim::milliseconds(1));
+  }
+
+  /// Drain host 1's inbox; the tags in arrival order.
+  std::vector<std::uint64_t> inbox_tags() {
+    std::vector<std::uint64_t> tags;
+    [](MsgRig& r, std::size_t n,
+       std::vector<std::uint64_t>& out) -> sim::Process {
+      for (std::size_t i = 0; i < n; ++i) {
+        out.push_back((co_await r.mb.inbox().pop(r.c.sched)).tag);
+      }
+    }(*this, mb.inbox().size(), tags);
+    return tags;
+  }
+};
+
+/// A tap claiming one leading type byte and recording the tags it consumed.
+vmmc::MsgEndpoint::Tap claim(std::uint8_t type,
+                             std::vector<std::uint64_t>& got) {
+  return [type, &got](const vmmc::Msg& m) {
+    if (m.bytes.empty() || m.bytes[0] != type) return false;
+    got.push_back(m.tag);
+    return true;
+  };
+}
+
+using Tags = std::vector<std::uint64_t>;
+
+TEST(MsgEndpoint, UnclaimedMessagesReachInboxInPerPeerOrder) {
+  MsgRig r;
+  Tags tapped;
+  r.mb.add_tap(claim(9, tapped));
+  r.connect();
+  r.post_all({1, 1, 1, 1, 1, 1, 1, 1});
+  EXPECT_TRUE(tapped.empty());
+  EXPECT_EQ(r.inbox_tags(), (Tags{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(MsgEndpoint, DisjointTapsClaimExactlyTheirOwnInEitherOrder) {
+  // Three families share the ring: store units (5), gossip (0x21) and the
+  // service's own requests (1), which no tap claims.
+  for (const bool store_first : {true, false}) {
+    SCOPED_TRACE(store_first ? "store tap added first"
+                             : "gossip tap added first");
+    MsgRig r;
+    Tags store;
+    Tags gossip;
+    if (store_first) {
+      r.mb.add_tap(claim(5, store));
+      r.mb.add_tap(claim(0x21, gossip));
+    } else {
+      r.mb.add_tap(claim(0x21, gossip));
+      r.mb.add_tap(claim(5, store));
+    }
+    r.connect();
+    r.post_all({5, 0x21, 1, 0x21, 5, 5, 1, 0x21});
+    EXPECT_EQ(store, (Tags{0, 4, 5}));
+    EXPECT_EQ(gossip, (Tags{1, 3, 7}));
+    EXPECT_EQ(r.inbox_tags(), (Tags{2, 6}));
+  }
+}
+
+TEST(MsgEndpoint, TapAddedLaterLeavesEarlierTapsInPlace) {
+  MsgRig r;
+  Tags early;
+  Tags late;
+  r.mb.add_tap(claim(5, early));
+  r.connect();
+  r.post_all({5, 6});  // tags 0, 1: nothing claims 6 yet
+  r.mb.add_tap(claim(6, late));
+  r.post_all({6, 5});  // tags 2, 3
+  EXPECT_EQ(early, (Tags{0, 3}));
+  EXPECT_EQ(late, (Tags{2}));
+  EXPECT_EQ(r.inbox_tags(), (Tags{1}));
+}
+
+TEST(MsgEndpoint, PostBeforeConnectThrows) {
+  MsgRig r;
+  EXPECT_THROW((void)r.ma.post(r.c.hosts[1], {1}), std::logic_error);
+}
+
+TEST(MsgEndpoint, MessageLargerThanItsPartitionThrows) {
+  MsgRig r;
+  r.connect();
+  EXPECT_THROW((void)r.ma.post(r.c.hosts[1], std::vector<std::uint8_t>(
+                                                 MsgRig::kPartition + 1)),
+               std::length_error);
+  EXPECT_NO_THROW((void)r.ma.post(
+      r.c.hosts[1], std::vector<std::uint8_t>(MsgRig::kPartition)));
+}
+
+TEST(MsgEndpoint, RingMustBeTheEndpointsFirstExport) {
+  VmmcRig r;
+  (void)r.a.export_buffer(64);
+  EXPECT_THROW({ vmmc::MsgEndpoint m(r.c.sched, r.a); }, std::logic_error);
 }
 
 // --- micro-benchmark calibration against §6.1.1 ----------------------------
