@@ -5,7 +5,6 @@
 
 #include "firmware/raw.hpp"
 #include "harness/cluster.hpp"
-#include "net/crc.hpp"
 #include "net/topology.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -54,18 +53,6 @@ void BM_FifoServer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_FifoServer);
-
-void BM_Crc32(benchmark::State& state) {
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::crc32(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_RngNext(benchmark::State& state) {
   sim::Rng rng(42);

@@ -1,20 +1,20 @@
 // Wall-clock self-benchmark for the simulator core (not a paper figure).
 //
-// Three measurements, each reported as real time on the machine running the
+// Two measurements, each reported as real time on the machine running the
 // simulation — the quantity every sweep's run time is made of:
 //
 //  * scheduler  — events/sec through sim::Scheduler for the two hot shapes:
 //                 pure schedule/execute churn, and the retransmission-timer
 //                 shape (cancel + re-arm on every delivery);
-//  * CRC        — MB/s through net::crc32 at packet-ish buffer sizes;
 //  * end-to-end — simulated packets/sec for a 4-node reliable-firmware
 //                 cluster streaming 4 KB messages ring-wise under §5.1.3
 //                 error injection (drop_interval=1000), the workload shape of
 //                 the Fig 5-8 and KV sweeps (harness::run_reliable_ring),
 //                 plus how many of its events heap-allocated their callable.
 //
-// Numbers land in BENCH_simcore.json (override with --json <file>); the
-// committed floor bench/golden/simcore_floor.json is the regression gate for
+// Numbers are printed, and written as JSON to the file given with --json
+// (the committed record is BENCH_simcore.json); the committed floor
+// bench/golden/simcore_floor.json is the regression gate for
 // `scripts/verify.sh --perf-smoke` (see docs/PERFORMANCE.md).
 //
 //   ./build/bench/bench_simcore [--quick] [--json <file>]
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "harness/microbench.hpp"
-#include "net/crc.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -126,30 +125,11 @@ SchedResult bench_sched_cancel(std::uint64_t deliveries) {
   return {static_cast<double>(ops) / dt, dt, ops};
 }
 
-// --- CRC -------------------------------------------------------------------
-double bench_crc(std::size_t len, std::uint64_t target_bytes) {
-  std::vector<std::uint8_t> buf(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    buf[i] = static_cast<std::uint8_t>(i * 31 + 7);
-  }
-  std::uint32_t sink = 0;
-  std::uint64_t done = 0;
-  const double t0 = now_sec();
-  while (done < target_bytes) {
-    sink ^= net::crc32(std::span<const std::uint8_t>(buf));
-    done += len;
-  }
-  const double dt = now_sec() - t0;
-  // Defeat dead-code elimination.
-  if (sink == 0xDEADBEEF) std::printf("\r");
-  return static_cast<double>(done) / dt / 1e6;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  const char* json_path = "BENCH_simcore.json";
+  const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -163,7 +143,6 @@ int main(int argc, char** argv) {
 
   const std::uint64_t churn_events = quick ? 2'000'000 : 8'000'000;
   const std::uint64_t cancel_deliveries = quick ? 640'000 : 2'560'000;
-  const std::uint64_t crc_bytes = quick ? 256'000'000 : 1'000'000'000;
   const int e2e_msgs = quick ? 1000 : 4000;
 
   std::printf("=== simulator-core self-benchmark (%s) ===\n\n",
@@ -184,11 +163,6 @@ int main(int argc, char** argv) {
                            (churn.seconds + cancel.seconds);
   std::printf("scheduler combined     : %12.0f events/sec\n", sched_eps);
 
-  const double crc4k = bench_crc(4096, crc_bytes);
-  std::printf("crc32 4 KB buffers     : %12.1f MB/s\n", crc4k);
-  const double crc64k = bench_crc(65536, crc_bytes);
-  std::printf("crc32 64 KB buffers    : %12.1f MB/s\n", crc64k);
-
   const harness::RingResult e2e = harness::run_reliable_ring(e2e_msgs);
   const double e2e_pkts_per_sec =
       static_cast<double>(e2e.wire_tx) / e2e.run_wall_s;
@@ -200,6 +174,7 @@ int main(int argc, char** argv) {
       e2e_wall_ms, static_cast<unsigned long long>(e2e.inline_spills),
       static_cast<unsigned long long>(e2e.events));
 
+  if (json_path == nullptr) return 0;
   std::FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path);
@@ -211,15 +186,13 @@ int main(int argc, char** argv) {
                "  \"sched_churn_eps\": %.0f,\n"
                "  \"sched_cancel_eps\": %.0f,\n"
                "  \"sched_combined_eps\": %.0f,\n"
-               "  \"crc_4k_mbps\": %.1f,\n"
-               "  \"crc_64k_mbps\": %.1f,\n"
                "  \"e2e_sim_pkts_per_sec\": %.0f,\n"
                "  \"e2e_wire_tx\": %llu,\n"
                "  \"e2e_wall_ms\": %.1f,\n"
                "  \"e2e_inline_spills\": %llu\n"
                "}\n",
                quick ? "true" : "false", churn_eps, cancel_eps, sched_eps,
-               crc4k, crc64k, e2e_pkts_per_sec,
+               e2e_pkts_per_sec,
                static_cast<unsigned long long>(e2e.wire_tx), e2e_wall_ms,
                static_cast<unsigned long long>(e2e.inline_spills));
   std::fclose(f);

@@ -167,17 +167,14 @@ void Fabric::deliver(Packet&& pkt, HostId dst) {
     return;
   }
   ++stats_.delivered;
-  const bool ok = !pkt.corrupt_marker && pkt.payload.crc() == pkt.crc;
-  if (!ok) ++stats_.delivered_corrupt;
+  if (pkt.corrupt_marker) ++stats_.delivered_corrupt;
   if (delivery_hook_) delivery_hook_(pkt, dst);
   rx_[dst.v](std::move(pkt));
 }
 
 sim::Time Fabric::inject(HostId src, Packet pkt) {
   ensure_link_state();
-  pkt.crc = pkt.payload.crc();
   pkt.corrupt_marker = false;
-  pkt.wire_id = next_wire_id_++;
   ++stats_.injected;
   last_departure_ = sched_.now();  // drops before the wire depart "now"
   step(std::move(pkt), Device::host(src), 0);
@@ -247,8 +244,12 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
       pkt.payload =
           pkt.payload.corrupted(rng.uniform(pkt.payload.size()), 0x5A);
     }
-    // Header/route corruption and empty payloads are caught by the marker:
-    // the receiver's CRC check is forced to fail.
+    // The marker is the receiving NIC's CRC verdict; it reads nothing else.
+    // Any fault that changes a packet on the wire must set it. With no
+    // payload it stands for a garbled header or route. A header the chaos
+    // StateCorruptor garbles in a retransmission queue is different: it is
+    // rewritten before injection, so that packet passes the check, as it
+    // would pass a hardware CRC computed at injection.
     pkt.corrupt_marker = true;
     ++stats_.corruptions_injected;
   }

@@ -9,9 +9,9 @@
 // which is the wormhole pipeline formula.
 //
 // Failure surface (what §3.3 of the paper enumerates):
-//  * hardware packet corruption  -> per-link corrupt probability; the CRC
-//    stamped at injection no longer matches the corrupted bytes' CRC at the
-//    receiver
+//  * hardware packet corruption  -> per-link corrupt probability; the
+//    corrupted packet carries Packet::corrupt_marker, the receiving NIC's
+//    CRC verdict
 //  * hardware packet loss        -> per-link loss probability
 //  * blocked path / deadlock     -> a Blocked link holds the packet for the
 //    hardware deadlock-timeout, then the path reset drops it
@@ -60,7 +60,7 @@ enum class DropReason : std::uint8_t {
 struct FabricStats {
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;
-  std::uint64_t delivered_corrupt = 0;  // delivered but failing CRC
+  std::uint64_t delivered_corrupt = 0;  // delivered with corrupt_marker set
   std::uint64_t corruptions_injected = 0;  // link fault flipped payload bits
   std::uint64_t duplicates_injected = 0;   // link fault cloned a traversal
   std::uint64_t reorders_injected = 0;     // link fault delayed a traversal
@@ -131,9 +131,9 @@ class Fabric {
   /// packets (tail on the wire has arrived); CRC checking is the NIC's job.
   void attach(HostId h, RxHandler rx);
 
-  /// Inject a packet from `src`'s NIC. The packet must carry its route; the
-  /// CRC over the payload is stamped here, as the network send-DMA does (the
-  /// payload buffer computes it once and keeps it, see PayloadRef::crc).
+  /// Inject a packet from `src`'s NIC. The packet must carry its route.
+  /// Injection clears corrupt_marker: the network send-DMA appends a CRC of
+  /// the bytes it sends now, so only faults on the wire can fail the check.
   /// Returns the time the packet's tail leaves the first link — i.e. when
   /// the send DMA finishes, including queueing behind earlier injections.
   /// Protocols use this as the send timestamp so that retransmission timers
@@ -228,7 +228,6 @@ class Fabric {
   /// captures a handle into this pool instead of the packet, so its closure
   /// stays inside the scheduler's inline buffer.
   sim::SlotPool<Packet> in_flight_;
-  std::uint64_t next_wire_id_ = 1;
   /// Set by step() on the injection hop (hosts do not forward, so the first
   /// synchronous step call is the only host-originated one).
   sim::Time last_departure_ = 0;

@@ -3,10 +3,11 @@
 // One struct serves every layer: the fabric reads the route, the reliability
 // firmware reads type/seq/ack/generation/flags, and VMMC reads the UserHeader
 // words. Payload bytes are carried for real (applications move actual data
-// through the simulated network), and the CRC over them is stamped at
-// injection exactly as the Myrinet network DMA does. A Packet is a flat
-// value: its route and entry-port record are inline PortLists and its
-// payload is a refcounted buffer, so copying one never allocates.
+// through the simulated network). The CRC the Myrinet network DMA appends is
+// modelled by its wire bytes and its verdict, corrupt_marker, not computed.
+// A Packet is a flat value: its route and entry-port record are inline
+// PortLists and its payload is a refcounted buffer, so copying one never
+// allocates.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +69,12 @@ struct Packet {
   PayloadRef payload;
 
   // --- set by the fabric / injection path ---
-  std::uint32_t crc = 0;         // payload.crc() stamped at injection
-  bool corrupt_marker = false;   // forces CRC mismatch for empty payloads
-  std::uint64_t wire_id = 0;     // unique per injection, for tracing
+  /// The receiving NIC's CRC verdict: set by the fault that changes a packet
+  /// on the wire (Fabric::step), cleared at injection. That fault flips one
+  /// payload byte — an 8-bit burst, which CRC-32 always detects — or, with
+  /// no payload, stands for a garbled header. Either way the hardware check
+  /// fails, so the marker is the verdict and no CRC is computed.
+  bool corrupt_marker = false;
   /// Ports through which the packet *entered* each switch, appended hop by
   /// hop. Reversing this gives the exact return route — the information the
   /// real Myrinet mapper reconstructs with loop-back probes; recording it on

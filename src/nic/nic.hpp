@@ -51,7 +51,7 @@ class FirmwareIface {
   virtual void on_host_packet(SendRequest req) = 0;
 
   /// A packet fully arrived from the wire. `crc_ok` is the hardware CRC
-  /// verdict (computed over the payload by the receive DMA).
+  /// verdict of the receive DMA (modelled by Packet::corrupt_marker).
   virtual void on_wire_packet(net::Packet pkt, bool crc_ok) = 0;
 
   [[nodiscard]] virtual sim::Duration tx_cpu_cost(const SendRequest& req) const = 0;

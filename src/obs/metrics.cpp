@@ -1,9 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/json.hpp"
@@ -82,7 +82,10 @@ Registry::Metric& Registry::get_or_create(const std::string& name, Kind kind,
     }
     it = metrics_.emplace(name, std::move(m)).first;
   }
-  assert(it->second.kind == kind && "metric re-registered with another kind");
+  if (it->second.kind != kind) {
+    throw std::logic_error("obs::Registry: metric '" + name +
+                           "' re-registered with another kind");
+  }
   return it->second;
 }
 

@@ -109,6 +109,7 @@ class Registry {
   // Lookup-or-create. `name` is the full instance name including labels;
   // `unit` and `help` are recorded on first creation (later calls may pass
   // empty strings). Returned references are stable for the registry's life.
+  // A name already registered as another kind throws std::logic_error.
   Counter& counter(const std::string& name, std::string unit = {},
                    std::string help = {});
   Gauge& gauge(const std::string& name, std::string unit = {},

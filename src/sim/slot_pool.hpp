@@ -1,6 +1,6 @@
 // SlotPool: generation-checked storage for values parked across events.
 //
-// An event closure that captures a whole net::Packet (120 bytes) or a send
+// An event closure that captures a whole net::Packet (112 bytes) or a send
 // request plus its completion overflows the scheduler's 48-byte inline
 // buffer and heap-allocates, on every hop, receive and submission. Parking
 // the value in a SlotPool leaves the closure an 8-byte Handle to capture,

@@ -128,8 +128,8 @@ sim::Task<void> Runtime::send_msg(std::size_t from_node, std::size_t to_node,
   const std::uint64_t tag = tag_of(m, a, b, proc);
   std::vector<std::uint8_t> payload;
   if (payload_bytes > 0) {
-    // Page traffic carries the real bytes (CRC and corruption-recovery act
-    // on genuine content).
+    // Page traffic carries the real bytes (a wire corruption flips one of
+    // them, and retransmission must deliver them intact).
     const auto& reg = regions_.at(a);
     const std::size_t off = static_cast<std::size_t>(b) * cfg_.page_bytes;
     const std::size_t n = std::min(payload_bytes, reg.data.size() - off);

@@ -1,13 +1,12 @@
-// Tests for the dynamic fabric: timing, contention, CRC, and fault
-// injection — plus the inline PortList that routes and entry-port records
-// share.
+// Tests for the dynamic fabric: timing, contention, the corruption marker,
+// and fault injection — plus the inline PortList that routes and entry-port
+// records share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 #include <vector>
 
-#include "net/crc.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sim/scheduler.hpp"
@@ -56,29 +55,6 @@ struct FabricFixture : ::testing::Test {
     return p;
   }
 };
-
-TEST(Crc32, KnownVectors) {
-  // "123456789" -> 0xCBF43926 (standard CRC-32 check value).
-  const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(msg), 0xCBF43926u);
-  EXPECT_EQ(crc32(std::span<const std::uint8_t>{}), 0u);
-}
-
-TEST(Crc32, DetectsSingleByteFlip) {
-  std::vector<std::uint8_t> a(100, 7);
-  auto b = a;
-  b[42] ^= 0x5A;
-  EXPECT_NE(crc32(a), crc32(b));
-}
-
-TEST(Crc32, IncrementalMatchesOneShot) {
-  std::vector<std::uint8_t> d(257);
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] = static_cast<std::uint8_t>(i);
-  std::uint32_t st = 0xFFFFFFFFu;
-  st = crc32_update(st, std::span(d).subspan(0, 100));
-  st = crc32_update(st, std::span(d).subspan(100));
-  EXPECT_EQ(st ^ 0xFFFFFFFFu, crc32(d));
-}
 
 TEST_F(FabricFixture, DeliversAcrossOneSwitch) {
   Fabric f = make_fabric();
@@ -181,25 +157,37 @@ TEST_F(FabricFixture, MidFlightLinkDeathAffectsOnlyLaterPackets) {
   EXPECT_EQ(f.stats().dropped_link_down, 1u);
 }
 
-TEST_F(FabricFixture, CorruptionIsDetectedByCrc) {
+// Number of byte positions at which two equal-length payloads differ.
+std::size_t bytes_differing(const PayloadRef& a, const PayloadRef& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    n += a.data()[i] != b.data()[i] ? 1 : 0;
+  }
+  return n;
+}
+
+TEST_F(FabricFixture, CorruptionArrivesMarkedWithOneByteFlipped) {
   Fabric f = make_fabric();
   f.link_faults(l0).corrupt_prob = 1.0;
-  f.inject(h0, data_packet(h0, h1, Route{{1}}, 64));
+  const Packet sent = data_packet(h0, h1, Route{{1}}, 64);
+  f.inject(h0, sent);
   sched.run();
   ASSERT_EQ(rx1.got.size(), 1u);
   EXPECT_EQ(f.stats().delivered_corrupt, 1u);
   const Packet& p = rx1.got[0].second;
-  EXPECT_NE(crc32(std::span<const std::uint8_t>(p.payload)), p.crc);
+  EXPECT_TRUE(p.corrupt_marker);
+  EXPECT_EQ(bytes_differing(p.payload, sent.payload), 1u);
 }
 
 // The retransmission path: the sender keeps one PayloadRef and re-injects
 // it. Corruption on the first traversal must land on a private copy, so the
-// CRC the sender's buffer keeps stays the clean one and the retransmission
-// is delivered clean.
-TEST_F(FabricFixture, CorruptionNeverPoisonsTheSendersCrc) {
+// sender's buffer keeps its bytes and the retransmission is delivered clean:
+// unmarked and equal to what was sent.
+TEST_F(FabricFixture, CorruptionNeverPoisonsTheSendersBuffer) {
   Fabric f = make_fabric();
   const Packet sent = data_packet(h0, h1, Route{{1}}, 256);
-  const std::uint32_t clean = crc32(sent.payload.span());
+  const std::vector<std::uint8_t> clean = sent.payload.to_vector();
   f.link_faults(l0).corrupt_prob = 1.0;
   f.inject(h0, sent);
   sched.run();
@@ -212,12 +200,11 @@ TEST_F(FabricFixture, CorruptionNeverPoisonsTheSendersCrc) {
   EXPECT_EQ(f.stats().corruptions_injected, 1u);
   const Packet& first = rx1.got[0].second;
   const Packet& second = rx1.got[1].second;
-  EXPECT_EQ(first.crc, clean);
-  EXPECT_NE(crc32(first.payload.span()), first.crc);
-  EXPECT_EQ(second.crc, clean);
+  EXPECT_TRUE(first.corrupt_marker);
+  EXPECT_EQ(bytes_differing(first.payload, sent.payload), 1u);
   EXPECT_FALSE(second.corrupt_marker);
-  EXPECT_EQ(crc32(second.payload.span()), second.crc);
-  EXPECT_EQ(sent.payload.crc(), clean);
+  EXPECT_EQ(second.payload, clean);
+  EXPECT_EQ(sent.payload, clean);
 }
 
 TEST_F(FabricFixture, EmptyPayloadCorruptionUsesMarker) {
@@ -365,15 +352,6 @@ TEST(FabricRngStreams, OtherLinksNeverMoveALinkDirectionsFaultSequence) {
   // fabric RNG, or one stream per link shared by both directions, would
   // shift this sequence.
   EXPECT_EQ(quiet.b_fwd, noisy.b_fwd);
-}
-
-TEST_F(FabricFixture, WireIdsAreUnique) {
-  Fabric f = make_fabric();
-  f.inject(h0, data_packet(h0, h1, Route{{1}}, 4));
-  f.inject(h0, data_packet(h0, h1, Route{{1}}, 4));
-  sched.run();
-  ASSERT_EQ(rx1.got.size(), 2u);
-  EXPECT_NE(rx1.got[0].second.wire_id, rx1.got[1].second.wire_id);
 }
 
 TEST_F(FabricFixture, MultiHopTimingAddsPerHopLatency) {

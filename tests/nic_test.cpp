@@ -192,17 +192,38 @@ TEST_F(NicBasic, NoRouteDropsAndRecyclesBuffer) {
   EXPECT_TRUE(rx1.empty());
 }
 
-TEST_F(NicBasic, RawFirmwareDropsCorruptPackets) {
-  auto [pa, pb] = topo.link_ends(net::LinkId{0});
-  (void)pa;
-  (void)pb;
+// Packet::corrupt_marker is the only record of a wire corruption, so every
+// payload size must reach the NIC's check marked and be dropped there: the
+// empty payload (where only the marker says anything), one byte, and a full
+// send buffer. The delivery hook sees the corrupted bytes themselves.
+struct NicCorruption : ::testing::TestWithParam<std::size_t>, NicFixture {};
+
+TEST_P(NicCorruption, RawFirmwareDropsCorruptPackets) {
+  const std::size_t bytes = GetParam();
+  std::vector<net::PayloadRef> on_wire;
+  fabric.set_delivery_hook([&on_wire](const net::Packet& p, HostId) {
+    on_wire.push_back(p.payload);
+  });
   fabric.link_faults(net::LinkId{0}).corrupt_prob = 1.0;
-  nic0.host_submit(make_req(h1, 256));
+  const SendRequest req = make_req(h1, bytes, 0x3C);
+  nic0.host_submit(req);
   sched.run();
-  EXPECT_EQ(fw1.stats().corrupt_dropped, 1u);
+
+  EXPECT_EQ(fabric.stats().delivered_corrupt, 1u);
   EXPECT_EQ(nic1.stats().crc_failures, 1u);
+  EXPECT_EQ(fw1.stats().corrupt_dropped, 1u);
   EXPECT_TRUE(rx1.empty());
+  ASSERT_EQ(on_wire.size(), 1u);
+  ASSERT_EQ(on_wire[0].size(), bytes);
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    differing += on_wire[0].data()[i] != req.payload.data()[i] ? 1 : 0;
+  }
+  EXPECT_EQ(differing, bytes == 0 ? 0u : 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(PayloadBytes, NicCorruption,
+                         ::testing::Values(0, 1, 256, 4096));
 
 TEST_F(NicBasic, SendBuffersRecycleUnderLoad) {
   // Raw firmware frees buffers at injection, so even a tiny pool of 2 must

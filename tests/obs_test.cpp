@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -71,6 +72,23 @@ TEST(Registry, GetOrCreateReturnsStableRefs) {
   }
   EXPECT_EQ(&reg.counter("x.a"), &a);
   EXPECT_EQ(reg.counter_value("x.a"), 5u);
+}
+
+// The kind check holds in every build, not only where asserts are compiled
+// in: a name reused as another kind throws instead of handing back a null
+// metric of the requested kind.
+TEST(Registry, ReRegisteringANameAsAnotherKindThrows) {
+  sim::Scheduler sched;
+  obs::Registry& reg = obs::Registry::of(sched);
+  reg.counter("x.c").inc(2);
+  reg.gauge("x.g");
+  reg.histogram("x.h");
+  EXPECT_THROW(reg.gauge("x.c"), std::logic_error);
+  EXPECT_THROW(reg.histogram("x.c"), std::logic_error);
+  EXPECT_THROW(reg.counter("x.g"), std::logic_error);
+  EXPECT_THROW(reg.counter("x.h"), std::logic_error);
+  // The existing metric is untouched.
+  EXPECT_EQ(reg.counter_value("x.c"), 2u);
 }
 
 TEST(Registry, OnePerSchedulerAndFoundWhileAlive) {

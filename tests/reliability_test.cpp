@@ -187,6 +187,16 @@ TEST(Reliability, CorruptionDetectedAndRecovered) {
   auto r = stream(c, 150, 256, sim::seconds(60));
   expect_exactly_once_in_order(r, 150);
   EXPECT_GT(c.rel(1).stats().corrupt_drops, 0u);
+  // Link 1 corrupts both ways, so the receiver's ACKs are corrupted too.
+  EXPECT_GT(c.rel(0).stats().corrupt_drops, 0u);
+  // Every corrupt delivery fails the NIC's check and is dropped by the
+  // firmware: nothing is lost between the marker and the drop counter.
+  const std::uint64_t delivered_corrupt =
+      c.fabric().stats().delivered_corrupt;
+  EXPECT_EQ(c.nic(0).stats().crc_failures + c.nic(1).stats().crc_failures,
+            delivered_corrupt);
+  EXPECT_EQ(c.rel(0).stats().corrupt_drops + c.rel(1).stats().corrupt_drops,
+            delivered_corrupt);
   // Every delivered payload must be intact despite wire corruption.
   for (const auto& m : r.msgs) {
     const auto tag = static_cast<std::uint8_t>(m.user.w0);
