@@ -1,0 +1,115 @@
+#!/usr/bin/env bash
+# Byte-compare the deterministic outputs of two builds of this repository.
+#
+#   scripts/same_behaviour.sh <build-a> <build-b>
+#
+# Each argument is a CMake build tree of this repository, for example one
+# built from a parent commit and one from a change. The script runs the same
+# battery of deterministic bench invocations from both trees and compares
+# every output pair with cmp, each run's exit status included. A change that
+# claims simulated behaviour is unchanged must pass it; giving the same tree
+# twice checks that the battery itself is deterministic.
+#
+# Exit status: 0 when every pair is identical; 1 naming the first output
+# that differs, in battery order (both output sets are kept for diffing);
+# 2 on bad usage or a missing bench binary.
+#
+# The battery, in order (every output is a function of simulated time and
+# fixed seeds only):
+#   bench_kv_service --quick                        metrics JSON
+#   bench_chaos --quick                             JSON, metrics JSON, log
+#   bench_chaos --corrupt-smoke                     event log
+#   bench_chaos --soak 12345 --soak-cases 10        event log
+#   bench_repair --quick                            JSON, repair log
+#   bench_membership --quick                        JSON
+#   bench_fig3_latency_breakdown, bench_fig4_latency_bandwidth,
+#   bench_fig9_applications, bench_table3_mapping,
+#   bench_ablation_mapping, bench_ablation_protocol,
+#   bench_scale                                     stdout
+#   bench_fig5..8 --jobs $(nproc)                   stdout
+set -euo pipefail
+
+if [[ $# -ne 2 ]]; then
+  echo "usage: $0 <build-a> <build-b>" >&2
+  exit 2
+fi
+
+STDOUT_BENCHES=(fig3_latency_breakdown fig4_latency_bandwidth
+                fig9_applications table3_mapping ablation_mapping
+                ablation_protocol scale)
+FIGURES=(fig5_interval_noerrors fig6_interval_errors fig7_queue_noerrors
+         fig8_queue_errors)
+
+for build in "$1" "$2"; do
+  for b in kv_service chaos repair membership "${STDOUT_BENCHES[@]}" \
+           "${FIGURES[@]}"; do
+    if [[ ! -x "$build/bench/bench_$b" ]]; then
+      echo "same_behaviour: $build/bench/bench_$b is missing" >&2
+      exit 2
+    fi
+  done
+done
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/same_behaviour.XXXXXX")
+
+# run <out-dir> <name> <stdout|-> <bench> [args...]: one battery entry. The
+# exit status goes to <name>.exit and, given "stdout", stdout to
+# <name>.stdout; stderr is kept beside the compared outputs, not compared.
+run() {
+  local dir=$1 name=$2 keep=$3
+  shift 3
+  local sink=/dev/null rc=0
+  [[ $keep == stdout ]] && sink=$dir/$name.stdout
+  "$@" >"$sink" 2>"$dir/../stderr/$name.txt" || rc=$?
+  echo "$rc" >"$dir/$name.exit"
+}
+
+# battery <build> <out-dir>: names carry a two-digit prefix so that sorted
+# order is battery order.
+battery() {
+  local bin=$1/bench o=$2/out
+  mkdir -p "$o" "$2/stderr"
+  run "$o" 01_kv_service - "$bin/bench_kv_service" --quick \
+      --metrics-json "$o/01_kv_service.metrics.json"
+  run "$o" 02_chaos_quick - "$bin/bench_chaos" --quick \
+      --json "$o/02_chaos_quick.json" \
+      --metrics-json "$o/02_chaos_quick.metrics.json" \
+      --log "$o/02_chaos_quick.log"
+  run "$o" 03_corrupt_smoke - "$bin/bench_chaos" --corrupt-smoke \
+      --log "$o/03_corrupt_smoke.log"
+  run "$o" 04_soak - "$bin/bench_chaos" --soak 12345 --soak-cases 10 \
+      --log "$o/04_soak.log"
+  run "$o" 05_repair - "$bin/bench_repair" --quick \
+      --json "$o/05_repair.json" --log "$o/05_repair.log"
+  run "$o" 06_membership - "$bin/bench_membership" --quick \
+      --json "$o/06_membership.json"
+  local i=7 b
+  for b in "${STDOUT_BENCHES[@]}"; do
+    run "$o" "$(printf %02d "$i")_$b" stdout "$bin/bench_$b"
+    i=$((i + 1))
+  done
+  for b in "${FIGURES[@]}"; do
+    run "$o" "$(printf %02d "$i")_$b" stdout "$bin/bench_$b" \
+        --jobs "$(nproc)"
+    i=$((i + 1))
+  done
+}
+
+echo "same_behaviour: running the battery from $1"
+battery "$1" "$work/a"
+echo "same_behaviour: running the battery from $2"
+battery "$2" "$work/b"
+
+compared=0
+while read -r f; do
+  if ! cmp -s "$work/a/out/$f" "$work/b/out/$f"; then
+    echo "same_behaviour: FAIL: $f differs" >&2
+    echo "  $work/a/out/$f" >&2
+    echo "  $work/b/out/$f" >&2
+    exit 1
+  fi
+  compared=$((compared + 1))
+done < <( (ls "$work/a/out"; ls "$work/b/out") | sort -u)
+
+echo "same_behaviour: OK: $compared outputs byte-identical"
+rm -rf "$work"

@@ -126,8 +126,9 @@ std::optional<net::AltRoute>* OnDemandMapper::PathCache::backup_mut(HostId h) {
 
 // --- OnDemandMapper ---------------------------------------------------------
 
-OnDemandMapper::OnDemandMapper(nic::Nic& nic, OnDemandMapperConfig cfg)
-    : nic_(nic), cfg_(cfg), path_cache_(cfg.path_cache_capacity) {
+OnDemandMapper::OnDemandMapper(nic::Nic& nic, const net::Topology& topo,
+                               OnDemandMapperConfig cfg)
+    : nic_(nic), topo_(topo), cfg_(cfg), path_cache_(cfg.path_cache_capacity) {
   if (longest_probe_route(cfg_.max_depth) > net::PortList::kCapacity) {
     throw std::invalid_argument(
         "OnDemandMapper: max_depth " + std::to_string(cfg_.max_depth) +
@@ -192,12 +193,8 @@ OnDemandMapper::~OnDemandMapper() {
 }
 
 std::uint8_t OnDemandMapper::radix_of(const Route& forward) const {
-  if (cfg_.radix_oracle != nullptr) {
-    auto dev = cfg_.radix_oracle->device_after(nic_.self(), forward);
-    if (dev && dev->is_switch()) {
-      return cfg_.radix_oracle->switch_ports(dev->as_switch());
-    }
-  }
+  auto dev = topo_.device_after(nic_.self(), forward);
+  if (dev && dev->is_switch()) return topo_.switch_ports(dev->as_switch());
   return cfg_.max_ports;
 }
 
@@ -255,13 +252,13 @@ std::uint64_t OnDemandMapper::backup_salt(HostId dst) const {
 }
 
 void OnDemandMapper::fill_backup(HostId dst) {
-  if (!cfg_.proactive_backup || cfg_.radix_oracle == nullptr) return;
+  if (!cfg_.proactive_backup) return;
   const Route* primary = path_cache_.peek(dst);
   if (primary == nullptr) return;
   const std::optional<net::AltRoute>* slot = path_cache_.peek_backup(dst);
   if (slot != nullptr && slot->has_value()) return;  // already provisioned
-  auto alt = cfg_.radix_oracle->disjoint_route(nic_.self(), dst, *primary,
-                                               backup_salt(dst));
+  auto alt =
+      topo_.disjoint_route(nic_.self(), dst, *primary, backup_salt(dst));
   // Disjointness can be impossible (both hosts on one crossbar, or a chain
   // fabric with no way around): degrade gracefully to a backup-less entry —
   // failures for this destination fall back to probing.
@@ -276,14 +273,14 @@ void OnDemandMapper::fill_backup(HostId dst) {
 }
 
 bool OnDemandMapper::promote_backup(HostId dst) {
-  if (!cfg_.proactive_backup || cfg_.radix_oracle == nullptr) return false;
+  if (!cfg_.proactive_backup) return false;
   const std::optional<net::AltRoute>* slot = path_cache_.backup(dst);
   if (slot == nullptr || !slot->has_value()) return false;
   const Route backup = (*slot)->route;
   // The fault that killed the primary may have hit the backup too (or the
   // backup aged past an unrelated fault). Validate it end-to-end against
   // current up-state before trusting it — never deliver over a wrong route.
-  auto end = cfg_.radix_oracle->trace_route_up(nic_.self(), backup);
+  auto end = topo_.trace_route_up(nic_.self(), backup);
   if (!end || *end != net::Device::host(dst)) {
     ++stats_.backup_stale_rejections;
     return false;  // caller drops the whole entry; next request re-probes
@@ -311,8 +308,7 @@ sim::Process OnDemandMapper::replenish_backup(HostId dst, Route primary) {
     replenishing_.erase(dst);
     co_return;
   }
-  auto alt = cfg_.radix_oracle->disjoint_route(nic_.self(), dst, primary,
-                                               backup_salt(dst));
+  auto alt = topo_.disjoint_route(nic_.self(), dst, primary, backup_salt(dst));
   if (!alt) {
     replenishing_.erase(dst);
     co_return;
@@ -615,45 +611,30 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
       const net::PortList sw_reverse = known[sp.sw].reverse;
       Route nf = sw_forward;
       nf.ports.push_back(sp.port);
-      // Identity verdict source: behavioral by default (the cycle probe
-      // returning means "an old switch is behind this port"). On regular
-      // fabrics that test false-merges *distinct* switches at symmetric
-      // positions — a probe into a fat-tree edge routed down a sibling
+      // Identity verdict source: the fabric database. The behavioural test
+      // (the cycle probe returning means "an old switch is behind this
+      // port") false-merges *distinct* switches at symmetric positions of
+      // regular fabrics — a probe into a fat-tree edge routed down a sibling
       // edge's way home still loops back to the prober — which silently
-      // prunes whole pods from the search. When the operator configured the
-      // fabric class (radix_oracle, same knowledge assumption as the radix
-      // lookup), the verdict is resolved against the real topology instead.
-      // The probe is sent and counted either way: configured identity does
+      // prunes whole pods from the search. Unless configured_identity is
+      // set, the probe is still sent, timed and counted: the database does
       // not waive Table 3's "distinguishing new switches from old ones"
       // traffic.
-      std::optional<net::Device> cand_dev;
-      if (cfg_.radix_oracle != nullptr) {
-        cand_dev = cfg_.radix_oracle->device_after(nic_.self(), nf);
-      }
-      const bool identity_db =
-          cfg_.configured_identity && cfg_.radix_oracle != nullptr;
+      const std::optional<net::Device> cand_dev =
+          topo_.device_after(nic_.self(), nf);
       bool duplicate = false;
       for (std::size_t j = 0; j < known.size(); ++j) {
         if (over_budget()) co_return budget_fail();
-        std::optional<net::Device> known_dev;
-        if (cfg_.radix_oracle != nullptr) {
-          known_dev =
-              cfg_.radix_oracle->device_after(nic_.self(), known[j].forward);
-        }
-        bool probe_back = false;
-        if (!identity_db) {
+        const std::optional<net::Device> known_dev =
+            topo_.device_after(nic_.self(), known[j].forward);
+        if (!cfg_.configured_identity) {
           Route vr = nf;
           vr.ports.append(known[j].reverse.begin(), known[j].reverse.end());
           count_probe();
-          probe_back = co_await probe_and_wait_impl(PacketType::kProbeSwitch,
-                                                    vr, nullptr);
+          co_await probe_and_wait_impl(PacketType::kProbeSwitch, vr, nullptr);
         }
-        const bool is_dup =
-            cfg_.radix_oracle != nullptr
-                ? (cand_dev.has_value() && cand_dev->is_switch() &&
-                   known_dev.has_value() && *cand_dev == *known_dev)
-                : probe_back;
-        if (is_dup) {
+        if (cand_dev.has_value() && cand_dev->is_switch() &&
+            known_dev.has_value() && *cand_dev == *known_dev) {
           duplicate = true;
           if (cfg_.multipath) {
             Route alt = nf;

@@ -44,15 +44,10 @@ struct OnDemandMapperConfig {
   sim::Duration probe_timeout = sim::microseconds(300);
   /// Extra attempts per probe (probes themselves can be lost to faults).
   int probe_retries = 1;
-  /// Upper bound on crossbar radix: ports 0..max_ports-1 are candidates
-  /// when the radix of a discovered switch is unknown.
+  /// Ports 0..max_ports-1 are the candidates where no radix is known: the
+  /// search for the port our own cable enters, and a crossbar the fabric
+  /// database does not list.
   std::uint8_t max_ports = 16;
-  /// Optional "the operator knows the switch models" knowledge: when set,
-  /// the mapper reads the actual radix of a discovered crossbar from the
-  /// topology instead of probing max_ports ports on every switch. This is
-  /// how deployed Myrinet mappers behaved (switch types were configured);
-  /// emptiness of in-radix ports is still discovered by probing.
-  const net::Topology* radix_oracle = nullptr;
   /// BFS depth bound (switches traversed). Redundant fabrics make switches
   /// re-discoverable through parallel paths — switches have no identity — so
   /// the search must be bounded to terminate on cyclic topologies. Probe
@@ -81,13 +76,13 @@ struct OnDemandMapperConfig {
   /// termination).
   bool multipath = false;
   std::uint64_t multipath_salt = 0x5ca1ab1e;
-  /// Operator-configured fabric database: resolve duplicate-detection
-  /// verdicts from the radix_oracle *without* emitting the comparison probes.
-  /// Dup probes dominate BFS traffic on large fabrics (§4.2's
-  /// "distinguishing new switches from old ones" grows with the number of
-  /// known switches), so configured deployments shortcut them. Off by
-  /// default: Table 3's methodology counts that traffic. Requires
-  /// radix_oracle; ignored without it.
+  /// Skip the duplicate-detection comparison probes. Their verdicts come
+  /// from the fabric database either way (see the constructor); by default
+  /// the probes are still sent, timed and counted, because Table 3's
+  /// methodology counts that traffic. Dup probes dominate BFS traffic on
+  /// large fabrics (§4.2's "distinguishing new switches from old ones" grows
+  /// with the number of known switches), so configured deployments skip
+  /// them.
   bool configured_identity = false;
   /// Proactive alternate paths (docs/ROUTING.md): whenever the requested
   /// destination's primary route is installed in the path cache, precompute a
@@ -96,11 +91,9 @@ struct OnDemandMapperConfig {
   /// and spread across sources) and store it in the entry's backup slot. A
   /// later on_path_failure then *promotes* the backup in one step — no probe
   /// storm on the critical path — after an up-state validation against the
-  /// radix_oracle topology (a backup sharing the dead element is rejected
-  /// and the mapping falls back to probing). The emptied backup slot is
-  /// replenished lazily in the background, verified by a single host probe.
-  /// Requires radix_oracle (same operator-knowledge assumption as
-  /// configured_identity); ignored without it.
+  /// fabric database (a backup sharing the dead element is rejected and the
+  /// mapping falls back to probing). The emptied backup slot is replenished
+  /// lazily in the background, verified by a single host probe.
   bool proactive_backup = false;
 };
 
@@ -140,9 +133,18 @@ struct OnDemandMapperStats {
 
 class OnDemandMapper final : public MapperIface {
  public:
+  /// `topo` is the operator-configured fabric database, as deployed Myrinet
+  /// mappers had switch types configured. The mapper reads a discovered
+  /// crossbar's radix from it instead of probing max_ports ports (emptiness
+  /// of in-radix ports is still discovered by probing), resolves
+  /// duplicate-detection verdicts against it (crossbars have no identity,
+  /// and the behavioural cycle-probe test false-merges distinct switches at
+  /// symmetric positions of regular fabrics), and computes and validates
+  /// proactive backups with it.
   /// Throws std::invalid_argument if cfg.max_depth lets probe routes
   /// outgrow net::PortList (see longest_probe_route).
-  OnDemandMapper(nic::Nic& nic, OnDemandMapperConfig cfg = {});
+  OnDemandMapper(nic::Nic& nic, const net::Topology& topo,
+                 OnDemandMapperConfig cfg = {});
   ~OnDemandMapper() override;
 
   /// Longest probe route, in bytes, a BFS bounded at `max_depth` sends. A
@@ -315,6 +317,7 @@ class OnDemandMapper final : public MapperIface {
   sim::Process replenish_backup(net::HostId dst, net::Route primary);
 
   nic::Nic& nic_;
+  const net::Topology& topo_;
   OnDemandMapperConfig cfg_;
   OnDemandMapperStats stats_;
 

@@ -618,16 +618,27 @@ void ReliableFirmware::finish_remap(HostId h, std::optional<net::Route> route) {
     return;
   }
   routes_.set(h, *route);
+  restart_generation(h, ch, *route);
 
+  // Pay any ACK debt toward this node now that we can reach it.
+  RxChannel& rxch = rx(h);
+  if (rxch.ack_owed) {
+    rxch.ack_owed = false;
+    send_explicit_ack(h);
+  }
+}
+
+void ReliableFirmware::restart_generation(HostId h, TxChannel& ch,
+                                          const net::Route& route) {
   // New generation: restart the sequence space and renumber everything that
   // is still pending, so stale packets in the network are recognizably old.
   ++ch.generation;
   std::uint32_t seq = 1;
-  RxChannel& rxch = rx(h);
+  const RxChannel& rxch = rx(h);
   for (QueuedPacket& qp : ch.retrans_queue) {
     qp.pkt.hdr.seq = seq++;
     qp.pkt.hdr.generation = ch.generation;
-    qp.pkt.hdr.route = *route;
+    qp.pkt.hdr.route = route;
     qp.pkt.hdr.ack = rxch.expected_seq - 1;
     qp.pkt.hdr.ack_gen = rxch.generation;
     qp.pkt.hdr.flags |= net::kFlagAckRequest;  // re-sync fast
@@ -643,29 +654,21 @@ void ReliableFirmware::finish_remap(HostId h, std::optional<net::Route> route) {
                   ch.remap_promoted});
   ch.remap_promoted = false;  // one remap consumed the promotion
 
-  // Resume: send every pending packet in order on the fresh route.
-  {
-    const std::uint16_t gen = ch.generation;
-    const std::size_t n = ch.retrans_queue.size();
-    std::size_t i = 0;
-    for (QueuedPacket& qp : ch.retrans_queue) {
-      ++i;
-      qp.last_sent = nic_.sched().now();
-      qp.sent_once = true;
-      ++stats_.data_tx;
-      const std::uint32_t seq = qp.pkt.hdr.seq;
-      const bool is_last = (i == n);
-      nic_.cpu().submit(nic_.costs().retransmit_per_packet,
-                        [this, h, gen, seq, is_last] {
-                          retransmit_one(h, gen, seq, is_last);
-                        });
-    }
-  }
-
-  // Pay any ACK debt toward this node now that we can reach it.
-  if (rxch.ack_owed) {
-    rxch.ack_owed = false;
-    send_explicit_ack(h);
+  // Resume: send every pending packet in order on `route`.
+  const std::uint16_t gen = ch.generation;
+  const std::size_t n = ch.retrans_queue.size();
+  std::size_t i = 0;
+  for (QueuedPacket& qp : ch.retrans_queue) {
+    ++i;
+    qp.last_sent = nic_.sched().now();
+    qp.sent_once = true;
+    ++stats_.data_tx;
+    const std::uint32_t rseq = qp.pkt.hdr.seq;
+    const bool is_last = (i == n);
+    nic_.cpu().submit(nic_.costs().retransmit_per_packet,
+                      [this, h, gen, rseq, is_last] {
+                        retransmit_one(h, gen, rseq, is_last);
+                      });
   }
 }
 
@@ -706,8 +709,6 @@ void ReliableFirmware::exclude_peer(HostId peer) {
 // ---------------------------------------------------------------------------
 // State-sanity scrubbing (self-stabilization, docs/CHAOS.md)
 // ---------------------------------------------------------------------------
-
-void ReliableFirmware::scrub_now() { scrub_pass(); }
 
 void ReliableFirmware::scrub_pass() {
   ++stats_.scrub_passes;
@@ -782,45 +783,10 @@ bool ReliableFirmware::repair_tx(HostId h, TxChannel& ch) {
     }
     return false;
   }
-  // Forced generation restart: renumber the pending queue from 1 under a
-  // fresh generation and resend in order — identical to the §4.2 recovery
-  // after a successful remap, minus the route change. Corrupted headers
-  // (seq, generation, stale piggy-ack fields) are all rewritten here, so a
-  // single pass repairs any combination of queue-entry corruption.
-  ++ch.generation;
-  std::uint32_t seq = 1;
-  RxChannel& rxch = rx(h);
-  for (QueuedPacket& qp : ch.retrans_queue) {
-    qp.pkt.hdr.seq = seq++;
-    qp.pkt.hdr.generation = ch.generation;
-    qp.pkt.hdr.route = *route;
-    qp.pkt.hdr.ack = rxch.expected_seq - 1;
-    qp.pkt.hdr.ack_gen = rxch.generation;
-    qp.pkt.hdr.flags |= net::kFlagAckRequest;  // re-sync fast
-  }
-  ch.next_seq = seq;
-  ch.rounds_without_progress = 0;
-  ch.last_progress = nic_.sched().now();
-  ++stats_.generation_restarts;
-  trace_ch(obs::TraceKind::kGenRestart, h, ch.next_seq, ch.generation,
-           static_cast<std::uint32_t>(ch.retrans_queue.size()));
-  publish(FwEvent{FwEvent::Kind::kGenRestart, nic_.self(), h, ch.generation,
-                  true, static_cast<std::uint32_t>(ch.retrans_queue.size())});
-  const std::uint16_t gen = ch.generation;
-  const std::size_t n = ch.retrans_queue.size();
-  std::size_t i = 0;
-  for (QueuedPacket& qp : ch.retrans_queue) {
-    ++i;
-    qp.last_sent = nic_.sched().now();
-    qp.sent_once = true;
-    ++stats_.data_tx;
-    const std::uint32_t rseq = qp.pkt.hdr.seq;
-    const bool is_last = (i == n);
-    nic_.cpu().submit(nic_.costs().retransmit_per_packet,
-                      [this, h, gen, rseq, is_last] {
-                        retransmit_one(h, gen, rseq, is_last);
-                      });
-  }
+  // Forced generation restart on the current route: corrupted headers (seq,
+  // generation, stale piggy-ack fields) are all rewritten, so a single pass
+  // repairs any combination of queue-entry corruption.
+  restart_generation(h, ch, *route);
   return false;
 }
 

@@ -184,11 +184,6 @@ class ReliableFirmware final : public nic::FirmwareIface {
   [[nodiscard]] const TxChannel* tx_channel(net::HostId h) const;
   [[nodiscard]] const RxChannel* rx_channel(net::HostId h) const;
 
-  /// Run one state-sanity scrub pass immediately (the periodic scrubber
-  /// calls the same routine every scrub_every timer fires). Repairs are
-  /// published as kScrubRepair events and counted in scrub_* stats.
-  void scrub_now();
-
   // --- chaos mutation API (src/chaos/corruptor.hpp) ------------------------
   // The ONLY sanctioned way to mutate live protocol state from outside the
   // protocol: the StateCorruptor uses these to model in-SRAM state corruption
@@ -229,11 +224,18 @@ class ReliableFirmware final : public nic::FirmwareIface {
   void declare_path_failure(net::HostId h, TxChannel& ch);
   void begin_remap(net::HostId h, TxChannel& ch);
   void finish_remap(net::HostId h, std::optional<net::Route> route);
+  /// §4.2 generation restart toward `h`: bump the generation, renumber the
+  /// pending queue from 1 onto `route` and resend it in order. Shared by a
+  /// successful remap and the scrubber's repair.
+  void restart_generation(net::HostId h, TxChannel& ch,
+                          const net::Route& route);
   void drop_pending(net::HostId h, TxChannel& ch);
-  /// One scrub pass over every channel (scrub_now / the periodic scrubber).
+  /// One scrub pass over every channel, run every scrub_every timer fires.
+  /// Repairs are published as kScrubRepair events and counted in scrub_*
+  /// stats.
   void scrub_pass();
   /// Repair a tx channel whose bounded-capacity invariants failed: forced
-  /// generation restart (renumber + resend, the finish_remap machinery) or,
+  /// generation restart (restart_generation on the current route) or,
   /// past the strike limit, a nic_reset escalation. Returns true when the
   /// repair escalated to nic_reset (the caller's channel iteration must
   /// stop — every channel was just re-entered into remapping).

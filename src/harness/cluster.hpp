@@ -81,16 +81,14 @@ class Cluster {
             std::make_unique<firmware::ReliableFirmware>(*nics_.back(), cfg_.rel));
         if (cfg_.preload_routes) rel_.back()->routes().populate_all(topo, hosts[i]);
         if (cfg_.mapper == MapperKind::kOnDemand) {
-          auto od = cfg_.ondemand;
-          if (od.radix_oracle == nullptr) od.radix_oracle = &topo;
           mappers_.push_back(std::make_unique<firmware::OnDemandMapper>(
-              *nics_.back(), od));
+              *nics_.back(), topo, cfg_.ondemand));
           rel_.back()->set_mapper(mappers_.back().get());
           // Preloaded rigs never probe before the first failure, so the
           // mapper's cache would be cold and the first on_path_failure would
           // find no backup to promote. Seed the cache (and its proactive
           // backups) from the same routes the tables were preloaded with.
-          if (cfg_.preload_routes && od.proactive_backup) {
+          if (cfg_.preload_routes && cfg_.ondemand.proactive_backup) {
             for (const net::HostId other : hosts) {
               if (other == hosts[i]) continue;
               if (auto r = topo.shortest_route(hosts[i], other)) {
@@ -162,9 +160,9 @@ class Cluster {
   /// switches first — see net::ClosFabric).
   std::vector<net::SwitchId> switches;
   /// Fault-domain (pod) ordinal per host, parallel to `hosts` — the input to
-  /// membership::FaultDomainTree and pod-aware shard placement. kClos: the
-  /// fat-tree pod. kFigure2: the leaf switch the host hangs off. Single
-  /// switch: one trivial domain.
+  /// pod-aware shard and stripe placement. kClos: the fat-tree pod.
+  /// kFigure2: the leaf switch the host hangs off. Single switch: one
+  /// trivial domain.
   std::vector<std::uint32_t> host_pods;
   std::size_t num_pods = 1;
 

@@ -38,7 +38,7 @@ void KvClientHost::start() { pump(); }
 sim::Process KvClientHost::pump() {
   for (;;) {
     vmmc::Msg m = co_await msgs_.inbox().pop(sched_);
-    auto rep = decode_reply(m.bytes);
+    auto rep = decode<Reply>(m.bytes);
     if (!rep) {
       ++stats_.bad_msgs;
       continue;
@@ -96,10 +96,7 @@ sim::Task<Outcome> KvClientHost::call(RequestId id, Op op, std::uint64_t key,
     ++stats_.posts;
     co_await msgs_.post(target, wire);
     if (pc.replied) break;  // landed while the post was being accepted
-    auto timer = sched_.after(timeout, [this, &pc] { pc.done.fire(sched_); });
-    co_await pc.done.wait(sched_);
-    sched_.cancel(timer);
-    pc.done.reset();
+    co_await pc.done.wait_for(sched_, timeout);
     if (pc.replied) break;
 
     ++stats_.timeouts;

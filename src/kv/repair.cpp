@@ -57,7 +57,7 @@ void RepairMachine::start() {
 bool RepairMachine::handle(const vmmc::Msg& m) {
   const MsgType t = peek_type(m.bytes);
   if (t == MsgType::kUnitReply) {
-    auto rep = decode_unit_reply(m.bytes);
+    auto rep = decode<UnitReply>(m.bytes);
     if (!rep) return true;
     auto it = pending_.find(rep->id.packed());
     if (it == pending_.end() || it->second->replied ||
@@ -71,7 +71,7 @@ bool RepairMachine::handle(const vmmc::Msg& m) {
     return true;
   }
   if (t == MsgType::kUnitAck) {
-    auto a = decode_unit_ack(m.bytes);
+    auto a = decode<UnitAck>(m.bytes);
     if (!a) return true;
     auto it = pending_.find(a->id.packed());
     if (it == pending_.end() || it->second->replied ||
@@ -274,10 +274,7 @@ sim::Task<bool> RepairMachine::fetch_remote(std::uint64_t key,
     if (attempt > 0) ++stats_.fetch_retries;
     co_await msgs_.post(from, wire);
     if (pr.replied) break;
-    auto timer = sched_.after(timeout, [this, &pr] { pr.done.fire(sched_); });
-    co_await pr.done.wait(sched_);
-    sched_.cancel(timer);
-    pr.done.reset();
+    co_await pr.done.wait_for(sched_, timeout);
     timeout = std::min(timeout * 2, cfg_.rpc_timeout_cap);
   }
   pending_.erase(g.id.packed());
@@ -298,10 +295,7 @@ sim::Task<bool> RepairMachine::write_unit(UnitPut put, net::HostId to) {
     if (attempt > 0) ++stats_.put_retries;
     co_await msgs_.post(to, wire);
     if (pr.replied) break;
-    auto timer = sched_.after(timeout, [this, &pr] { pr.done.fire(sched_); });
-    co_await pr.done.wait(sched_);
-    sched_.cancel(timer);
-    pr.done.reset();
+    co_await pr.done.wait_for(sched_, timeout);
     timeout = std::min(timeout * 2, cfg_.rpc_timeout_cap);
   }
   pending_.erase(put.id.packed());

@@ -22,7 +22,6 @@
 #include "kv/server.hpp"
 #include "kv/shard_map.hpp"
 #include "kv/striped.hpp"
-#include "membership/fault_domains.hpp"
 #include "membership/swim.hpp"
 #include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
@@ -71,8 +70,6 @@ class KvRig {
   explicit KvRig(KvRigConfig cfg)
       : cfg_(fix(std::move(cfg))), c(cfg_.cluster) {
     const std::size_t n = c.size();
-    domains = std::make_unique<membership::FaultDomainTree>(
-        membership::FaultDomainTree::from_pods(c.host_pods));
     std::vector<net::HostId> server_hosts(
         c.hosts.begin(),
         c.hosts.begin() + static_cast<std::ptrdiff_t>(cfg_.num_servers));
@@ -229,7 +226,6 @@ class KvRig {
 
   KvRigConfig cfg_;
   harness::Cluster c;
-  std::unique_ptr<membership::FaultDomainTree> domains;
   std::unique_ptr<ShardMap> map;
   std::vector<std::unique_ptr<vmmc::Endpoint>> eps;
   std::vector<std::unique_ptr<vmmc::MsgEndpoint>> msgs;

@@ -57,7 +57,7 @@ sim::Process KvServer::serve_loop() {
 void KvServer::dispatch(vmmc::Msg m) {
   switch (peek_type(m.bytes)) {
     case MsgType::kRequest: {
-      auto q = decode_request(m.bytes);
+      auto q = decode<Request>(m.bytes);
       if (!q) {
         ++stats_.bad_msgs;
         return;
@@ -100,7 +100,7 @@ void KvServer::dispatch(vmmc::Msg m) {
       return;
     }
     case MsgType::kReplicate: {
-      auto r = decode_replicate(m.bytes);
+      auto r = decode<Replicate>(m.bytes);
       if (!r) {
         ++stats_.bad_msgs;
         return;
@@ -109,7 +109,7 @@ void KvServer::dispatch(vmmc::Msg m) {
       return;
     }
     case MsgType::kReplAck: {
-      auto a = decode_repl_ack(m.bytes);
+      auto a = decode<ReplAck>(m.bytes);
       if (!a) {
         ++stats_.bad_msgs;
         return;
@@ -162,10 +162,7 @@ sim::Process KvServer::handle_write(Request q) {
     ++stats_.replicates_tx;
     co_await msgs_.post(backup, wire);
     if (pr.applied) break;
-    auto timer = sched_.after(timeout, [this, &pr] { pr.done.fire(sched_); });
-    co_await pr.done.wait(sched_);
-    sched_.cancel(timer);
-    pr.done.reset();
+    co_await pr.done.wait_for(sched_, timeout);
     timeout = std::min<sim::Duration>(timeout * 2, cfg_.repl_timeout_cap);
   }
 

@@ -40,7 +40,7 @@ void StripedStore::start() {
 bool StripedStore::handle(const vmmc::Msg& m) {
   switch (peek_type(m.bytes)) {
     case MsgType::kUnitPut: {
-      auto p = decode_unit_put(m.bytes);
+      auto p = decode<UnitPut>(m.bytes);
       if (!p) {
         ++stats_.bad_msgs;
         return true;
@@ -49,7 +49,7 @@ bool StripedStore::handle(const vmmc::Msg& m) {
       return true;
     }
     case MsgType::kUnitGet: {
-      auto g = decode_unit_get(m.bytes);
+      auto g = decode<UnitGet>(m.bytes);
       if (!g) {
         ++stats_.bad_msgs;
         return true;
@@ -151,7 +151,7 @@ void StripedClient::start() {
 bool StripedClient::handle(const vmmc::Msg& m) {
   switch (peek_type(m.bytes)) {
     case MsgType::kUnitAck: {
-      auto a = decode_unit_ack(m.bytes);
+      auto a = decode<UnitAck>(m.bytes);
       if (!a) {
         ++stats_.bad_msgs;
         return true;
@@ -172,7 +172,7 @@ bool StripedClient::handle(const vmmc::Msg& m) {
       return true;
     }
     case MsgType::kUnitReply: {
-      auto rep = decode_unit_reply(m.bytes);
+      auto rep = decode<UnitReply>(m.bytes);
       if (!rep) {
         ++stats_.bad_msgs;
         return true;
@@ -263,10 +263,7 @@ sim::Process StripedClient::put_unit(std::uint64_t packed_id, UnitPut put,
     ++stats_.unit_posts;
     co_await msgs_.post(target, wire);
     if (pu.replied) break;
-    auto timer = sched_.after(timeout, [this, &pu] { pu.done.fire(sched_); });
-    co_await pu.done.wait(sched_);
-    sched_.cancel(timer);
-    pu.done.reset();
+    co_await pu.done.wait_for(sched_, timeout);
     if (pu.replied) break;
     ++stats_.unit_timeouts;
     timeout = std::min(timeout * 2, cfg_.max_timeout);
@@ -401,10 +398,7 @@ sim::Process StripedClient::fetch_unit(std::size_t group, UnitGet get,
     ++stats_.unit_posts;
     co_await msgs_.post(target, wire);
     if (pu->replied) break;
-    auto timer = sched_.after(timeout, [this, pu] { pu->done.fire(sched_); });
-    co_await pu->done.wait(sched_);
-    sched_.cancel(timer);
-    pu->done.reset();
+    co_await pu->done.wait_for(sched_, timeout);
     if (pu->replied) break;
     ++stats_.unit_timeouts;
     timeout = std::min(timeout * 2, cfg_.max_timeout);

@@ -1,10 +1,20 @@
 // Wire format for the replicated key-value service.
 //
-// Four message kinds ride vmmc::MsgEndpoint messages (first byte = type):
+// Each message kind rides one vmmc::MsgEndpoint message, first byte = type:
 //   kRequest   client -> server        GET/PUT/DEL
 //   kReply     server -> client        status + value
 //   kReplicate primary -> backup       synchronous replication of a write
 //   kReplAck   backup -> primary       replication acknowledged
+//   kUnitPut .. kUnitReply             striped object class (src/ec), below
+//
+// Each struct's fields() list is the layout reference: the type byte, then
+// its fields in list order, little-endian, byte strings length-prefixed
+// (vmmc/codec.hpp). encode(m) and decode<M>(bytes) are driven by that list
+// alone, and tests/kv_test.cpp pins every layout to golden bytes.
+//
+// Type-byte families sharing one MsgEndpoint ring (its pre-inbox taps claim
+// messages by this byte): KV uses 1-8, SWIM gossip 0x21-0x23
+// (membership/swim.cpp).
 //
 // Every request carries an idempotency id (client id, per-client sequence).
 // The transport is at-least-once across path-failure generation restarts, so
@@ -13,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <optional>
 #include <vector>
 
-#include "net/ids.hpp"
+#include "vmmc/codec.hpp"
 
 namespace sanfault::kv {
 
@@ -51,62 +59,80 @@ struct RequestId {
   auto operator<=>(const RequestId&) const = default;
   /// Packed form used as a hash-map key (client ids stay well under 2^32).
   [[nodiscard]] std::uint64_t packed() const { return (client << 32) | seq; }
+  template <class Ar> void fields(Ar& ar) { ar(client, seq); }
 };
 
 struct Request {
+  static constexpr MsgType kType = MsgType::kRequest;
   Op op = Op::kGet;
   RequestId id;
   std::uint64_t key = 0;
   std::uint32_t reply_to = 0;  // HostId of the client host to answer
   std::vector<std::uint8_t> value;  // PUT payload
+  template <class Ar> void fields(Ar& ar) { ar(op, id, key, reply_to, value); }
 };
 
 struct Reply {
+  static constexpr MsgType kType = MsgType::kReply;
   RequestId id;
   Status status = Status::kOk;
   std::vector<std::uint8_t> value;  // GET result
+  template <class Ar> void fields(Ar& ar) { ar(status, id, value); }
 };
 
 struct Replicate {
+  static constexpr MsgType kType = MsgType::kReplicate;
   RequestId id;      // of the client write being replicated (dedup key)
   std::uint64_t repl_seq = 0;  // primary-chosen, echoed in the ack
   Op op = Op::kPut;
   std::uint64_t key = 0;
   std::vector<std::uint8_t> value;
+  template <class Ar> void fields(Ar& ar) { ar(op, id, repl_seq, key, value); }
 };
 
 struct ReplAck {
+  static constexpr MsgType kType = MsgType::kReplAck;
   std::uint64_t repl_seq = 0;
+  template <class Ar> void fields(Ar& ar) { ar(repl_seq); }
 };
 
 /// One stripe unit of a striped PUT (client -> holder, or repair -> spare).
 /// `id` is the ORIGINAL writer's request id even when the repair machine
 /// re-materialises the unit — the exactly-once audit keys on it.
 struct UnitPut {
+  static constexpr MsgType kType = MsgType::kUnitPut;
   RequestId id;
   std::uint64_t key = 0;
   std::uint8_t unit = 0;
   std::uint32_t object_len = 0;  // pre-encode length; join() needs it
   std::uint32_t reply_to = 0;    // HostId to ack
   std::vector<std::uint8_t> value;
+  template <class Ar> void fields(Ar& ar) {
+    ar(id, key, unit, object_len, reply_to, value);
+  }
 };
 
 struct UnitAck {
+  static constexpr MsgType kType = MsgType::kUnitAck;
   RequestId id;
   std::uint64_t key = 0;
   std::uint8_t unit = 0;
   Status status = Status::kOk;
+  template <class Ar> void fields(Ar& ar) { ar(id, key, unit, status); }
 };
 
 /// Fetch one stripe unit (degraded read or repair source read).
 struct UnitGet {
+  static constexpr MsgType kType = MsgType::kUnitGet;
   RequestId id;  // of the FETCH (reader's id space), not the writer's
   std::uint64_t key = 0;
   std::uint8_t unit = 0;
   std::uint32_t reply_to = 0;
+  template <class Ar> void fields(Ar& ar) { ar(id, key, unit, reply_to); }
 };
 
 struct UnitReply {
+  static constexpr MsgType kType = MsgType::kUnitReply;
   RequestId id;
   std::uint64_t key = 0;
   std::uint8_t unit = 0;
@@ -114,280 +140,16 @@ struct UnitReply {
   RequestId writer;              // original writer id (audit provenance)
   std::uint32_t object_len = 0;
   std::vector<std::uint8_t> value;
+  template <class Ar> void fields(Ar& ar) {
+    ar(id, key, unit, status, writer, object_len, value);
+  }
 };
-
-// --- byte-level encode/decode ----------------------------------------------
-
-namespace detail {
-
-inline void put_u8(std::vector<std::uint8_t>& b, std::uint8_t v) {
-  b.push_back(v);
-}
-inline void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-inline void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-inline void put_bytes(std::vector<std::uint8_t>& b,
-                      const std::vector<std::uint8_t>& v) {
-  put_u32(b, static_cast<std::uint32_t>(v.size()));
-  b.insert(b.end(), v.begin(), v.end());
-}
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& b) : b_(b) {}
-  [[nodiscard]] bool ok() const { return ok_; }
-  std::uint8_t u8() { return ok_ && pos_ < b_.size() ? b_[pos_++] : fail8(); }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::vector<std::uint8_t> bytes() {
-    const std::uint32_t n = u32();
-    if (!ok_ || pos_ + n > b_.size()) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<std::uint8_t> v(b_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                b_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return v;
-  }
-
- private:
-  std::uint8_t fail8() {
-    ok_ = false;
-    return 0;
-  }
-  const std::vector<std::uint8_t>& b_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-}  // namespace detail
 
 inline MsgType peek_type(const std::vector<std::uint8_t>& b) {
   return b.empty() ? static_cast<MsgType>(0) : static_cast<MsgType>(b[0]);
 }
 
-inline std::vector<std::uint8_t> encode(const Request& r) {
-  std::vector<std::uint8_t> b;
-  b.reserve(38 + r.value.size());
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kRequest));
-  detail::put_u8(b, static_cast<std::uint8_t>(r.op));
-  detail::put_u64(b, r.id.client);
-  detail::put_u64(b, r.id.seq);
-  detail::put_u64(b, r.key);
-  detail::put_u32(b, r.reply_to);
-  detail::put_bytes(b, r.value);
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const Reply& r) {
-  std::vector<std::uint8_t> b;
-  b.reserve(26 + r.value.size());
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kReply));
-  detail::put_u8(b, static_cast<std::uint8_t>(r.status));
-  detail::put_u64(b, r.id.client);
-  detail::put_u64(b, r.id.seq);
-  detail::put_bytes(b, r.value);
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const Replicate& r) {
-  std::vector<std::uint8_t> b;
-  b.reserve(38 + r.value.size());
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kReplicate));
-  detail::put_u8(b, static_cast<std::uint8_t>(r.op));
-  detail::put_u64(b, r.id.client);
-  detail::put_u64(b, r.id.seq);
-  detail::put_u64(b, r.repl_seq);
-  detail::put_u64(b, r.key);
-  detail::put_bytes(b, r.value);
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const ReplAck& r) {
-  std::vector<std::uint8_t> b;
-  b.reserve(9);
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kReplAck));
-  detail::put_u64(b, r.repl_seq);
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const UnitPut& u) {
-  std::vector<std::uint8_t> b;
-  b.reserve(38 + u.value.size());
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kUnitPut));
-  detail::put_u64(b, u.id.client);
-  detail::put_u64(b, u.id.seq);
-  detail::put_u64(b, u.key);
-  detail::put_u8(b, u.unit);
-  detail::put_u32(b, u.object_len);
-  detail::put_u32(b, u.reply_to);
-  detail::put_bytes(b, u.value);
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const UnitAck& u) {
-  std::vector<std::uint8_t> b;
-  b.reserve(27);
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kUnitAck));
-  detail::put_u64(b, u.id.client);
-  detail::put_u64(b, u.id.seq);
-  detail::put_u64(b, u.key);
-  detail::put_u8(b, u.unit);
-  detail::put_u8(b, static_cast<std::uint8_t>(u.status));
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const UnitGet& u) {
-  std::vector<std::uint8_t> b;
-  b.reserve(30);
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kUnitGet));
-  detail::put_u64(b, u.id.client);
-  detail::put_u64(b, u.id.seq);
-  detail::put_u64(b, u.key);
-  detail::put_u8(b, u.unit);
-  detail::put_u32(b, u.reply_to);
-  return b;
-}
-
-inline std::vector<std::uint8_t> encode(const UnitReply& u) {
-  std::vector<std::uint8_t> b;
-  b.reserve(51 + u.value.size());
-  detail::put_u8(b, static_cast<std::uint8_t>(MsgType::kUnitReply));
-  detail::put_u64(b, u.id.client);
-  detail::put_u64(b, u.id.seq);
-  detail::put_u64(b, u.key);
-  detail::put_u8(b, u.unit);
-  detail::put_u8(b, static_cast<std::uint8_t>(u.status));
-  detail::put_u64(b, u.writer.client);
-  detail::put_u64(b, u.writer.seq);
-  detail::put_u32(b, u.object_len);
-  detail::put_bytes(b, u.value);
-  return b;
-}
-
-inline std::optional<UnitPut> decode_unit_put(
-    const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kUnitPut) return std::nullopt;
-  UnitPut u;
-  u.id.client = r.u64();
-  u.id.seq = r.u64();
-  u.key = r.u64();
-  u.unit = r.u8();
-  u.object_len = r.u32();
-  u.reply_to = r.u32();
-  u.value = r.bytes();
-  if (!r.ok()) return std::nullopt;
-  return u;
-}
-
-inline std::optional<UnitAck> decode_unit_ack(
-    const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kUnitAck) return std::nullopt;
-  UnitAck u;
-  u.id.client = r.u64();
-  u.id.seq = r.u64();
-  u.key = r.u64();
-  u.unit = r.u8();
-  u.status = static_cast<Status>(r.u8());
-  if (!r.ok()) return std::nullopt;
-  return u;
-}
-
-inline std::optional<UnitGet> decode_unit_get(
-    const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kUnitGet) return std::nullopt;
-  UnitGet u;
-  u.id.client = r.u64();
-  u.id.seq = r.u64();
-  u.key = r.u64();
-  u.unit = r.u8();
-  u.reply_to = r.u32();
-  if (!r.ok()) return std::nullopt;
-  return u;
-}
-
-inline std::optional<UnitReply> decode_unit_reply(
-    const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kUnitReply) return std::nullopt;
-  UnitReply u;
-  u.id.client = r.u64();
-  u.id.seq = r.u64();
-  u.key = r.u64();
-  u.unit = r.u8();
-  u.status = static_cast<Status>(r.u8());
-  u.writer.client = r.u64();
-  u.writer.seq = r.u64();
-  u.object_len = r.u32();
-  u.value = r.bytes();
-  if (!r.ok()) return std::nullopt;
-  return u;
-}
-
-inline std::optional<Request> decode_request(const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kRequest) return std::nullopt;
-  Request q;
-  q.op = static_cast<Op>(r.u8());
-  q.id.client = r.u64();
-  q.id.seq = r.u64();
-  q.key = r.u64();
-  q.reply_to = r.u32();
-  q.value = r.bytes();
-  if (!r.ok()) return std::nullopt;
-  return q;
-}
-
-inline std::optional<Reply> decode_reply(const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kReply) return std::nullopt;
-  Reply p;
-  p.status = static_cast<Status>(r.u8());
-  p.id.client = r.u64();
-  p.id.seq = r.u64();
-  p.value = r.bytes();
-  if (!r.ok()) return std::nullopt;
-  return p;
-}
-
-inline std::optional<Replicate> decode_replicate(
-    const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kReplicate) return std::nullopt;
-  Replicate p;
-  p.op = static_cast<Op>(r.u8());
-  p.id.client = r.u64();
-  p.id.seq = r.u64();
-  p.repl_seq = r.u64();
-  p.key = r.u64();
-  p.value = r.bytes();
-  if (!r.ok()) return std::nullopt;
-  return p;
-}
-
-inline std::optional<ReplAck> decode_repl_ack(
-    const std::vector<std::uint8_t>& b) {
-  detail::Reader r(b);
-  if (static_cast<MsgType>(r.u8()) != MsgType::kReplAck) return std::nullopt;
-  ReplAck p;
-  p.repl_seq = r.u64();
-  if (!r.ok()) return std::nullopt;
-  return p;
-}
+using vmmc::decode;
+using vmmc::encode;
 
 }  // namespace sanfault::kv

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
-#include "membership/fault_domains.hpp"
 #include "membership/swim.hpp"
 #include "sim/process.hpp"
 #include "vmmc/endpoint.hpp"
@@ -34,7 +33,6 @@ class SwimRig {
  public:
   explicit SwimRig(SwimRigConfig cfg) : cfg_(std::move(cfg)), c(cfg_.cluster) {
     const std::size_t n = c.size();
-    domains = FaultDomainTree::from_pods(c.host_pods);
     for (std::size_t i = 0; i < n; ++i) {
       eps.push_back(std::make_unique<vmmc::Endpoint>(c.sched, c.nic(i)));
       msgs.push_back(std::make_unique<vmmc::MsgEndpoint>(
@@ -70,7 +68,6 @@ class SwimRig {
 
   SwimRigConfig cfg_;
   harness::Cluster c;
-  FaultDomainTree domains;
   std::vector<std::unique_ptr<vmmc::Endpoint>> eps;
   std::vector<std::unique_ptr<vmmc::MsgEndpoint>> msgs;
   std::vector<std::unique_ptr<SwimAgent>> agents;

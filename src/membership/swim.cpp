@@ -5,49 +5,21 @@
 
 #include "obs/metrics.hpp"
 #include "sim/awaitables.hpp"
+#include "vmmc/codec.hpp"
 
 namespace sanfault::membership {
 
 namespace {
 
 // Gossip wire family. Leading type byte is disjoint from kv::MsgType (1..8)
-// so both can share one MsgEndpoint ring via its pre-inbox taps.
+// so both can share one MsgEndpoint ring via its pre-inbox taps. Layout,
+// little-endian (vmmc/codec.hpp): type u8, nonce u64, target u32, count u8,
+// then `count` updates of (member u32, state u8, incarnation u32).
 constexpr std::uint8_t kPingByte = 0x21;
 constexpr std::uint8_t kAckByte = 0x22;
 constexpr std::uint8_t kPingReqByte = 0x23;
 
 constexpr std::uint64_t kGossipTag = 0x5357494dull;  // "SWIM"
-
-void put_u8(std::vector<std::uint8_t>& b, std::uint8_t v) { b.push_back(v); }
-void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-struct Reader {
-  const std::vector<std::uint8_t>& b;
-  std::size_t off = 0;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (off + 1 > b.size()) { ok = false; return 0; }
-    return b[off++];
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    if (off + 4 > b.size()) { ok = false; return 0; }
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[off++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    if (off + 8 > b.size()) { ok = false; return 0; }
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[off++]) << (8 * i);
-    return v;
-  }
-};
 
 std::uint32_t ceil_log2(std::size_t n) {
   std::uint32_t b = 0;
@@ -168,19 +140,13 @@ std::vector<std::uint8_t> SwimAgent::encode_msg(std::uint8_t type,
     picked.push_back(p);
   }
 
-  std::vector<std::uint8_t> b;
-  b.reserve(14 + picked.size() * 9);
-  put_u8(b, type);
-  put_u64(b, nonce);
-  put_u32(b, target.v);
-  put_u8(b, static_cast<std::uint8_t>(picked.size()));
+  vmmc::Writer w(14 + picked.size() * 9);
+  w(type, nonce, target.v, static_cast<std::uint8_t>(picked.size()));
   for (auto& [hv, e] : picked) {
-    put_u32(b, hv);
-    put_u8(b, static_cast<std::uint8_t>(e->state));
-    put_u32(b, e->inc);
+    w(hv, e->state, e->inc);
     if (e->sends_left > 0) --e->sends_left;
   }
-  return b;
+  return w.take();
 }
 
 sim::Process SwimAgent::post_msg(net::HostId to,
@@ -370,25 +336,26 @@ sim::Process SwimAgent::delayed_ack(net::HostId to, std::uint64_t nonce) {
 }
 
 bool SwimAgent::on_msg(const vmmc::Msg& m) {
-  if (m.bytes.empty()) return false;
-  const std::uint8_t type = m.bytes[0];
+  vmmc::Reader r(m.bytes);
+  std::uint8_t type = 0;
+  r(type);
   if (type != kPingByte && type != kAckByte && type != kPingReqByte) {
     return false;  // not ours; falls through to the service inbox
   }
-  Reader r{m.bytes};
-  (void)r.u8();
-  const std::uint64_t nonce = r.u64();
-  const net::HostId target{r.u32()};
-  const std::uint8_t n_updates = r.u8();
-  for (std::uint8_t i = 0; i < n_updates && r.ok; ++i) {
-    const net::HostId h{r.u32()};
-    const auto st = static_cast<MemberState>(r.u8());
-    const std::uint32_t inc = r.u32();
-    if (!r.ok) break;
+  std::uint64_t nonce = 0;
+  net::HostId target;
+  std::uint8_t n_updates = 0;
+  r(nonce, target.v, n_updates);
+  for (std::uint8_t i = 0; i < n_updates && r.ok(); ++i) {
+    net::HostId h;
+    MemberState st = MemberState::kAlive;
+    std::uint32_t inc = 0;
+    r(h.v, st, inc);
+    if (!r.ok()) break;
     ++stats_.updates_rx;
     apply_update(h, st, inc);
   }
-  if (!r.ok) return true;  // claimed but malformed; drop
+  if (!r.ok()) return true;  // claimed but malformed; drop
 
   switch (type) {
     case kPingByte:

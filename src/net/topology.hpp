@@ -114,8 +114,9 @@ class Topology {
 
   /// Device sitting at the end of a route *prefix* from `from` — unlike
   /// trace_route, running out of route bytes at a switch returns that
-  /// switch. Used as the mapper's "radix oracle" (operators know their
-  /// switch models; see OnDemandMapperConfig::radix_oracle).
+  /// switch. The on-demand mapper reads crossbar radices and identities
+  /// through this (operators know their fabric; see OnDemandMapper's
+  /// constructor).
   [[nodiscard]] std::optional<Device> device_after(HostId from,
                                                    const Route& r) const;
 

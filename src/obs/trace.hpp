@@ -67,7 +67,6 @@ class TraceRing {
 
   /// Start recording. Re-enabling resizes and clears the ring.
   void enable(std::size_t capacity = kDefaultCapacity);
-  void disable() { enabled_ = false; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   void emit(TraceEvent ev) {

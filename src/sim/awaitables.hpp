@@ -2,6 +2,7 @@
 //
 //   co_await DelayFor{sched, microseconds(5)};   // sleep in simulated time
 //   co_await trigger.wait(sched);                // wait for a one-shot event
+//   co_await trigger.wait_for(sched, timeout);   // ... or until timeout
 //   co_await wg.wait(sched);                     // join N processes
 //   T v = co_await chan.pop(sched);              // blocking queue pop
 //
@@ -66,6 +67,31 @@ class Trigger {
 
   [[nodiscard]] Awaiter wait(Scheduler& sched) { return Awaiter{*this, sched}; }
 
+  /// Reply-or-timeout wait: suspends until fire() or until `timeout` has
+  /// elapsed, whichever comes first (the timer simply fires the trigger).
+  /// On resumption the timer is cancelled and the trigger reset, so the
+  /// caller tells a reply from a timeout by its own state, and the next
+  /// attempt waits afresh. A trigger already fired arms no timer.
+  struct TimedAwaiter {
+    Trigger& t;
+    Scheduler& sched;
+    Duration timeout;
+    EventHandle timer;
+    bool await_ready() const noexcept { return t.fired_; }
+    void await_suspend(std::coroutine_handle<> h) {
+      timer = sched.after(timeout, [this] { t.fire(sched); });
+      t.waiters_.push_back(h);
+    }
+    void await_resume() {
+      sched.cancel(timer);
+      t.reset();
+    }
+  };
+
+  [[nodiscard]] TimedAwaiter wait_for(Scheduler& sched, Duration timeout) {
+    return TimedAwaiter{*this, sched, timeout, {}};
+  }
+
  private:
   bool fired_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
@@ -104,51 +130,6 @@ class WaitGroup {
  private:
   std::size_t count_ = 0;
   std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Counting semaphore with FIFO wakeup. Used by host code to bound
-/// outstanding operations (e.g. send-window credit at the VMMC level).
-class Semaphore {
- public:
-  explicit Semaphore(std::size_t initial) : count_(initial) {}
-
-  struct Awaiter {
-    Semaphore& s;
-    Scheduler& sched;
-    bool await_ready() const noexcept {
-      if (s.count_ > 0) {
-        --s.count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) const {
-      s.waiters_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  [[nodiscard]] Awaiter acquire(Scheduler& sched) {
-    return Awaiter{*this, sched};
-  }
-
-  void release(Scheduler& sched) {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      // The permit is handed directly to the woken waiter.
-      sched.after(0, [h] { h.resume(); });
-    } else {
-      ++count_;
-    }
-  }
-
-  [[nodiscard]] std::size_t available() const { return count_; }
-  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 /// Unbounded awaitable FIFO channel. push() never blocks; pop() suspends

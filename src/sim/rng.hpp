@@ -30,11 +30,6 @@ class Rng {
     for (auto& w : s_) w = detail::splitmix64(sm);
   }
 
-  /// Derive an independent child stream, e.g. per NIC or per link.
-  [[nodiscard]] Rng fork(std::uint64_t tag) {
-    return Rng(next() ^ (tag * 0x9e3779b97f4a7c15ull));
-  }
-
   std::uint64_t next() {
     const std::uint64_t result = detail::rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;

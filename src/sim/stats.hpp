@@ -1,91 +1,11 @@
-// Lightweight statistics containers used across the simulator.
+// Log-bucketed latency histogram (the storage behind obs::Histogram).
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace sanfault::sim {
-
-/// Streaming accumulator: count / sum / min / max / mean / population stddev
-/// via Welford's algorithm (numerically stable for long runs).
-class Accumulator {
- public:
-  void add(double x) {
-    ++n_;
-    sum_ += x;
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double variance() const {
-    return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-  }
-  [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
-
-  void reset() { *this = Accumulator{}; }
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Power-of-two bucketed histogram for latency distributions.
-class Log2Histogram {
- public:
-  Log2Histogram() : buckets_(65, 0) {}
-
-  void add(std::uint64_t v) {
-    ++buckets_[bucket_of(v)];
-    ++n_;
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
-
-  /// Smallest v such that at least `q` fraction of samples are <= bucket(v)'s
-  /// upper bound. Coarse (power-of-two) but allocation-free.
-  [[nodiscard]] std::uint64_t approx_quantile(double q) const {
-    if (n_ == 0) return 0;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(n_) + 0.5);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      seen += buckets_[i];
-      if (seen >= target) return upper_bound(i);
-    }
-    return upper_bound(buckets_.size() - 1);
-  }
-
-  /// Bucket index: 0 holds v==0, bucket i holds values with bit-width i
-  /// (i.e. 2^(i-1) <= v < 2^i), bucket 64 holds v >= 2^63.
-  static std::size_t bucket_of(std::uint64_t v) {
-    return v == 0 ? 0 : static_cast<std::size_t>(64 - __builtin_clzll(v));
-  }
-  static std::uint64_t upper_bound(std::size_t i) {
-    return i >= 64 ? std::numeric_limits<std::uint64_t>::max()
-                   : (i == 0 ? 0 : (1ull << i) - 1);
-  }
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t n_ = 0;
-};
 
 /// HDR-style log-bucketed histogram: power-of-two octaves subdivided into
 /// 2^kSubBits linear sub-buckets, so any recorded value is off by at most

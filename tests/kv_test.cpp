@@ -132,7 +132,7 @@ TEST(KvWire, RequestRoundTrip) {
   q.value = {1, 2, 3, 4};
   const auto b = kv::encode(q);
   EXPECT_EQ(kv::peek_type(b), kv::MsgType::kRequest);
-  const auto d = kv::decode_request(b);
+  const auto d = kv::decode<kv::Request>(b);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->op, q.op);
   EXPECT_EQ(d->id, q.id);
@@ -148,8 +148,109 @@ TEST(KvWire, TruncatedMessageRejected) {
   r.value = {9, 9, 9};
   auto b = kv::encode(r);
   b.resize(b.size() - 2);
-  EXPECT_FALSE(kv::decode_reply(b).has_value());
-  EXPECT_FALSE(kv::decode_request(b).has_value());
+  EXPECT_FALSE(kv::decode<kv::Reply>(b).has_value());
+  EXPECT_FALSE(kv::decode<kv::Request>(b).has_value());
+}
+
+std::string hex(const std::vector<std::uint8_t>& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t c : b) {
+    s += kDigits[c >> 4];
+    s += kDigits[c & 0xf];
+  }
+  return s;
+}
+
+// Pins one message's wire bytes to committed hex, then checks that decoding
+// them and re-encoding gives the same bytes, that every strict prefix is
+// rejected, and that every other leading type byte is rejected.
+template <class M>
+void expect_wire(const M& m, kv::MsgType type, const std::string& golden) {
+  const auto b = kv::encode(m);
+  EXPECT_EQ(kv::peek_type(b), type);
+  EXPECT_EQ(hex(b), golden);
+  const auto d = kv::decode<M>(b);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(hex(kv::encode(*d)), golden);
+  for (std::size_t n = 0; n < b.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(b.begin(), b.begin() + n);
+    EXPECT_FALSE(kv::decode<M>(prefix).has_value()) << "prefix " << n;
+  }
+  auto wrong = b;
+  for (int t = 0; t < 256; ++t) {
+    if (t == static_cast<int>(type)) continue;
+    wrong[0] = static_cast<std::uint8_t>(t);
+    EXPECT_FALSE(kv::decode<M>(wrong).has_value()) << "type byte " << t;
+  }
+}
+
+// Every field holds distinct bytes, so a reordered or resized field moves
+// the hex. Integers are little-endian; byte strings carry a u32 length.
+TEST(KvWire, EveryMessageMatchesItsGoldenBytes) {
+  const kv::RequestId id{0x0102030405060708ull, 0x1112131415161718ull};
+  const kv::RequestId writer{0x6162636465666768ull, 0x7172737475767778ull};
+  const std::uint64_t key = 0x2122232425262728ull;
+
+  kv::Request q;
+  q.op = kv::Op::kPut;
+  q.id = id;
+  q.key = key;
+  q.reply_to = 0x31323334;
+  q.value = {0xa1, 0xa2, 0xa3};
+  expect_wire(q, kv::MsgType::kRequest,
+              "01020807060504030201181716151413121128272625242322213433323103"
+              "000000a1a2a3");
+
+  kv::Reply r;
+  r.id = id;
+  r.status = kv::Status::kNotFound;
+  r.value = {0xb1, 0xb2};
+  expect_wire(r, kv::MsgType::kReply,
+              "02020807060504030201181716151413121102000000b1b2");
+
+  kv::Replicate rp;
+  rp.id = id;
+  rp.repl_seq = 0x4142434445464748ull;
+  rp.op = kv::Op::kDel;
+  rp.key = key;
+  rp.value = {0xc1};
+  expect_wire(rp, kv::MsgType::kReplicate,
+              "03030807060504030201181716151413121148474645444342412827262524"
+              "23222101000000c1");
+
+  expect_wire(kv::ReplAck{0x4142434445464748ull}, kv::MsgType::kReplAck,
+              "044847464544434241");
+
+  kv::UnitPut up;
+  up.id = id;
+  up.key = key;
+  up.unit = 5;
+  up.object_len = 0x51525354;
+  up.reply_to = 0x31323334;
+  up.value = {0xd1, 0xd2, 0xd3, 0xd4};
+  expect_wire(up, kv::MsgType::kUnitPut,
+              "05080706050403020118171615141312112827262524232221055453525134"
+              "33323104000000d1d2d3d4");
+
+  expect_wire(kv::UnitAck{id, key, 6, kv::Status::kNotOwner},
+              kv::MsgType::kUnitAck,
+              "060807060504030201181716151413121128272625242322210603");
+
+  expect_wire(kv::UnitGet{id, key, 7, 0x31323334}, kv::MsgType::kUnitGet,
+              "070807060504030201181716151413121128272625242322210734333231");
+
+  kv::UnitReply ur;
+  ur.id = id;
+  ur.key = key;
+  ur.unit = 8;
+  ur.status = kv::Status::kOk;
+  ur.writer = writer;
+  ur.object_len = 0x51525354;
+  ur.value = {0xe1, 0xe2};
+  expect_wire(ur, kv::MsgType::kUnitReply,
+              "08080706050403020118171615141312112827262524232221080168676665"
+              "6463626178777675747372715453525102000000e1e2");
 }
 
 // --- service semantics -----------------------------------------------------

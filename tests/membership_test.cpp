@@ -1,4 +1,4 @@
-// Tests for the membership subsystem: fault-domain derivation, pod-aware
+// Tests for the membership subsystem: the pod layout, pod-aware
 // shard placement, the SWIM failure detector's state machine (suspect
 // timeout, incarnation refutation, indirect-probe rescue), determinism of
 // the gossip schedule, the detection-latency bound on clos-64, and the
@@ -7,11 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "harness/cluster.hpp"
 #include "kv/shard_map.hpp"
-#include "membership/fault_domains.hpp"
 #include "membership/rig.hpp"
 #include "membership/swim.hpp"
 
@@ -23,7 +21,6 @@ using harness::ClusterConfig;
 using harness::FirmwareKind;
 using harness::MapperKind;
 using harness::TopoKind;
-using membership::FaultDomainTree;
 using membership::MemberState;
 using membership::SwimAgent;
 using membership::SwimConfig;
@@ -40,43 +37,41 @@ ClusterConfig cluster_cfg(std::size_t hosts, TopoKind topo) {
 }
 
 // --- fault domains ---------------------------------------------------------
+// Cluster::host_pods is the pod layout pod-aware placement reads.
+
+std::vector<std::size_t> hosts_per_pod(const Cluster& c) {
+  std::vector<std::size_t> n(c.num_pods, 0);
+  for (const std::uint32_t p : c.host_pods) {
+    EXPECT_LT(p, c.num_pods);
+    if (p < c.num_pods) ++n[p];
+  }
+  return n;
+}
 
 TEST(FaultDomains, ClosPodsAreBalancedAndMatchTopology) {
   Cluster c(cluster_cfg(64, TopoKind::kClos));
   ASSERT_EQ(c.host_pods.size(), 64u);
   EXPECT_EQ(c.num_pods, 8u);
-  auto tree = FaultDomainTree::from_pods(c.host_pods);
-  EXPECT_EQ(tree.num_pods(), 8u);
-  for (std::uint32_t p = 0; p < 8; ++p) {
-    EXPECT_EQ(tree.hosts_in_pod(p).size(), 8u) << "pod " << p;
+  const auto per_pod = hosts_per_pod(c);
+  for (std::size_t p = 0; p < per_pod.size(); ++p) {
+    EXPECT_EQ(per_pod[p], 8u) << "pod " << p;
   }
   // Hosts stripe pod-major across edges: host i and host i + num_edges hang
   // off the same edge, hence the same pod.
-  EXPECT_EQ(tree.pod_of(net::HostId{0}), tree.pod_of(net::HostId{32}));
+  EXPECT_EQ(c.host_pods[0], c.host_pods[32]);
 }
 
 TEST(FaultDomains, Figure2DomainsFollowLeafSwitches) {
   Cluster c(cluster_cfg(16, TopoKind::kFigure2));
   ASSERT_EQ(c.host_pods.size(), 16u);
-  auto tree = FaultDomainTree::from_pods(c.host_pods);
-  EXPECT_GT(tree.num_pods(), 1u);
+  EXPECT_GT(c.num_pods, 1u);
   // Every domain is non-empty and the domain sizes sum to the host count.
   std::size_t total = 0;
-  for (std::uint32_t p = 0; p < tree.num_pods(); ++p) {
-    total += tree.hosts_in_pod(p).size();
+  for (const std::size_t n : hosts_per_pod(c)) {
+    EXPECT_GT(n, 0u);
+    total += n;
   }
   EXPECT_EQ(total, 16u);
-}
-
-TEST(FaultDomains, ViewReportsDeadPods) {
-  auto tree = FaultDomainTree::from_pods({0, 0, 1, 1, 2, 2});
-  std::set<std::uint32_t> dead{2, 3};  // pod 1 entirely dead
-  membership::FaultDomainView view(
-      tree, [&](net::HostId h) { return dead.contains(h.v); });
-  EXPECT_EQ(view.live_in_pod(0), 2u);
-  EXPECT_EQ(view.live_in_pod(1), 0u);
-  ASSERT_EQ(view.dead_pods().size(), 1u);
-  EXPECT_EQ(view.dead_pods()[0], 1u);
 }
 
 // --- pod-aware placement ---------------------------------------------------

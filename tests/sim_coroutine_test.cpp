@@ -109,6 +109,61 @@ TEST(Trigger, ResetReArms) {
   EXPECT_EQ(w2, 30u);
 }
 
+struct TimedWake {
+  Time at = kNever;
+  std::size_t pending_after = 0;
+  bool fired_after = true;
+};
+
+Process timed_waiter(Scheduler& s, Trigger& t, Duration timeout,
+                     TimedWake& w) {
+  co_await t.wait_for(s, timeout);
+  w.at = s.now();
+  w.pending_after = s.pending_events();
+  w.fired_after = t.fired();
+}
+
+TEST(Trigger, WaitForResumesAtTimeoutWhenNothingFires) {
+  Scheduler s;
+  Trigger t;
+  s.at(1000, [] {});  // unrelated pending work
+  const std::size_t baseline = s.pending_events();
+  TimedWake w;
+  timed_waiter(s, t, 25, w);
+  EXPECT_EQ(s.pending_events(), baseline + 1);  // the armed timer
+  s.run_until(500);
+  EXPECT_EQ(w.at, 25u);
+  EXPECT_EQ(w.pending_after, baseline);
+  EXPECT_FALSE(w.fired_after);
+}
+
+TEST(Trigger, WaitForResumesAtFireTimeAndCancelsItsTimer) {
+  Scheduler s;
+  Trigger t;
+  s.at(1000, [] {});
+  const std::size_t baseline = s.pending_events();
+  TimedWake w;
+  timed_waiter(s, t, 25, w);
+  s.at(10, [&] { t.fire(s); });
+  s.run_until(500);
+  EXPECT_EQ(w.at, 10u);
+  EXPECT_EQ(w.pending_after, baseline);  // timer cancelled at resumption
+  EXPECT_FALSE(w.fired_after);
+}
+
+TEST(Trigger, WaitForOnAFiredTriggerArmsNoTimer) {
+  Scheduler s;
+  Trigger t;
+  s.at(1000, [] {});
+  const std::size_t baseline = s.pending_events();
+  t.fire(s);
+  TimedWake w;
+  timed_waiter(s, t, 25, w);
+  EXPECT_EQ(w.at, 0u);  // never suspended
+  EXPECT_EQ(w.pending_after, baseline);
+  EXPECT_FALSE(w.fired_after);
+}
+
 Process worker(Scheduler& s, WaitGroup& wg, Duration d) {
   co_await DelayFor{s, d};
   wg.done(s);
@@ -157,51 +212,6 @@ TEST(WaitGroup, ReusableAfterDrain) {
   s.run();
   EXPECT_EQ(j1, 10u);
   EXPECT_EQ(j2, 30u);
-}
-
-Process acquirer(Scheduler& s, Semaphore& sem, Duration hold,
-                 std::vector<Time>& got) {
-  co_await sem.acquire(s);
-  got.push_back(s.now());
-  co_await DelayFor{s, hold};
-  sem.release(s);
-}
-
-TEST(Semaphore, SerializesWhenCountIsOne) {
-  Scheduler s;
-  Semaphore sem(1);
-  std::vector<Time> got;
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  s.run();
-  EXPECT_EQ(got, (std::vector<Time>{0, 10, 20}));
-  EXPECT_EQ(sem.available(), 1u);
-}
-
-TEST(Semaphore, AllowsConcurrencyUpToCount) {
-  Scheduler s;
-  Semaphore sem(2);
-  std::vector<Time> got;
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  acquirer(s, sem, 10, got);
-  s.run();
-  EXPECT_EQ(got, (std::vector<Time>{0, 0, 10}));
-}
-
-TEST(Semaphore, FifoWakeupOrder) {
-  Scheduler s;
-  Semaphore sem(0);
-  std::vector<Time> got;
-  acquirer(s, sem, 5, got);
-  acquirer(s, sem, 5, got);
-  EXPECT_EQ(sem.waiting(), 2u);
-  s.at(100, [&] { sem.release(s); });
-  s.run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 100u);
-  EXPECT_EQ(got[1], 105u);
 }
 
 Process consumer(Scheduler& s, Channel<int>& c, std::vector<std::pair<Time, int>>& seen,

@@ -1,14 +1,12 @@
-// Unit tests for the RNG, statistics and slot-pool utilities.
+// Unit tests for the RNG and slot-pool utilities.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "sim/rng.hpp"
 #include "sim/slot_pool.hpp"
-#include "sim/stats.hpp"
 
 namespace sanfault::sim {
 namespace {
@@ -22,15 +20,6 @@ TEST(Rng, DeterministicForSameSeed) {
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1);
   Rng b(2);
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (a.next() == b.next());
-  EXPECT_LT(same, 3);
-}
-
-TEST(Rng, ForkedStreamsAreIndependent) {
-  Rng root(99);
-  Rng a = root.fork(1);
-  Rng b = root.fork(2);
   int same = 0;
   for (int i = 0; i < 100; ++i) same += (a.next() == b.next());
   EXPECT_LT(same, 3);
@@ -67,57 +56,6 @@ TEST(Rng, BernoulliMatchesProbability) {
   int hits = 0;
   for (int i = 0; i < 100000; ++i) hits += r.bernoulli(0.001);
   EXPECT_NEAR(hits, 100, 60);  // ~6 sigma
-}
-
-TEST(Accumulator, BasicMoments) {
-  Accumulator a;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) a.add(v);
-  EXPECT_EQ(a.count(), 8u);
-  EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(a.stddev(), 2.0);  // classic population-stddev example
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 9.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 40.0);
-}
-
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.stddev(), 0.0);
-}
-
-TEST(Accumulator, ResetClears) {
-  Accumulator a;
-  a.add(42);
-  a.reset();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.sum(), 0.0);
-}
-
-TEST(Log2Histogram, BucketBoundaries) {
-  EXPECT_EQ(Log2Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(Log2Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(Log2Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(Log2Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(Log2Histogram::bucket_of(1ull << 63), 64u);
-}
-
-TEST(Log2Histogram, QuantileIsMonotone) {
-  Log2Histogram h;
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v);
-  EXPECT_LE(h.approx_quantile(0.5), h.approx_quantile(0.99));
-  EXPECT_GE(h.approx_quantile(0.99), 512u);
-}
-
-TEST(Log2Histogram, CountsSamples) {
-  Log2Histogram h;
-  h.add(5);
-  h.add(6);
-  h.add(7);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.bucket(3), 3u);  // 4..7 land in bucket 3
 }
 
 TEST(SlotPool, TakeReturnsTheParkedValue) {
