@@ -22,11 +22,16 @@
 #   bench_chaos --soak 12345 --soak-cases 10        event log
 #   bench_repair --quick                            JSON, repair log
 #   bench_membership --quick                        JSON
+#   bench_chaos --compare --jobs $(nproc)           JSON (stdout names the
+#                                                   JSON's path, so it is
+#                                                   not compared)
 #   bench_fig3_latency_breakdown, bench_fig4_latency_bandwidth,
 #   bench_fig9_applications, bench_table3_mapping,
 #   bench_ablation_mapping, bench_ablation_protocol,
 #   bench_scale                                     stdout
 #   bench_fig5..8 --jobs $(nproc)                   stdout
+#   examples: quickstart, storage_failover,
+#   mapping_demo, kv_cluster, svm_cluster_compute   stdout
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -39,12 +44,15 @@ STDOUT_BENCHES=(fig3_latency_breakdown fig4_latency_bandwidth
                 ablation_protocol scale)
 FIGURES=(fig5_interval_noerrors fig6_interval_errors fig7_queue_noerrors
          fig8_queue_errors)
+EXAMPLES=(quickstart storage_failover mapping_demo kv_cluster
+          svm_cluster_compute)
 
 for build in "$1" "$2"; do
-  for b in kv_service chaos repair membership "${STDOUT_BENCHES[@]}" \
-           "${FIGURES[@]}"; do
-    if [[ ! -x "$build/bench/bench_$b" ]]; then
-      echo "same_behaviour: $build/bench/bench_$b is missing" >&2
+  for bin in bench/bench_{kv_service,chaos,repair,membership} \
+             "${STDOUT_BENCHES[@]/#/bench/bench_}" \
+             "${FIGURES[@]/#/bench/bench_}" "${EXAMPLES[@]/#/examples/}"; do
+    if [[ ! -x "$build/$bin" ]]; then
+      echo "same_behaviour: $build/$bin is missing" >&2
       exit 2
     fi
   done
@@ -83,7 +91,9 @@ battery() {
       --json "$o/05_repair.json" --log "$o/05_repair.log"
   run "$o" 06_membership - "$bin/bench_membership" --quick \
       --json "$o/06_membership.json"
-  local i=7 b
+  run "$o" 07_chaos_compare - "$bin/bench_chaos" --compare \
+      --jobs "$(nproc)" --json "$o/07_chaos_compare.json"
+  local i=8 b
   for b in "${STDOUT_BENCHES[@]}"; do
     run "$o" "$(printf %02d "$i")_$b" stdout "$bin/bench_$b"
     i=$((i + 1))
@@ -91,6 +101,10 @@ battery() {
   for b in "${FIGURES[@]}"; do
     run "$o" "$(printf %02d "$i")_$b" stdout "$bin/bench_$b" \
         --jobs "$(nproc)"
+    i=$((i + 1))
+  done
+  for b in "${EXAMPLES[@]}"; do
+    run "$o" "$(printf %02d "$i")_$b" stdout "$1/examples/$b"
     i=$((i + 1))
   done
 }

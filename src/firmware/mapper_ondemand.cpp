@@ -192,8 +192,8 @@ OnDemandMapper::~OnDemandMapper() {
   if (auto* r = obs::Registry::find(nic_.sched())) r->remove_collectors(this);
 }
 
-std::uint8_t OnDemandMapper::radix_of(const Route& forward) const {
-  auto dev = topo_.device_after(nic_.self(), forward);
+std::uint8_t OnDemandMapper::radix_of(
+    const std::optional<net::Device>& dev) const {
   if (dev && dev->is_switch()) return topo_.switch_ports(dev->as_switch());
   return cfg_.max_ports;
 }
@@ -520,7 +520,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
     root.forward = Route{};
     root.reverse = {*attach_port_};
     root.entry_port = *attach_port_;
-    root.radix = radix_of(Route{});
+    root.dev = topo_.device_after(nic_.self(), Route{});
     known.push_back(std::move(root));
   }
   std::vector<std::size_t> frontier{0};
@@ -543,7 +543,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
     for (const std::size_t fi : frontier) {
       const Route f_forward = known[fi].forward;
       const std::uint8_t f_entry = known[fi].entry_port;
-      const std::uint8_t f_radix = known[fi].radix;
+      const std::uint8_t f_radix = radix_of(known[fi].dev);
       for (std::uint8_t p = 0; p < f_radix; ++p) {
         if (p == f_entry) continue;
         if (over_budget()) co_return budget_fail();
@@ -611,30 +611,28 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
       const net::PortList sw_reverse = known[sp.sw].reverse;
       Route nf = sw_forward;
       nf.ports.push_back(sp.port);
-      // Identity verdict source: the fabric database. The behavioural test
-      // (the cycle probe returning means "an old switch is behind this
-      // port") false-merges *distinct* switches at symmetric positions of
-      // regular fabrics — a probe into a fat-tree edge routed down a sibling
-      // edge's way home still loops back to the prober — which silently
-      // prunes whole pods from the search. Unless configured_identity is
-      // set, the probe is still sent, timed and counted: the database does
-      // not waive Table 3's "distinguishing new switches from old ones"
-      // traffic.
+      // Identity verdict source: the fabric database, read once per silent
+      // port here and once per crossbar at its discovery (KnownSwitch::dev).
+      // The behavioural test (the cycle probe returning means "an old switch
+      // is behind this port") false-merges *distinct* switches at symmetric
+      // positions of regular fabrics — a probe into a fat-tree edge routed
+      // down a sibling edge's way home still loops back to the prober —
+      // which silently prunes whole pods from the search. Unless
+      // configured_identity is set, the probe is still sent, timed and
+      // counted: the database does not waive Table 3's "distinguishing new
+      // switches from old ones" traffic.
       const std::optional<net::Device> cand_dev =
           topo_.device_after(nic_.self(), nf);
       bool duplicate = false;
       for (std::size_t j = 0; j < known.size(); ++j) {
         if (over_budget()) co_return budget_fail();
-        const std::optional<net::Device> known_dev =
-            topo_.device_after(nic_.self(), known[j].forward);
         if (!cfg_.configured_identity) {
           Route vr = nf;
           vr.ports.append(known[j].reverse.begin(), known[j].reverse.end());
           count_probe();
           co_await probe_and_wait_impl(PacketType::kProbeSwitch, vr, nullptr);
         }
-        if (cand_dev.has_value() && cand_dev->is_switch() &&
-            known_dev.has_value() && *cand_dev == *known_dev) {
+        if (cand_dev && cand_dev->is_switch() && known[j].dev == cand_dev) {
           duplicate = true;
           if (cfg_.multipath) {
             Route alt = nf;
@@ -651,7 +649,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
         }
       }
       if (duplicate) continue;
-      const std::uint8_t guess_bound = radix_of(nf);
+      const std::uint8_t guess_bound = radix_of(cand_dev);
       for (std::uint8_t y = 0; y < guess_bound; ++y) {
         if (over_budget()) co_return budget_fail();
         Route br = sw_forward;
@@ -664,7 +662,7 @@ sim::Task<std::optional<Route>> OnDemandMapper::bfs(HostId dst,
           KnownSwitch ns;
           ns.forward = nf;
           ns.entry_port = y;
-          ns.radix = guess_bound;
+          ns.dev = cand_dev;
           ns.reverse.push_back(y);
           ns.reverse.append(sw_reverse.begin(), sw_reverse.end());
           known.push_back(std::move(ns));

@@ -223,7 +223,10 @@ class OnDemandMapper final : public MapperIface {
     net::Route forward;                  // bytes from us to (into) the switch
     net::PortList reverse;               // bytes from the switch back to us
     std::uint8_t entry_port = 0;         // port we enter it through
-    std::uint8_t radix = 16;             // ports to probe on it
+    /// The fabric database's device at the end of `forward`, read once at
+    /// discovery: radix_of reads the ports to probe from it, and duplicate
+    /// detection compares candidates against it.
+    std::optional<net::Device> dev;
     /// Equal-length alternative forwards (multipath only; capped).
     std::vector<net::Route> alt_forwards;
   };
@@ -274,8 +277,10 @@ class OnDemandMapper final : public MapperIface {
     std::unordered_map<net::HostId, std::list<Entry>::iterator> idx_;
   };
 
-  /// Radix of the crossbar at the end of `forward` (oracle or max_ports).
-  [[nodiscard]] std::uint8_t radix_of(const net::Route& forward) const;
+  /// Radix of `dev` in the fabric database, or max_ports when it is not a
+  /// listed crossbar.
+  [[nodiscard]] std::uint8_t radix_of(
+      const std::optional<net::Device>& dev) const;
 
   struct PendingRequest {
     net::HostId dst;

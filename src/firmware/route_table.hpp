@@ -39,12 +39,11 @@ class RouteTable {
   [[nodiscard]] std::size_t size() const { return routes_.size(); }
 
   /// Preload shortest routes from `self` to every other host (the full-map
-  /// baseline). Unreachable hosts are skipped.
+  /// baseline), all read off one search tree. Unreachable hosts are skipped.
   void populate_all(const net::Topology& topo, net::HostId self) {
-    for (std::uint32_t h = 0; h < topo.num_hosts(); ++h) {
-      const net::HostId dst{h};
-      if (dst == self) continue;
-      if (auto r = topo.shortest_route(self, dst)) set(dst, std::move(*r));
+    auto routes = topo.shortest_routes(self);
+    for (std::uint32_t h = 0; h < routes.size(); ++h) {
+      if (h != self.v && routes[h]) set(net::HostId{h}, std::move(*routes[h]));
     }
   }
 

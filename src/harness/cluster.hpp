@@ -87,11 +87,10 @@ class Cluster {
           // Preloaded rigs never probe before the first failure, so the
           // mapper's cache would be cold and the first on_path_failure would
           // find no backup to promote. Seed the cache (and its proactive
-          // backups) from the same routes the tables were preloaded with.
+          // backups) from the route table just preloaded.
           if (cfg_.preload_routes && cfg_.ondemand.proactive_backup) {
             for (const net::HostId other : hosts) {
-              if (other == hosts[i]) continue;
-              if (auto r = topo.shortest_route(hosts[i], other)) {
+              if (auto r = rel_.back()->routes().get(other)) {
                 mappers_.back()->seed_cache(other, *r);
               }
             }

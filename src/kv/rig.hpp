@@ -9,7 +9,6 @@
 // mirroring how harness::Cluster anchors the paper-figure experiments.
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -46,7 +45,8 @@ struct KvRigConfig {
   /// confirming a death proactively excludes the dead peer at its firmware
   /// (flushing the mapper path cache and pending traffic) and lets its KV
   /// clients fail over immediately instead of waiting out timeouts.
-  /// Requires reliable firmware; implies a full gossip mesh.
+  /// Requires reliable firmware (the constructor throws
+  /// std::invalid_argument otherwise); implies a full gossip mesh.
   bool membership = false;
   membership::SwimConfig swim;
   /// Place each shard's backup in a different fault domain (pod) than its
@@ -126,8 +126,6 @@ class KvRig {
     for (auto& ch : clients) ch->start();
 
     if (cfg_.membership) {
-      assert(cfg_.cluster.fw == harness::FirmwareKind::kReliable &&
-             "membership exclusion needs the reliable firmware");
       for (std::size_t i = 0; i < n; ++i) {
         agents.push_back(std::make_unique<membership::SwimAgent>(
             c.sched, *msgs[i], c.hosts, cfg_.swim));
@@ -241,7 +239,13 @@ class KvRig {
   std::vector<std::unique_ptr<StripedClient>> striped_clients;
 
  private:
+  /// Sizes the cluster, and rejects a config the rig cannot run before any
+  /// of it is built.
   static KvRigConfig fix(KvRigConfig cfg) {
+    if (cfg.membership && cfg.cluster.fw != harness::FirmwareKind::kReliable) {
+      throw std::invalid_argument(
+          "KvRig: membership exclusion needs the reliable firmware");
+    }
     cfg.cluster.num_hosts = cfg.num_servers + cfg.num_client_hosts;
     return cfg;
   }

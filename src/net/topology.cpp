@@ -1,9 +1,7 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
-#include <map>
+#include <array>
 #include <numeric>
 #include <stdexcept>
 
@@ -84,102 +82,118 @@ std::optional<Topology::Attachment> Topology::peer_of(Port p) const {
   return Attachment{peer, **slot};
 }
 
-std::optional<Route> Topology::shortest_route(HostId from, HostId to) const {
-  if (from == to) return Route{};  // loopback: no fabric traversal
-  struct Crumb {
-    Device prev;
-    LinkId via;
+std::vector<Topology::TreeSlot> Topology::search(
+    HostId from, const SearchSpec& spec) const {
+  const auto slot_of = [&](Device d) {
+    return static_cast<std::int32_t>(
+        d.is_host() ? d.index : hosts_.size() + d.index);
   };
-  std::map<Device, Crumb> visited;
+  const auto banned = [](const std::vector<char>* bans, std::uint32_t i) {
+    return bans != nullptr && i < bans->size() && (*bans)[i];
+  };
+  std::vector<TreeSlot> tree(hosts_.size() + switches_.size());
+  const std::int32_t start = slot_of(Device::host(from));
+  const std::int32_t goal =
+      spec.goal ? slot_of(Device::host(*spec.goal)) : std::int32_t{-1};
+  tree[start].parent = start;
+  std::vector<Device> frontier{Device::host(from)};
+  frontier.reserve(tree.size());
+  bool found = goal == start;
 
-  const Device start = Device::host(from);
-  const Device goal = Device::host(to);
-  std::deque<Device> frontier{start};
-  visited[start] = Crumb{start, LinkId{}};
-
-  auto expand = [&](Device d, Port p) -> std::optional<Device> {
-    auto att = peer_of(p);
-    if (!att || !link_up(att->link)) return std::nullopt;
+  // Reach whatever is cabled to port `p` of `d`, unless that crosses a down
+  // or banned element or revisits a device.
+  const auto expand = [&](Device d, std::uint8_t p) {
+    auto att = peer_of(Port{d, p});
+    if (!att || !link_up(att->link) ||
+        banned(spec.banned_links, att->link.v)) {
+      return;
+    }
     const Device nbr = att->peer.dev;
-    if (nbr.is_switch() && !switch_up(nbr.as_switch())) return std::nullopt;
-    if (visited.contains(nbr)) return std::nullopt;
-    visited[nbr] = Crumb{d, att->link};
-    return nbr;
+    if (nbr.is_switch() && (!switch_up(nbr.as_switch()) ||
+                            banned(spec.banned_switches, nbr.index))) {
+      return;
+    }
+    const std::int32_t n = slot_of(nbr);
+    if (tree[n].parent != -1) return;
+    tree[n] = {slot_of(d), p};
+    found = n == goal;
+    frontier.push_back(nbr);
   };
 
-  bool found = false;
-  while (!frontier.empty() && !found) {
-    const Device d = frontier.front();
-    frontier.pop_front();
+  std::array<std::uint8_t, 256> order{};
+  for (std::size_t head = 0; head < frontier.size() && !found; ++head) {
+    const Device d = frontier[head];
     if (d.is_host()) {
-      if (d != start) continue;  // other hosts do not forward
-      if (auto n = expand(d, Port{d, 0})) {
-        if (*n == goal) found = true;
-        frontier.push_back(*n);
-      }
-    } else {
-      const auto& sw = switches_[d.index];
-      if (!sw.up) continue;
-      for (std::uint8_t p = 0; p < sw.num_ports && !found; ++p) {
-        if (auto n = expand(d, Port{d, p})) {
-          if (*n == goal) found = true;
-          frontier.push_back(*n);
-        }
+      if (d.index == from.v) expand(d, 0);  // other hosts do not forward
+      continue;
+    }
+    const std::uint8_t radix = switches_[d.index].num_ports;
+    std::iota(order.begin(), order.begin() + radix, std::uint8_t{0});
+    if (spec.salt) {
+      // Salt-seeded per-switch port permutation: among equal-cost choices
+      // the first-found shortest path depends on expansion order, so the
+      // salt deterministically spreads picks across (source, destination)
+      // pairs the same way the mapper's multipath selection does.
+      sim::Rng perm(*spec.salt ^ (0x9E3779B97F4A7C15ull * (d.index + 1)));
+      for (std::size_t i = radix; i > 1; --i) {
+        std::swap(order[i - 1], order[perm.uniform(i)]);
       }
     }
+    for (std::size_t i = 0; i < radix && !found; ++i) expand(d, order[i]);
   }
-  if (!visited.contains(goal)) return std::nullopt;
+  return tree;
+}
 
-  // Walk back from the goal collecting, for every switch on the path, the
-  // output port it must use (the port on its side of the link to the next
-  // device toward the goal).
+std::optional<Route> Topology::route_in(const std::vector<TreeSlot>& tree,
+                                        HostId to) const {
+  auto cur = static_cast<std::int32_t>(to.v);
+  if (tree[cur].parent == -1) return std::nullopt;
+  // Walk back from the destination: every switch on the path contributes
+  // the port it sent the packet out of.
+  const auto num_hosts = static_cast<std::int32_t>(hosts_.size());
   Route route;
-  Device cur = goal;
-  while (cur != start) {
-    const Crumb& c = visited[cur];
-    const Device prev = c.prev;
-    if (prev.is_switch()) {
-      const LinkRec& rec = links_[c.via.v];
-      const Port out = (rec.a.dev == prev) ? rec.a : rec.b;
-      route.ports.push_back(out.port);
-    }
-    cur = prev;
+  while (tree[cur].parent != cur) {
+    if (tree[cur].parent >= num_hosts) route.ports.push_back(tree[cur].port);
+    cur = tree[cur].parent;
   }
   std::reverse(route.ports.begin(), route.ports.end());
   return route;
 }
 
-std::optional<Device> Topology::device_after(HostId from,
-                                             const Route& r) const {
-  auto att = peer_of(Port{Device::host(from), 0});
-  if (!att) return std::nullopt;
-  Device cur = att->peer.dev;
-  std::size_t next = 0;
-  while (cur.is_switch() && next < r.ports.size()) {
-    const std::uint8_t port = r.ports[next++];
-    if (port >= switches_[cur.index].num_ports) return std::nullopt;
-    auto hop = peer_of(Port{cur, port});
-    if (!hop) return std::nullopt;
-    cur = hop->peer.dev;
-  }
-  if (next != r.ports.size()) return std::nullopt;  // hit a host early
-  return cur;
+std::optional<Route> Topology::shortest_route(HostId from, HostId to) const {
+  return route_in(search(from, {.goal = to}), to);
 }
 
-std::optional<Device> Topology::walk_route(HostId from, const Route& r,
-                                          std::vector<LinkId>* links) const {
+std::vector<std::optional<Route>> Topology::shortest_routes(HostId from) const {
+  const std::vector<TreeSlot> tree = search(from, {});
+  std::vector<std::optional<Route>> routes;
+  routes.reserve(hosts_.size());
+  for (std::uint32_t h = 0; h < hosts_.size(); ++h) {
+    routes.push_back(route_in(tree, HostId{h}));
+  }
+  return routes;
+}
+
+std::optional<Device> Topology::walk(HostId from, const Route& r,
+                                     const WalkSpec& spec) const {
   auto att = peer_of(Port{Device::host(from), 0});
-  if (!att) return std::nullopt;
-  if (links) links->push_back(att->link);
+  if (!att || (spec.require_up && !link_up(att->link))) return std::nullopt;
+  if (spec.links) spec.links->push_back(att->link);
   Device cur = att->peer.dev;
   std::size_t next = 0;
   while (cur.is_switch()) {
-    if (next >= r.ports.size()) return std::nullopt;  // route exhausted mid-fabric
+    if (spec.require_up && !switch_up(cur.as_switch())) return std::nullopt;
+    if (spec.switches) spec.switches->push_back(cur.as_switch());
+    if (next >= r.ports.size()) {
+      if (spec.prefix) return cur;
+      return std::nullopt;  // route exhausted mid-fabric
+    }
     const std::uint8_t port = r.ports[next++];
     if (port >= switches_[cur.index].num_ports) return std::nullopt;
     auto hop = peer_of(Port{cur, port});
-    if (!hop) return std::nullopt;  // unconnected port: packet falls off
-    if (links) links->push_back(hop->link);
+    // An unconnected port: the packet falls off.
+    if (!hop || (spec.require_up && !link_up(hop->link))) return std::nullopt;
+    if (spec.links) spec.links->push_back(hop->link);
     cur = hop->peer.dev;
   }
   if (next != r.ports.size()) return std::nullopt;  // leftover bytes corrupt
@@ -187,113 +201,23 @@ std::optional<Device> Topology::walk_route(HostId from, const Route& r,
 }
 
 std::optional<Device> Topology::trace_route(HostId from, const Route& r) const {
-  return walk_route(from, r, nullptr);
+  return walk(from, r, {});
 }
 
 std::vector<LinkId> Topology::route_links(HostId from, const Route& r) const {
   std::vector<LinkId> links;
-  if (!walk_route(from, r, &links)) links.clear();
+  if (!walk(from, r, {.links = &links})) links.clear();
   return links;
+}
+
+std::optional<Device> Topology::device_after(HostId from,
+                                             const Route& r) const {
+  return walk(from, r, {.prefix = true});
 }
 
 std::optional<Device> Topology::trace_route_up(HostId from,
                                                const Route& r) const {
-  auto att = peer_of(Port{Device::host(from), 0});
-  if (!att || !link_up(att->link)) return std::nullopt;
-  Device cur = att->peer.dev;
-  std::size_t next = 0;
-  while (cur.is_switch()) {
-    if (!switch_up(cur.as_switch())) return std::nullopt;
-    if (next >= r.ports.size()) return std::nullopt;
-    const std::uint8_t port = r.ports[next++];
-    if (port >= switches_[cur.index].num_ports) return std::nullopt;
-    auto hop = peer_of(Port{cur, port});
-    if (!hop || !link_up(hop->link)) return std::nullopt;
-    cur = hop->peer.dev;
-  }
-  if (next != r.ports.size()) return std::nullopt;
-  return cur;
-}
-
-std::optional<Route> Topology::constrained_route(
-    HostId from, HostId to, const std::vector<char>& link_banned,
-    const std::vector<char>& switch_banned, std::uint64_t salt) const {
-  if (from == to) return Route{};
-  struct Crumb {
-    Device prev;
-    LinkId via;
-  };
-  std::map<Device, Crumb> visited;
-
-  const Device start = Device::host(from);
-  const Device goal = Device::host(to);
-  std::deque<Device> frontier{start};
-  visited[start] = Crumb{start, LinkId{}};
-
-  auto link_ok = [&](LinkId l) {
-    return link_up(l) && !(l.v < link_banned.size() && link_banned[l.v]);
-  };
-  auto switch_ok = [&](SwitchId s) {
-    return switch_up(s) && !(s.v < switch_banned.size() && switch_banned[s.v]);
-  };
-
-  auto expand = [&](Device d, Port p) -> std::optional<Device> {
-    auto att = peer_of(p);
-    if (!att || !link_ok(att->link)) return std::nullopt;
-    const Device nbr = att->peer.dev;
-    if (nbr.is_switch() && !switch_ok(nbr.as_switch())) return std::nullopt;
-    if (visited.contains(nbr)) return std::nullopt;
-    visited[nbr] = Crumb{d, att->link};
-    return nbr;
-  };
-
-  bool found = false;
-  while (!frontier.empty() && !found) {
-    const Device d = frontier.front();
-    frontier.pop_front();
-    if (d.is_host()) {
-      if (d != start) continue;  // other hosts do not forward
-      if (auto n = expand(d, Port{d, 0})) {
-        if (*n == goal) found = true;
-        frontier.push_back(*n);
-      }
-    } else {
-      const auto& sw = switches_[d.index];
-      if (!switch_ok(d.as_switch())) continue;
-      // Salt-seeded per-switch port permutation: among equal-cost choices the
-      // first-found shortest path depends on expansion order, so the salt
-      // deterministically spreads backup picks across (source, destination)
-      // pairs the same way the mapper's multipath selection does.
-      std::vector<std::uint8_t> order(sw.num_ports);
-      std::iota(order.begin(), order.end(), std::uint8_t{0});
-      sim::Rng perm(salt ^ (0x9E3779B97F4A7C15ull * (d.index + 1)));
-      for (std::size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[perm.uniform(i)]);
-      }
-      for (std::size_t i = 0; i < order.size() && !found; ++i) {
-        if (auto n = expand(d, Port{d, order[i]})) {
-          if (*n == goal) found = true;
-          frontier.push_back(*n);
-        }
-      }
-    }
-  }
-  if (!visited.contains(goal)) return std::nullopt;
-
-  Route route;
-  Device cur = goal;
-  while (cur != start) {
-    const Crumb& c = visited[cur];
-    const Device prev = c.prev;
-    if (prev.is_switch()) {
-      const LinkRec& rec = links_[c.via.v];
-      const Port out = (rec.a.dev == prev) ? rec.a : rec.b;
-      route.ports.push_back(out.port);
-    }
-    cur = prev;
-  }
-  std::reverse(route.ports.begin(), route.ports.end());
-  return route;
+  return walk(from, r, {.require_up = true});
 }
 
 std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
@@ -301,25 +225,11 @@ std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
                                                  std::uint64_t salt) const {
   // Walk the primary (ignoring up/down: it may have just failed) collecting
   // every link and switch it traverses, in path order.
-  auto att = peer_of(Port{Device::host(from), 0});
-  if (!att) return std::nullopt;
-  std::vector<LinkId> path_links{att->link};
+  std::vector<LinkId> path_links;
   std::vector<SwitchId> path_switches;
-  Device cur = att->peer.dev;
-  std::size_t next = 0;
-  while (cur.is_switch()) {
-    path_switches.push_back(cur.as_switch());
-    if (next >= primary.ports.size()) return std::nullopt;
-    const std::uint8_t port = primary.ports[next++];
-    if (port >= switches_[cur.index].num_ports) return std::nullopt;
-    auto hop = peer_of(Port{cur, port});
-    if (!hop) return std::nullopt;
-    path_links.push_back(hop->link);
-    cur = hop->peer.dev;
-  }
-  if (next != primary.ports.size() || cur != Device::host(to)) {
-    return std::nullopt;  // not a valid from->to walk
-  }
+  const auto end = walk(from, primary,
+                        {.links = &path_links, .switches = &path_switches});
+  if (end != Device::host(to)) return std::nullopt;  // not a from->to walk
 
   // Interior = everything strictly between the two access switches. Hosts
   // are single-homed: the access links and the first/last crossbar are
@@ -344,7 +254,11 @@ std::optional<AltRoute> Topology::disjoint_route(HostId from, HostId to,
     std::vector<char> sb(switches_.size(), 0);
     for (const LinkId l : ban_links) lb[l.v] = 1;
     for (const SwitchId s : ban_switches) sb[s.v] = 1;
-    auto r = constrained_route(from, to, lb, sb, salt);
+    auto r = route_in(search(from, {.goal = to,
+                                    .banned_links = &lb,
+                                    .banned_switches = &sb,
+                                    .salt = salt}),
+                      to);
     if (r && *r == primary) r.reset();  // replaying the primary is no backup
     return r;
   };

@@ -95,10 +95,18 @@ class Topology {
   [[nodiscard]] bool switch_up(SwitchId s) const { return switches_[s.v].up; }
 
   // --- route helpers -------------------------------------------------------
+  // Every query below is one use of a single breadth-first search (`search`)
+  // or a single route walk (`walk`); see docs/ROUTING.md.
+
   /// Shortest route (BFS over *currently up* links/switches) from one host to
   /// another, as the port bytes the packet must carry. nullopt if unreachable.
   [[nodiscard]] std::optional<Route> shortest_route(HostId from,
                                                     HostId to) const;
+
+  /// shortest_route from `from` to every host, indexed by host id, read off
+  /// one search tree: element i equals shortest_route(from, HostId{i}).
+  [[nodiscard]] std::vector<std::optional<Route>> shortest_routes(
+      HostId from) const;
 
   /// Walk a route from a host; returns the device where the packet ends up
   /// (ignoring up/down state), or nullopt if it falls off the fabric
@@ -157,12 +165,42 @@ class Topology {
 
   std::optional<LinkId>& port_slot(Port p);
   [[nodiscard]] const std::optional<LinkId>* port_slot_const(Port p) const;
-  /// The trace_route walk; appends each crossed link to `links` if non-null.
-  [[nodiscard]] std::optional<Device> walk_route(
-      HostId from, const Route& r, std::vector<LinkId>* links) const;
-  [[nodiscard]] std::optional<Route> constrained_route(
-      HostId from, HostId to, const std::vector<char>& link_banned,
-      const std::vector<char>& switch_banned, std::uint64_t salt) const;
+
+  /// What one breadth-first search from a host may cross and when it stops.
+  /// Bans are indexed by LinkId / SwitchId; down elements are never crossed.
+  struct SearchSpec {
+    std::optional<HostId> goal = {};  // stop once reached; none: whole tree
+    const std::vector<char>* banned_links = nullptr;
+    const std::vector<char>* banned_switches = nullptr;
+    /// Seeds a per-switch permutation of the order its ports are expanded
+    /// in; nullopt expands them in port order.
+    std::optional<std::uint64_t> salt = {};
+  };
+  /// One device's place in a search tree, whose slots are the hosts and
+  /// then the switches: the slot it was first reached from (-1: unreached;
+  /// the root is its own parent) and the port that parent sent it out of.
+  struct TreeSlot {
+    std::int32_t parent = -1;
+    std::uint8_t port = 0;
+  };
+  [[nodiscard]] std::vector<TreeSlot> search(HostId from,
+                                             const SearchSpec& spec) const;
+  /// The route from the tree's root to `to`, or nullopt if `to` is unreached.
+  [[nodiscard]] std::optional<Route> route_in(
+      const std::vector<TreeSlot>& tree, HostId to) const;
+
+  /// How one walk of a route ends and what it checks and records.
+  struct WalkSpec {
+    bool prefix = false;      // exhausting the route at a switch ends there
+    bool require_up = false;  // every crossed link and switch must be up
+    std::vector<LinkId>* links = nullptr;        // appended in path order
+    std::vector<SwitchId>* switches = nullptr;   // appended in path order
+  };
+  /// Runs `r` from `from`; returns where it ends, or nullopt when it falls
+  /// off the fabric, breaks a `require_up`, or ends at a host with route
+  /// bytes left over.
+  [[nodiscard]] std::optional<Device> walk(HostId from, const Route& r,
+                                           const WalkSpec& spec) const;
 
   std::vector<HostRec> hosts_;
   std::vector<SwitchRec> switches_;

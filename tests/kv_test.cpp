@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "kv/audit.hpp"
 #include "kv/rig.hpp"
@@ -261,6 +262,17 @@ kv::KvRigConfig small_rig_config() {
   rc.num_client_hosts = 1;
   rc.num_shards = 8;
   return rc;
+}
+
+TEST(KvRig, MembershipWithoutReliableFirmwareIsRejected) {
+  // A SWIM confirm excludes the dead peer at the reliable firmware, which
+  // raw firmware does not have: the rig refuses before building anything.
+  kv::KvRigConfig rc = small_rig_config();
+  rc.membership = true;
+  rc.cluster.fw = harness::FirmwareKind::kRaw;
+  EXPECT_THROW(kv::KvRig{rc}, std::invalid_argument);
+  rc.cluster.fw = harness::FirmwareKind::kReliable;
+  EXPECT_NO_THROW(kv::KvRig{rc});
 }
 
 TEST(KvService, PutGetDelBasics) {

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "firmware/route_table.hpp"
 #include "net/topology.hpp"
 
 namespace sanfault::net {
@@ -531,6 +533,196 @@ TEST(ClosFabric, Clos256RadixAndPodShape) {
   // pod 1) is a cross-pod 5-hop path; host 0 to host 1 stays in pod 0.
   EXPECT_EQ(f.topo.shortest_route(f.hosts[0], f.hosts[8])->hops(), 5u);
   EXPECT_EQ(f.topo.shortest_route(f.hosts[0], f.hosts[1])->hops(), 3u);
+}
+
+// --- RouteGolden: every route answer pinned by one FNV-1a digest -----------
+//
+// Each digest folds the answers of one route query over every ordered host
+// pair of a fabric, so a change to the search or the walk that moves any
+// byte of any answer fails here. The routes feed every golden and digest
+// the benches and perfbench compare, so these constants must not move.
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ull; }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void route(const std::optional<Route>& r) {
+    if (!r) return byte(0xFF);
+    byte(static_cast<std::uint8_t>(r->ports.size()));
+    for (const std::uint8_t p : r->ports) byte(p);
+  }
+  void device(const std::optional<Device>& d) {
+    if (!d) return byte(0xFF);
+    byte(d->is_host() ? 0 : 1);
+    u32(d->index);
+  }
+};
+
+constexpr std::uint64_t kGoldenSalt = 0x60ddbeefull;
+
+struct GoldenFabric {
+  Topology topo;
+  std::vector<HostId> hosts;
+  LinkId trunk;      // a switch-to-switch link the fault cases take down
+  SwitchId victim;   // a switch the fault cases take down
+};
+
+GoldenFabric golden_single8() {
+  GoldenFabric g;
+  const SwitchId sw = g.topo.add_switch(8);
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    g.hosts.push_back(g.topo.add_host());
+    g.topo.connect({Device::host(g.hosts.back()), 0}, {Device::sw(sw), i});
+  }
+  g.victim = sw;
+  return g;
+}
+
+GoldenFabric golden_fig2_16() {
+  auto f = make_figure2_fabric(16);
+  // Link 0 is the first sw8_a - sw16_a trunk; sw16_b sits mid-chain, so
+  // its death partitions the fabric and exercises unreachable answers.
+  return {std::move(f.topo), std::move(f.hosts), LinkId{0}, f.sw16_b};
+}
+
+GoldenFabric golden_clos(ClosConfig cfg) {
+  auto f = make_clos_fabric(cfg);
+  // The first aggregation switch's first spine uplink, and the first core.
+  const auto up = f.topo.peer_of(
+      {Device::sw(f.aggs[0]), static_cast<std::uint8_t>(f.cfg.k / 2)});
+  return {std::move(f.topo), std::move(f.hosts), up->link, f.cores[0]};
+}
+
+GoldenFabric golden_clos16() { return golden_clos({.k = 4}); }
+GoldenFabric golden_clos64() { return golden_clos(*clos_named_shape("clos-64")); }
+
+std::uint64_t shortest_digest(const GoldenFabric& g) {
+  Fnv1a d;
+  for (const HostId a : g.hosts) {
+    for (const HostId b : g.hosts) d.route(g.topo.shortest_route(a, b));
+  }
+  return d.h;
+}
+
+std::uint64_t disjoint_digest(const GoldenFabric& g) {
+  Fnv1a d;
+  for (const HostId a : g.hosts) {
+    for (const HostId b : g.hosts) {
+      if (a == b) continue;
+      const auto alt = g.topo.disjoint_route(
+          a, b, *g.topo.shortest_route(a, b), kGoldenSalt);
+      d.byte(alt ? static_cast<std::uint8_t>(alt->cls) : 0xFF);
+      if (alt) d.route(alt->route);
+    }
+  }
+  return d.h;
+}
+
+/// device_after over every prefix of `r`, plus one byte past its end.
+void hash_prefixes(Fnv1a& d, const Topology& t, HostId a, const Route& r) {
+  Route prefix;
+  d.device(t.device_after(a, prefix));
+  for (const std::uint8_t p : r.ports) {
+    prefix.ports.push_back(p);
+    d.device(t.device_after(a, prefix));
+  }
+  prefix.ports.push_back(0);
+  d.device(t.device_after(a, prefix));
+}
+
+std::uint64_t prefix_digest(const GoldenFabric& g, bool with_alternates) {
+  Fnv1a d;
+  for (const HostId a : g.hosts) {
+    for (const HostId b : g.hosts) {
+      const Route r = *g.topo.shortest_route(a, b);
+      hash_prefixes(d, g.topo, a, r);
+      if (!with_alternates || a == b) continue;
+      if (const auto alt = g.topo.disjoint_route(a, b, r, kGoldenSalt)) {
+        hash_prefixes(d, g.topo, a, alt->route);
+      }
+    }
+  }
+  return d.h;
+}
+
+void trunk_down(GoldenFabric& g) { g.topo.set_link_up(g.trunk, false); }
+void switch_down(GoldenFabric& g) { g.topo.set_switch_up(g.victim, false); }
+
+/// trace_route_up of every pair's fault-free shortest route, after `fault`.
+std::uint64_t trace_up_digest(GoldenFabric g, void (*fault)(GoldenFabric&)) {
+  std::vector<Route> routes;
+  for (const HostId a : g.hosts) {
+    for (const HostId b : g.hosts) routes.push_back(*g.topo.shortest_route(a, b));
+  }
+  fault(g);
+  Fnv1a d;
+  std::size_t i = 0;
+  for (const HostId a : g.hosts) {
+    for (std::size_t j = 0; j < g.hosts.size(); ++j) {
+      d.device(g.topo.trace_route_up(a, routes[i++]));
+    }
+  }
+  return d.h;
+}
+
+TEST(RouteGolden, ShortestRouteEveryPair) {
+  EXPECT_EQ(shortest_digest(golden_single8()), 0xf7c72bdfaf1cfbcdull);
+  EXPECT_EQ(shortest_digest(golden_fig2_16()), 0x50619ba95c8e824dull);
+  EXPECT_EQ(shortest_digest(golden_clos16()), 0xbaba2468af83877dull);
+  EXPECT_EQ(shortest_digest(golden_clos64()), 0xa416fe3a47149f05ull);
+}
+
+TEST(RouteGolden, ShortestRouteAroundFaults) {
+  auto faulted = [](GoldenFabric g, void (*fault)(GoldenFabric&)) {
+    fault(g);
+    return shortest_digest(g);
+  };
+  EXPECT_EQ(faulted(golden_fig2_16(), trunk_down), 0x2d2cf7311b179d79ull);
+  EXPECT_EQ(faulted(golden_fig2_16(), switch_down), 0x32c208fb536221e5ull);
+  EXPECT_EQ(faulted(golden_clos64(), trunk_down), 0x276ab6a42cb773d5ull);
+  EXPECT_EQ(faulted(golden_clos64(), switch_down), 0x75bbefa405f70305ull);
+}
+
+TEST(RouteGolden, DisjointRouteEveryPair) {
+  EXPECT_EQ(disjoint_digest(golden_fig2_16()), 0xbf8d72b3b85a00fdull);
+  EXPECT_EQ(disjoint_digest(golden_clos64()), 0xe69904a53f49da09ull);
+}
+
+TEST(RouteGolden, DeviceAfterEveryPrefix) {
+  EXPECT_EQ(prefix_digest(golden_single8(), false), 0xf7784dbed549356dull);
+  EXPECT_EQ(prefix_digest(golden_fig2_16(), true), 0x8d7d836af319c30dull);
+  EXPECT_EQ(prefix_digest(golden_clos16(), false), 0x7e60fc78924cf5cdull);
+  EXPECT_EQ(prefix_digest(golden_clos64(), true), 0xd4667be479b843adull);
+}
+
+TEST(RouteGolden, TraceRouteUpWithTrunkDown) {
+  EXPECT_EQ(trace_up_digest(golden_fig2_16(), trunk_down),
+            0xff6a8bc4eb578e3dull);
+  EXPECT_EQ(trace_up_digest(golden_clos64(), trunk_down),
+            0x42a9f302ff6988a5ull);
+}
+
+TEST(RouteGolden, PopulateAllEqualsPerPairSearch) {
+  auto check = [](const GoldenFabric& g) {
+    for (const HostId a : g.hosts) {
+      firmware::RouteTable table;
+      table.populate_all(g.topo, a);
+      for (const HostId b : g.hosts) {
+        const auto want = a == b ? std::nullopt : g.topo.shortest_route(a, b);
+        EXPECT_EQ(table.get(b), want) << a.v << "->" << b.v;
+      }
+    }
+  };
+  auto clos = golden_clos64();
+  check(clos);
+  switch_down(clos);
+  check(clos);
+  // A partitioned fabric: unreachable hosts stay out of the table.
+  auto fig2 = golden_fig2_16();
+  switch_down(fig2);
+  check(fig2);
 }
 
 TEST(ClosFabric, Clos1024RadixAndPodShape) {
