@@ -20,7 +20,10 @@
 #   bench_chaos --quick                             JSON, metrics JSON, log
 #   bench_chaos --corrupt-smoke                     event log
 #   bench_chaos --soak 12345 --soak-cases 10        event log
-#   bench_repair --quick                            JSON, repair log
+#   bench_repair --quick                            JSON, metrics JSON, repair
+#                                                   log (the only run of the
+#                                                   striped class, repair and
+#                                                   SWIM together)
 #   bench_membership --quick                        JSON
 #   bench_chaos --compare --jobs $(nproc)           JSON (stdout names the
 #                                                   JSON's path, so it is
@@ -88,7 +91,8 @@ battery() {
   run "$o" 04_soak - "$bin/bench_chaos" --soak 12345 --soak-cases 10 \
       --log "$o/04_soak.log"
   run "$o" 05_repair - "$bin/bench_repair" --quick \
-      --json "$o/05_repair.json" --log "$o/05_repair.log"
+      --json "$o/05_repair.json" \
+      --metrics-json "$o/05_repair.metrics.json" --log "$o/05_repair.log"
   run "$o" 06_membership - "$bin/bench_membership" --quick \
       --json "$o/06_membership.json"
   run "$o" 07_chaos_compare - "$bin/bench_chaos" --compare \

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -45,15 +46,20 @@ class StripeMap {
   using DeadFn = std::function<bool(net::HostId)>;
 
   /// `server_pods` parallels `servers` (empty = pod-blind placement).
+  /// Throws std::invalid_argument for fewer than k+m servers or pods that
+  /// do not parallel the servers.
   StripeMap(std::vector<net::HostId> servers,
             std::vector<std::uint32_t> server_pods, StripeMapConfig cfg)
       : servers_(std::move(servers)),
         pods_(std::move(server_pods)),
         cfg_(cfg) {
-    assert(servers_.size() >= cfg_.k + cfg_.m &&
-           "stripe needs k+m distinct servers");
-    assert((pods_.empty() || pods_.size() == servers_.size()) &&
-           "server_pods must parallel servers");
+    if (servers_.size() < cfg_.k + cfg_.m) {
+      throw std::invalid_argument("StripeMap: a stripe needs k+m servers");
+    }
+    if (!pods_.empty() && pods_.size() != servers_.size()) {
+      throw std::invalid_argument(
+          "StripeMap: server_pods must parallel servers");
+    }
     if (pods_.empty()) pods_.assign(servers_.size(), 0);
     perm_.resize(cfg_.num_groups);
     base_.resize(cfg_.num_groups);

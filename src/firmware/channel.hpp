@@ -41,7 +41,7 @@ struct TxChannel {
   bool unreachable = false;
   /// Consecutive scrub passes that found this channel's invariants violated
   /// (self-stabilization hardening, docs/CHAOS.md). Reset on a clean pass;
-  /// reaching ReliabilityConfig::scrub_strike_limit triggers nic_reset as the
+  /// reaching kScrubStrikeLimit (reliability.cpp) triggers nic_reset as the
   /// last-resort repair.
   std::uint32_t scrub_strikes = 0;
 };
@@ -59,7 +59,7 @@ struct RxChannel {
   /// Consecutive stale-generation drops since the last accepted packet or
   /// generation adoption. A corrupted receiver generation that ran *ahead* of
   /// the sender would stale-drop everything for up to 2^15 sender restarts;
-  /// after ReliabilityConfig::scrub_stale_adopt_threshold consecutive stale
+  /// after kScrubStaleAdoptThreshold (reliability.cpp) consecutive stale
   /// drops with zero acceptances the receiver adopts the incoming generation
   /// instead (wraparound-safe convergence, docs/CHAOS.md).
   std::uint32_t stale_run = 0;

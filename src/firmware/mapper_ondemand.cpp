@@ -386,25 +386,16 @@ void OnDemandMapper::on_probe_packet(Packet pkt) {
       inject_probe(std::move(rep));
       return;
     }
-    case PacketType::kProbeSwitch: {
+    case PacketType::kProbeSwitch:
       // A bounce probe only means something to its own sender.
       if (pkt.hdr.src != nic_.self()) return;
-      auto it = inflight_.find(pkt.hdr.user.w0);
-      if (it == inflight_.end() || it->second->replied) return;
-      it->second->replied = true;
-      it->second->replier = nic_.self();
-      it->second->done.fire(sched);
+      replies_.deliver(sched, pkt.hdr.user.w0, nic_.self());
       return;
-    }
-    case PacketType::kProbeReply: {
+    case PacketType::kProbeReply:
       ++stats_.probe_replies_rx;
-      auto it = inflight_.find(pkt.hdr.user.w0);
-      if (it == inflight_.end() || it->second->replied) return;
-      it->second->replied = true;
-      it->second->replier = HostId{static_cast<std::uint32_t>(pkt.hdr.user.w1)};
-      it->second->done.fire(sched);
+      replies_.deliver(sched, pkt.hdr.user.w0,
+                       HostId{static_cast<std::uint32_t>(pkt.hdr.user.w1)});
       return;
-    }
     default:
       return;
   }
@@ -417,15 +408,14 @@ sim::Task<bool> OnDemandMapper::probe_and_wait_impl(PacketType type,
                                                     HostId* replier) {
   auto& sched = nic_.sched();
   for (int attempt = 0; attempt <= cfg_.probe_retries; ++attempt) {
-    ProbeWait w;
-    w.nonce = next_nonce_++;
-    inflight_[w.nonce] = &w;
+    const std::uint64_t nonce = next_nonce_++;
+    decltype(replies_)::Slot reply(replies_, nonce);
 
     Packet pkt;
     pkt.hdr.type = type;
     pkt.hdr.src = nic_.self();
     pkt.hdr.route = route;
-    pkt.hdr.user.w0 = w.nonce;
+    pkt.hdr.user.w0 = nonce;
     if (type == PacketType::kProbeHost) {
       ++stats_.host_probes_tx;
     } else {
@@ -433,17 +423,13 @@ sim::Task<bool> OnDemandMapper::probe_and_wait_impl(PacketType type,
     }
     inject_probe(std::move(pkt));
 
-    const std::uint64_t nonce = w.nonce;
-    sched.after(cfg_.probe_timeout, [this, nonce, &sched] {
-      auto it = inflight_.find(nonce);
-      if (it != inflight_.end() && !it->second->replied) {
-        it->second->done.fire(sched);
-      }
-    });
-    co_await w.done.wait(sched);
-    inflight_.erase(w.nonce);
-    if (w.replied) {
-      if (replier != nullptr) *replier = w.replier;
+    // Left to expire even when the reply comes first: cancelling it would
+    // change when Scheduler::run() drains.
+    sched.after(cfg_.probe_timeout,
+                [this, nonce, &sched] { replies_.wake(sched, nonce); });
+    co_await reply.wait(sched);
+    if (reply.answered()) {
+      if (replier != nullptr) *replier = reply.reply();
       co_return true;
     }
     ++stats_.probe_timeouts;

@@ -287,14 +287,6 @@ class OnDemandMapper final : public MapperIface {
     std::vector<RouteCallback> cbs;
   };
 
-  /// One probe in flight; replies are matched by nonce.
-  struct ProbeWait {
-    std::uint64_t nonce = 0;
-    bool replied = false;
-    net::HostId replier;
-    sim::Trigger done;
-  };
-
   /// Drains the request queue, one BFS at a time (FIFO).
   sim::Process drive();
 
@@ -342,8 +334,9 @@ class OnDemandMapper final : public MapperIface {
   /// Destinations with a replenish probe in flight (suppress duplicates).
   std::unordered_map<net::HostId, bool> replenishing_;
 
-  /// Nonce -> in-flight probe bookkeeping.
-  std::unordered_map<std::uint64_t, ProbeWait*> inflight_;
+  /// Probes in flight, by nonce: the host that answered (ourselves for a
+  /// switch probe that bounced home).
+  sim::Replies<std::uint64_t, net::HostId> replies_;
   std::uint64_t next_nonce_ = 1;
 
   /// Cached: port of our first-hop switch we attach to (rediscovered when a

@@ -10,6 +10,26 @@ using net::HostId;
 using net::Packet;
 using net::PacketType;
 
+namespace {
+// Self-stabilization scrubber (Dolev et al., docs/CHAOS.md).
+/// Run a state sanity pass over every channel each kScrubEvery
+/// retransmission-timer fires. The pass checks bounded-capacity invariants
+/// (queue sequence numbers strictly consecutive, queue generation uniform,
+/// next_seq anchored at back()+1 and never 0) and repairs violations with a
+/// forced generation restart (the §4.2 renumber-and-resend machinery).
+constexpr std::uint32_t kScrubEvery = 4;
+/// Receiver-side generation wraparound handling: after this many
+/// consecutive stale-generation drops with no accepted packet, adopt the
+/// incoming packet's generation (a corrupted local generation running
+/// "ahead" of the sender is otherwise indistinguishable from stale wire
+/// traffic and would deadlock the channel for up to 2^15 restarts).
+constexpr std::uint32_t kScrubStaleAdoptThreshold = 64;
+/// After this many consecutive dirty scrub passes on one channel the
+/// scrubber concludes local repair is not converging and escalates to
+/// nic_reset (last resort).
+constexpr std::uint32_t kScrubStrikeLimit = 3;
+}  // namespace
+
 ReliableFirmware::ReliableFirmware(nic::Nic& nic, ReliabilityConfig cfg)
     : nic_(nic),
       cfg_(cfg),
@@ -306,8 +326,7 @@ void ReliableFirmware::handle_data(Packet pkt) {
       rxch.generation = pkt.hdr.generation;
       rxch.expected_seq = 1;
       rxch.pending_unacked = 0;
-    } else if (cfg_.scrub_stale_adopt_threshold != 0 &&
-               ++rxch.stale_run >= cfg_.scrub_stale_adopt_threshold) {
+    } else if (++rxch.stale_run >= kScrubStaleAdoptThreshold) {
       // Generation wraparound handling (self-stabilization, docs/CHAOS.md):
       // a long unbroken run of "stale" traffic with zero acceptances means
       // OUR generation is the corrupt one — a real stale burst is finite
@@ -481,7 +500,7 @@ void ReliableFirmware::on_timer() {
     // timer scan so it shares the control processor's serialization — the
     // pass never races packet processing, exactly like the real firmware's
     // single control loop.
-    if (cfg_.scrub_every != 0 && ++scrub_countdown_ >= cfg_.scrub_every) {
+    if (++scrub_countdown_ >= kScrubEvery) {
       scrub_countdown_ = 0;
       scrub_pass();
     }
@@ -761,8 +780,7 @@ bool ReliableFirmware::repair_tx(HostId h, TxChannel& ch) {
            static_cast<std::uint32_t>(ch.retrans_queue.size()));
   publish(FwEvent{FwEvent::Kind::kScrubRepair, nic_.self(), h, ch.generation,
                   false, static_cast<std::uint32_t>(ch.retrans_queue.size())});
-  if (cfg_.scrub_strike_limit != 0 &&
-      ch.scrub_strikes >= cfg_.scrub_strike_limit) {
+  if (ch.scrub_strikes >= kScrubStrikeLimit) {
     // Local repair is not converging (state is being re-corrupted faster
     // than the renumber machinery stabilizes it): last resort is a full
     // firmware restart, which rebuilds every channel through §4.2 remapping.

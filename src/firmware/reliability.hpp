@@ -68,25 +68,6 @@ struct ReliabilityConfig {
   /// attributes Figure 8's q128 collapse to the absence of selective
   /// retransmission, which this knob lets you quantify.
   std::uint32_t retransmit_window = 0;
-  /// Self-stabilization scrubber (Dolev et al., docs/CHAOS.md): run a state
-  /// sanity pass over every channel each `scrub_every` retransmission-timer
-  /// fires (0 disables periodic scrubbing; the always-on per-packet guards
-  /// remain). The pass checks bounded-capacity invariants — queue sequence
-  /// numbers strictly consecutive, queue generation uniform, next_seq
-  /// anchored at back()+1 and never 0 — and repairs violations with a forced
-  /// generation restart (the §4.2 renumber-and-resend machinery).
-  std::uint32_t scrub_every = 4;
-  /// Receiver-side generation wraparound handling: after this many
-  /// consecutive stale-generation drops with no accepted packet, adopt the
-  /// incoming packet's generation (a corrupted local generation running
-  /// "ahead" of the sender is otherwise indistinguishable from stale wire
-  /// traffic and would deadlock the channel for up to 2^15 restarts).
-  /// 0 disables adoption.
-  std::uint32_t scrub_stale_adopt_threshold = 64;
-  /// After this many consecutive dirty scrub passes on one channel the
-  /// scrubber concludes local repair is not converging and escalates to
-  /// nic_reset (last resort; 0 = never escalate).
-  std::uint32_t scrub_strike_limit = 3;
 };
 
 struct ReliabilityStats {
@@ -230,7 +211,7 @@ class ReliableFirmware final : public nic::FirmwareIface {
   void restart_generation(net::HostId h, TxChannel& ch,
                           const net::Route& route);
   void drop_pending(net::HostId h, TxChannel& ch);
-  /// One scrub pass over every channel, run every scrub_every timer fires.
+  /// One scrub pass over every channel, run every kScrubEvery timer fires.
   /// Repairs are published as kScrubRepair events and counted in scrub_*
   /// stats.
   void scrub_pass();

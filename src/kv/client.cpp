@@ -1,10 +1,17 @@
 #include "kv/client.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
+#include "kv/backoff.hpp"
+
 namespace sanfault::kv {
+
+namespace {
+constexpr int kMaxAttempts = 12;
+/// Consecutive timeouts before switching to the shard backup.
+constexpr int kFailoverAfter = 2;
+}  // namespace
 
 KvClientHost::KvClientHost(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
                            const ShardMap& map)
@@ -43,24 +50,23 @@ sim::Process KvClientHost::pump() {
       ++stats_.bad_msgs;
       continue;
     }
-    auto it = pending_.find(rep->id.packed());
-    if (it == pending_.end()) {
-      ++stats_.stale_replies;  // the call already gave up
-      continue;
+    using Delivery = decltype(replies_)::Delivery;
+    const std::uint64_t id = rep->id.packed();
+    switch (replies_.deliver(sched_, id, std::move(*rep))) {
+      case Delivery::kAccepted:
+        break;
+      case Delivery::kUnknown:
+        ++stats_.stale_replies;  // the call already gave up
+        break;
+      case Delivery::kRepeat:
+        ++stats_.dup_replies;  // retry answered twice; first one won
+        break;
     }
-    if (it->second->replied) {
-      ++stats_.dup_replies;  // retry answered twice; first one won
-      continue;
-    }
-    it->second->replied = true;
-    it->second->reply = std::move(*rep);
-    it->second->done.fire(sched_);
   }
 }
 
 sim::Task<Outcome> KvClientHost::call(RequestId id, Op op, std::uint64_t key,
-                                      std::vector<std::uint8_t> value,
-                                      const KvRetryPolicy& policy) {
+                                      std::vector<std::uint8_t> value) {
   ++stats_.calls;
   Outcome o;
   o.id = id;
@@ -78,12 +84,11 @@ sim::Task<Outcome> KvClientHost::call(RequestId id, Op op, std::uint64_t key,
   net::HostId target = map_.primary(shard);
   const net::HostId backup = map_.backup(shard);
 
-  PendingCall pc;
-  pending_[id.packed()] = &pc;
-  sim::Duration timeout = policy.base_timeout;
+  decltype(replies_)::Slot reply(replies_, id.packed());
+  sim::Duration timeout = kFirstTimeout;
   int consecutive_timeouts = 0;
 
-  while (!pc.replied && o.attempts < policy.max_attempts) {
+  while (!reply.answered() && o.attempts < kMaxAttempts) {
     if (dead_ && target != backup && dead_(target)) {
       // Membership already confirmed the target dead — skip straight to the
       // backup rather than discovering the corpse one timeout at a time.
@@ -95,24 +100,23 @@ sim::Task<Outcome> KvClientHost::call(RequestId id, Op op, std::uint64_t key,
     ++o.attempts;
     ++stats_.posts;
     co_await msgs_.post(target, wire);
-    if (pc.replied) break;  // landed while the post was being accepted
-    co_await pc.done.wait_for(sched_, timeout);
-    if (pc.replied) break;
+    if (reply.answered()) break;  // landed while the post was being accepted
+    co_await reply.wait_for(sched_, timeout);
+    if (reply.answered()) break;
 
     ++stats_.timeouts;
-    if (++consecutive_timeouts == policy.failover_after && target != backup) {
+    if (++consecutive_timeouts == kFailoverAfter && target != backup) {
       target = backup;
       ++o.failovers;
       ++stats_.failovers;
     }
-    timeout = std::min(timeout * 2, policy.max_timeout);
+    timeout = next_timeout(timeout);
   }
-  pending_.erase(id.packed());
 
   o.completed_at = sched_.now();
-  if (pc.replied) {
-    o.status = pc.reply.status;
-    o.value = std::move(pc.reply.value);
+  if (reply.answered()) {
+    o.status = reply.reply().status;
+    o.value = std::move(reply.reply().value);
   } else {
     o.status = Status::kTimeout;
   }

@@ -5,11 +5,11 @@
 // implements the full client protocol:
 //
 //  * route by key through the shared ShardMap to the shard primary;
-//  * arm a timeout per attempt; retry with exponential backoff on expiry
-//    (the request id never changes, so server-side dedup makes the retries
-//    harmless);
-//  * after `failover_after` consecutive timeouts, fail over to the shard's
-//    backup — the situation the paper's permanent-failure machinery creates:
+//  * arm a timeout per attempt; retry on the KV backoff (kv/backoff.hpp)
+//    on expiry, up to 12 attempts (the request id never changes, so
+//    server-side dedup makes the retries harmless);
+//  * after two consecutive timeouts, fail over to the shard's backup —
+//    the situation the paper's permanent-failure machinery creates:
 //    the path died, the firmware declared it after fail_threshold and bumped
 //    the generation, and until re-mapping completes the primary is
 //    unreachable. The backup serves reads from its replica and proxies
@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "kv/shard_map.hpp"
@@ -32,14 +31,6 @@
 #include "vmmc/rpc.hpp"
 
 namespace sanfault::kv {
-
-struct KvRetryPolicy {
-  sim::Duration base_timeout = sim::milliseconds(3);
-  sim::Duration max_timeout = sim::milliseconds(50);
-  int max_attempts = 12;
-  /// Consecutive timeouts before switching to the shard backup.
-  int failover_after = 2;
-};
 
 /// Result of one logical request, after all retries.
 struct Outcome {
@@ -83,33 +74,26 @@ class KvClientHost {
   /// Optional membership oracle: returns true when this node's local
   /// membership view has confirmed `h` dead. call() consults it before every
   /// attempt and fails over to the shard backup immediately instead of
-  /// burning `failover_after` timeouts against a corpse. Kept as a plain
-  /// callback so kv stays ignorant of the membership layer's types.
+  /// burning timeouts against a corpse. Kept as a plain callback so kv
+  /// stays ignorant of the membership layer's types.
   using DeadHook = std::function<bool(net::HostId)>;
   void set_dead_hook(DeadHook dead) { dead_ = std::move(dead); }
 
   /// Issue one request on behalf of logical client `id.client`. The caller
   /// owns id uniqueness (the traffic engine assigns per-client sequences).
   sim::Task<Outcome> call(RequestId id, Op op, std::uint64_t key,
-                          std::vector<std::uint8_t> value,
-                          const KvRetryPolicy& policy);
+                          std::vector<std::uint8_t> value);
 
   [[nodiscard]] net::HostId host() const { return msgs_.host(); }
   [[nodiscard]] const KvClientStats& stats() const { return stats_; }
 
  private:
-  struct PendingCall {
-    sim::Trigger done;
-    bool replied = false;
-    Reply reply;
-  };
-
   sim::Process pump();
 
   sim::Scheduler& sched_;
   vmmc::MsgEndpoint& msgs_;
   const ShardMap& map_;
-  std::unordered_map<std::uint64_t, PendingCall*> pending_;
+  sim::Replies<std::uint64_t, Reply> replies_;  // by RequestId::packed
   DeadHook dead_;
   KvClientStats stats_;
   obs::Histogram* call_latency_ = nullptr;  // committed calls only

@@ -3,7 +3,17 @@
 #include <algorithm>
 #include <utility>
 
+#include "kv/backoff.hpp"
+
 namespace sanfault::kv {
+
+namespace {
+constexpr int kRpcMaxAttempts = 24;
+/// A stripe that cannot be repaired yet (survivors unreachable) re-queues
+/// after kRequeueDelay, up to this many rounds, then counts as abandoned.
+constexpr int kStripeMaxRounds = 8;
+constexpr sim::Duration kRequeueDelay = sim::milliseconds(5);
+}  // namespace
 
 RepairMachine::RepairMachine(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
                              StripedStore& store, const ec::StripeMap& map,
@@ -56,34 +66,12 @@ void RepairMachine::start() {
 
 bool RepairMachine::handle(const vmmc::Msg& m) {
   const MsgType t = peek_type(m.bytes);
-  if (t == MsgType::kUnitReply) {
-    auto rep = decode<UnitReply>(m.bytes);
-    if (!rep) return true;
-    auto it = pending_.find(rep->id.packed());
-    if (it == pending_.end() || it->second->replied ||
-        it->second->unit != rep->unit) {
-      return true;  // stale fetch reply
-    }
-    it->second->replied = true;
-    it->second->status = rep->status;
-    it->second->reply = std::move(*rep);
-    it->second->done.fire(sched_);
-    return true;
+  if (t != MsgType::kUnitAck && t != MsgType::kUnitReply) return false;
+  // Malformed, stale and duplicate answers are all dropped uncounted.
+  if (auto rep = decode_unit_reply(m.bytes)) {
+    replies_.deliver(sched_, {rep->id.packed(), rep->unit}, std::move(*rep));
   }
-  if (t == MsgType::kUnitAck) {
-    auto a = decode<UnitAck>(m.bytes);
-    if (!a) return true;
-    auto it = pending_.find(a->id.packed());
-    if (it == pending_.end() || it->second->replied ||
-        it->second->unit != a->unit) {
-      return true;  // stale spare-write ack
-    }
-    it->second->replied = true;
-    it->second->status = a->status;
-    it->second->done.fire(sched_);
-    return true;
-  }
-  return false;
+  return true;
 }
 
 void RepairMachine::note(std::string line) {
@@ -150,7 +138,7 @@ sim::Process RepairMachine::worker() {
       ++stats_.stripes_repaired;
       stripe_latency_->record(sched_.now() - t0);
       note("repaired key=" + std::to_string(job.key));
-    } else if (job.round + 1 < cfg_.stripe_max_rounds) {
+    } else if (job.round + 1 < kStripeMaxRounds) {
       Job retry = job;
       ++retry.round;
       requeue_later(retry);
@@ -164,7 +152,7 @@ sim::Process RepairMachine::worker() {
 
 sim::Process RepairMachine::requeue_later(Job job) {
   ++requeues_;
-  co_await sim::DelayFor{sched_, cfg_.requeue_delay};
+  co_await sim::DelayFor{sched_, kRequeueDelay};
   --requeues_;
   queue_.push_back(job);
   queue_depth_->set(static_cast<std::int64_t>(queue_.size()));
@@ -264,42 +252,38 @@ sim::Task<bool> RepairMachine::fetch_remote(std::uint64_t key,
   g.reply_to = host().v;
   const auto wire = encode(g);
 
-  PendingRpc pr;
-  pr.unit = unit;
-  pending_[g.id.packed()] = &pr;
-  sim::Duration timeout = cfg_.rpc_timeout;
-  for (int attempt = 0; attempt < cfg_.rpc_max_attempts && !pr.replied;
+  UnitReplies::Slot reply(replies_, {g.id.packed(), unit});
+  sim::Duration timeout = kFirstTimeout;
+  for (int attempt = 0; attempt < kRpcMaxAttempts && !reply.answered();
        ++attempt) {
     if (dead_ && dead_(from)) break;  // donor died mid-repair
     if (attempt > 0) ++stats_.fetch_retries;
     co_await msgs_.post(from, wire);
-    if (pr.replied) break;
-    co_await pr.done.wait_for(sched_, timeout);
-    timeout = std::min(timeout * 2, cfg_.rpc_timeout_cap);
+    if (reply.answered()) break;
+    co_await reply.wait_for(sched_, timeout);
+    timeout = next_timeout(timeout);
   }
-  pending_.erase(g.id.packed());
-  if (!pr.replied || pr.status != Status::kOk) co_return false;
-  *out = std::move(pr.reply);
+  if (!reply.answered() || reply.reply().status != Status::kOk) {
+    co_return false;
+  }
+  *out = std::move(reply.reply());
   co_return true;
 }
 
 sim::Task<bool> RepairMachine::write_unit(UnitPut put, net::HostId to) {
-  PendingRpc pr;
-  pr.unit = put.unit;
-  pending_[put.id.packed()] = &pr;
+  UnitReplies::Slot ack(replies_, {put.id.packed(), put.unit});
   const auto wire = encode(put);
-  sim::Duration timeout = cfg_.rpc_timeout;
-  for (int attempt = 0; attempt < cfg_.rpc_max_attempts && !pr.replied;
+  sim::Duration timeout = kFirstTimeout;
+  for (int attempt = 0; attempt < kRpcMaxAttempts && !ack.answered();
        ++attempt) {
     if (dead_ && dead_(to)) break;  // spare died; placement will re-home
     if (attempt > 0) ++stats_.put_retries;
     co_await msgs_.post(to, wire);
-    if (pr.replied) break;
-    co_await pr.done.wait_for(sched_, timeout);
-    timeout = std::min(timeout * 2, cfg_.rpc_timeout_cap);
+    if (ack.answered()) break;
+    co_await ack.wait_for(sched_, timeout);
+    timeout = next_timeout(timeout);
   }
-  pending_.erase(put.id.packed());
-  co_return pr.replied && pr.status == Status::kOk;
+  co_return ack.answered() && ack.reply().status == Status::kOk;
 }
 
 void RepairMachine::refill() {

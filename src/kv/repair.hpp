@@ -51,13 +51,6 @@ struct RepairConfig {
   /// 0 = unthrottled.
   std::uint64_t bandwidth_bytes_per_sec = 64ull * 1024 * 1024;
   std::uint64_t burst_bytes = 64ull * 1024;
-  sim::Duration rpc_timeout = sim::milliseconds(3);
-  sim::Duration rpc_timeout_cap = sim::milliseconds(50);
-  int rpc_max_attempts = 24;
-  /// A stripe that cannot be repaired yet (survivors unreachable) re-queues
-  /// with a delay, up to this many rounds, then counts as abandoned.
-  int stripe_max_rounds = 8;
-  sim::Duration requeue_delay = sim::milliseconds(5);
   /// Record a per-event text log (determinism tests byte-compare it).
   bool log_events = false;
 };
@@ -112,14 +105,6 @@ class RepairMachine {
     net::HostId dead;
     int round = 0;
   };
-  struct PendingRpc {
-    sim::Trigger done;
-    std::uint8_t unit = 0;  // expected unit; mismatched acks are stale
-    bool replied = false;
-    Status status = Status::kTimeout;
-    UnitReply reply;
-  };
-
   bool handle(const vmmc::Msg& m);
   sim::Process worker();
   /// One repair attempt for one stripe; false = retryable failure.
@@ -148,7 +133,7 @@ class RepairMachine {
   bool inflight_ = false;
   int requeues_ = 0;  // jobs sleeping before re-entering the queue
   std::uint64_t rpc_seq_ = 0;
-  std::unordered_map<std::uint64_t, PendingRpc*> pending_;
+  UnitReplies replies_;  // fetch replies and spare-write acks
   // Token bucket; signed so a burst-capped take may drive it into debt.
   std::int64_t tokens_ = 0;
   sim::Time last_refill_ = 0;

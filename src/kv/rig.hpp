@@ -36,7 +36,6 @@ struct KvRigConfig {
   /// Per-sender ring partition in every host's message endpoint; one
   /// message (request incl. value) must fit.
   std::size_t ring_per_peer = 64 * 1024;
-  KvServerConfig server;
   /// Cluster knobs; num_hosts is overwritten with servers + client hosts.
   harness::ClusterConfig cluster;
 
@@ -61,7 +60,6 @@ struct KvRigConfig {
   /// `membership` on; without it everything is simply presumed live.
   bool striped = false;
   ec::StripeMapConfig stripe;
-  StripedClientConfig striped_client;
   RepairConfig repair;
 };
 
@@ -89,8 +87,7 @@ class KvRig {
           c.sched, *eps.back(), cfg_.ring_per_peer, /*max_peers=*/n));
     }
     for (std::size_t i = 0; i < cfg_.num_servers; ++i) {
-      servers.push_back(
-          std::make_unique<KvServer>(c.sched, *msgs[i], *map, cfg_.server));
+      servers.push_back(std::make_unique<KvServer>(c.sched, *msgs[i], *map));
     }
     for (std::size_t i = 0; i < cfg_.num_client_hosts; ++i) {
       clients.push_back(std::make_unique<KvClientHost>(
@@ -116,8 +113,7 @@ class KvRig {
       }
       for (std::size_t i = 0; i < cfg_.num_client_hosts; ++i) {
         striped_clients.push_back(std::make_unique<StripedClient>(
-            c.sched, *msgs[cfg_.num_servers + i], *stripe_map, *codec,
-            cfg_.striped_client));
+            c.sched, *msgs[cfg_.num_servers + i], *stripe_map, *codec));
       }
     }
 

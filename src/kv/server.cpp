@@ -1,14 +1,20 @@
 #include "kv/server.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
+#include "kv/backoff.hpp"
+
 namespace sanfault::kv {
 
+namespace {
+/// Replication is persistent (the fabric heals); this is a runaway guard.
+constexpr int kReplMaxAttempts = 64;
+}  // namespace
+
 KvServer::KvServer(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
-                   const ShardMap& map, KvServerConfig cfg)
-    : sched_(sched), msgs_(msgs), map_(map), cfg_(cfg) {
+                   const ShardMap& map)
+    : sched_(sched), msgs_(msgs), map_(map) {
   obs::Registry& reg = obs::Registry::of(sched_);
   const std::string node = "{node=" + std::to_string(msgs_.host().v) + "}";
   reg.add_collector(this, [this, &reg, node] {
@@ -155,15 +161,15 @@ sim::Process KvServer::handle_write(Request q) {
   PendingRepl pr;
   pr.q = std::move(q);
   repl_waiting_[backup][rep.repl_seq] = &pr;
-  sim::Duration timeout = cfg_.repl_timeout;
-  for (int attempt = 0; attempt < cfg_.repl_max_attempts && !pr.applied;
+  sim::Duration timeout = kFirstTimeout;
+  for (int attempt = 0; attempt < kReplMaxAttempts && !pr.applied;
        ++attempt) {
     if (attempt > 0) ++stats_.repl_retries;
     ++stats_.replicates_tx;
     co_await msgs_.post(backup, wire);
     if (pr.applied) break;
     co_await pr.done.wait_for(sched_, timeout);
-    timeout = std::min<sim::Duration>(timeout * 2, cfg_.repl_timeout_cap);
+    timeout = next_timeout(timeout);
   }
 
   if (!pr.applied) {

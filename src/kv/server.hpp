@@ -39,14 +39,6 @@
 
 namespace sanfault::kv {
 
-struct KvServerConfig {
-  /// First replication-ack timeout; doubles per attempt up to the cap.
-  sim::Duration repl_timeout = sim::milliseconds(3);
-  sim::Duration repl_timeout_cap = sim::milliseconds(50);
-  /// Replication is persistent (the fabric heals); this is a runaway guard.
-  int repl_max_attempts = 64;
-};
-
 struct KvServerStats {
   std::uint64_t gets = 0;
   std::uint64_t puts = 0;
@@ -60,14 +52,13 @@ struct KvServerStats {
   std::uint64_t replicates_rx = 0;
   std::uint64_t dup_replicates = 0;
   std::uint64_t repl_retries = 0;
-  std::uint64_t repl_failures = 0;     // gave up after repl_max_attempts
+  std::uint64_t repl_failures = 0;     // replication's runaway guard tripped
   std::uint64_t bad_msgs = 0;
 };
 
 class KvServer {
  public:
-  KvServer(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs, const ShardMap& map,
-           KvServerConfig cfg = {});
+  KvServer(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs, const ShardMap& map);
   ~KvServer();
 
   /// Spawn the serve loop. Call once, after the rig connected the mesh.
@@ -137,7 +128,6 @@ class KvServer {
   sim::Scheduler& sched_;
   vmmc::MsgEndpoint& msgs_;
   const ShardMap& map_;
-  KvServerConfig cfg_;
 
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> store_;
   std::unordered_map<std::uint64_t, DedupEntry> dedup_;        // as primary

@@ -10,8 +10,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -36,13 +36,19 @@ class ShardMap {
   /// pod-level fault can hold both replicas of any shard. Falls back to the
   /// classic next-distinct-server rule when every server shares the
   /// primary's pod (degenerate fabrics). Empty = placement is pod-blind.
+  /// Throws std::invalid_argument for fewer than two servers or pods that
+  /// do not parallel the servers.
   ShardMap(std::vector<net::HostId> servers, std::size_t num_shards = 32,
            std::size_t vnodes = 16, std::uint64_t seed = 0x5a4dull,
            std::vector<std::uint32_t> server_pods = {})
       : servers_(std::move(servers)), num_shards_(num_shards) {
-    assert(servers_.size() >= 2 && "replication needs at least two servers");
-    assert((server_pods.empty() || server_pods.size() == servers_.size()) &&
-           "server_pods must parallel servers");
+    if (servers_.size() < 2) {
+      throw std::invalid_argument(
+          "ShardMap: replication needs at least two servers");
+    }
+    if (!server_pods.empty() && server_pods.size() != servers_.size()) {
+      throw std::invalid_argument("ShardMap: server_pods must parallel servers");
+    }
     std::vector<std::pair<std::uint64_t, std::size_t>> ring;
     ring.reserve(servers_.size() * vnodes);
     for (std::size_t s = 0; s < servers_.size(); ++s) {

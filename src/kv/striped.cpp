@@ -5,7 +5,19 @@
 #include <string>
 #include <utility>
 
+#include "kv/backoff.hpp"
+
 namespace sanfault::kv {
+
+namespace {
+/// Per unit-write worker; writes are persistent like replication.
+constexpr int kPutMaxAttempts = 12;
+/// Per unit-fetch budget inside one read round (reads give up on a unit
+/// quickly; the degraded path covers for it).
+constexpr int kGetAttempts = 4;
+/// Full read rounds (fetch data, then parity, reconstruct) before kTimeout.
+constexpr int kGetRounds = 3;
+}  // namespace
 
 // --- StripedStore -----------------------------------------------------------
 
@@ -118,8 +130,8 @@ sim::Process StripedStore::post_to(std::uint32_t to,
 
 StripedClient::StripedClient(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
                              const ec::StripeMap& map,
-                             const ec::RsCodec& codec, StripedClientConfig cfg)
-    : sched_(sched), msgs_(msgs), map_(map), codec_(codec), cfg_(cfg) {
+                             const ec::RsCodec& codec)
+    : sched_(sched), msgs_(msgs), map_(map), codec_(codec) {
   obs::Registry& reg = obs::Registry::of(sched_);
   const std::string node = "{node=" + std::to_string(msgs_.host().v) + "}";
   put_latency_ = &reg.histogram("ec.striped_put_latency_ns" + node, "ns");
@@ -149,53 +161,17 @@ void StripedClient::start() {
 }
 
 bool StripedClient::handle(const vmmc::Msg& m) {
-  switch (peek_type(m.bytes)) {
-    case MsgType::kUnitAck: {
-      auto a = decode<UnitAck>(m.bytes);
-      if (!a) {
-        ++stats_.bad_msgs;
-        return true;
-      }
-      auto it = pending_.find(a->id.packed());
-      if (it == pending_.end()) {
-        ++stats_.stale_replies;
-        return true;
-      }
-      auto uit = it->second.find(a->unit);
-      if (uit == it->second.end() || uit->second->replied) {
-        ++stats_.stale_replies;
-        return true;
-      }
-      uit->second->replied = true;
-      uit->second->status = a->status;
-      uit->second->done.fire(sched_);
-      return true;
-    }
-    case MsgType::kUnitReply: {
-      auto rep = decode<UnitReply>(m.bytes);
-      if (!rep) {
-        ++stats_.bad_msgs;
-        return true;
-      }
-      auto it = pending_.find(rep->id.packed());
-      if (it == pending_.end()) {
-        ++stats_.stale_replies;
-        return true;
-      }
-      auto uit = it->second.find(rep->unit);
-      if (uit == it->second.end() || uit->second->replied) {
-        ++stats_.stale_replies;
-        return true;
-      }
-      uit->second->replied = true;
-      uit->second->status = rep->status;
-      uit->second->reply = std::move(*rep);
-      uit->second->done.fire(sched_);
-      return true;
-    }
-    default:
-      return false;
+  const MsgType t = peek_type(m.bytes);
+  if (t != MsgType::kUnitAck && t != MsgType::kUnitReply) return false;
+  auto rep = decode_unit_reply(m.bytes);
+  if (!rep) {
+    ++stats_.bad_msgs;
+    return true;
   }
+  const UnitReplies::Delivery d = replies_.deliver(
+      sched_, {rep->id.packed(), rep->unit}, std::move(*rep));
+  if (d != UnitReplies::Delivery::kAccepted) ++stats_.stale_replies;
+  return true;
 }
 
 net::HostId StripedClient::holder_of(std::size_t group, std::size_t unit) {
@@ -212,7 +188,6 @@ sim::Task<StripedOutcome> StripedClient::put(RequestId id, std::uint64_t key,
   auto units = codec_.split(value);
   codec_.encode(units);
   const auto object_len = static_cast<std::uint32_t>(value.size());
-  const std::uint64_t packed = id.packed();
 
   sim::WaitGroup wg;
   std::vector<char> oks(codec_.n(), 0);
@@ -225,10 +200,9 @@ sim::Task<StripedOutcome> StripedClient::put(RequestId id, std::uint64_t key,
     p.reply_to = host().v;
     p.value = std::move(units[u]);
     wg.add();
-    put_unit(packed, std::move(p), &oks[u], &wg);
+    put_unit(std::move(p), &oks[u], &wg);
   }
   co_await wg.wait(sched_);
-  pending_.erase(packed);
 
   o.completed_at = sched_.now();
   const bool all =
@@ -243,16 +217,15 @@ sim::Task<StripedOutcome> StripedClient::put(RequestId id, std::uint64_t key,
   co_return o;
 }
 
-sim::Process StripedClient::put_unit(std::uint64_t packed_id, UnitPut put,
-                                     char* ok, sim::WaitGroup* wg) {
-  PendingUnit pu;
-  pending_[packed_id][put.unit] = &pu;
+sim::Process StripedClient::put_unit(UnitPut put, char* ok,
+                                     sim::WaitGroup* wg) {
+  UnitReplies::Slot ack(replies_, {put.id.packed(), put.unit});
   const std::size_t group = map_.group_of(put.key);
   const auto wire = encode(put);
 
-  sim::Duration timeout = cfg_.base_timeout;
+  sim::Duration timeout = kFirstTimeout;
   net::HostId target = holder_of(group, put.unit);
-  for (int attempt = 0; attempt < cfg_.put_max_attempts && !pu.replied;
+  for (int attempt = 0; attempt < kPutMaxAttempts && !ack.answered();
        ++attempt) {
     const net::HostId now = holder_of(group, put.unit);
     if (now != target) {
@@ -262,17 +235,13 @@ sim::Process StripedClient::put_unit(std::uint64_t packed_id, UnitPut put,
     }
     ++stats_.unit_posts;
     co_await msgs_.post(target, wire);
-    if (pu.replied) break;
-    co_await pu.done.wait_for(sched_, timeout);
-    if (pu.replied) break;
+    if (ack.answered()) break;
+    co_await ack.wait_for(sched_, timeout);
+    if (ack.answered()) break;
     ++stats_.unit_timeouts;
-    timeout = std::min(timeout * 2, cfg_.max_timeout);
+    timeout = next_timeout(timeout);
   }
-  *ok = (pu.replied && pu.status == Status::kOk) ? 1 : 0;
-  // The put() parent erases the whole pending_[packed_id] entry after join;
-  // deregister just this worker in case siblings are still in flight.
-  auto it = pending_.find(packed_id);
-  if (it != pending_.end()) it->second.erase(put.unit);
+  *ok = (ack.answered() && ack.reply().status == Status::kOk) ? 1 : 0;
   wg->done(sched_);
 }
 
@@ -289,7 +258,7 @@ sim::Task<StripedOutcome> StripedClient::get(RequestId id, std::uint64_t key) {
   // with other calls' units.
   const std::uint64_t fetch_client = 0xEC100000ull | host().v;
 
-  for (int round = 0; round < cfg_.get_rounds; ++round) {
+  for (int round = 0; round < kGetRounds; ++round) {
     std::vector<UnitReply> got(n);
     std::vector<bool> present(n, false);
     std::size_t found = 0;
@@ -301,28 +270,30 @@ sim::Task<StripedOutcome> StripedClient::get(RequestId id, std::uint64_t key) {
       const std::size_t lo = phase == 0 ? 0 : k;
       const std::size_t hi = phase == 0 ? k : n;
       sim::WaitGroup wg;
-      std::vector<std::unique_ptr<PendingUnit>> pus;
-      std::vector<std::uint64_t> fetch_ids;
+      // The slots outlive their fetch workers: a reply landing after its
+      // worker gave up, while siblings are still fetching, still counts.
+      std::vector<std::unique_ptr<UnitReplies::Slot>> fetched;
       for (std::size_t u = lo; u < hi; ++u) {
         UnitGet g;
         g.id = RequestId{fetch_client, ++fetch_seq_};
         g.key = key;
         g.unit = static_cast<std::uint8_t>(u);
         g.reply_to = host().v;
-        pus.push_back(std::make_unique<PendingUnit>());
-        fetch_ids.push_back(g.id.packed());
+        fetched.push_back(std::make_unique<UnitReplies::Slot>(
+            replies_, std::pair{g.id.packed(), g.unit}));
         wg.add();
-        fetch_unit(group, std::move(g), pus.back().get(), &wg);
+        fetch_unit(group, std::move(g), fetched.back().get(), &wg);
       }
       co_await wg.wait(sched_);
-      for (std::size_t i = 0; i < pus.size(); ++i) {
-        pending_.erase(fetch_ids[i]);
+      for (std::size_t i = 0; i < fetched.size(); ++i) {
         const std::size_t u = lo + i;
-        if (pus[i]->replied && pus[i]->status == Status::kOk) {
-          got[u] = std::move(pus[i]->reply);
+        if (!fetched[i]->answered()) continue;
+        UnitReply& rep = fetched[i]->reply();
+        if (rep.status == Status::kOk) {
+          got[u] = std::move(rep);
           present[u] = true;
           ++found;
-        } else if (pus[i]->replied && pus[i]->status == Status::kNotFound) {
+        } else if (rep.status == Status::kNotFound) {
           ++not_found;
         }
       }
@@ -371,7 +342,7 @@ sim::Task<StripedOutcome> StripedClient::get(RequestId id, std::uint64_t key) {
       co_return o;
     }
 
-    co_await sim::DelayFor{sched_, cfg_.base_timeout * (1u << round)};
+    co_await sim::DelayFor{sched_, kFirstTimeout * (1u << round)};
   }
 
   o.completed_at = sched_.now();
@@ -381,11 +352,11 @@ sim::Task<StripedOutcome> StripedClient::get(RequestId id, std::uint64_t key) {
 }
 
 sim::Process StripedClient::fetch_unit(std::size_t group, UnitGet get,
-                                       PendingUnit* pu, sim::WaitGroup* wg) {
-  pending_[get.id.packed()][get.unit] = pu;
+                                       UnitReplies::Slot* reply,
+                                       sim::WaitGroup* wg) {
   const auto wire = encode(get);
-  sim::Duration timeout = cfg_.base_timeout;
-  for (int attempt = 0; attempt < cfg_.get_attempts && !pu->replied;
+  sim::Duration timeout = kFirstTimeout;
+  for (int attempt = 0; attempt < kGetAttempts && !reply->answered();
        ++attempt) {
     const net::HostId target = holder_of(group, get.unit);
     if (dead_ && dead_(target)) {
@@ -397,11 +368,11 @@ sim::Process StripedClient::fetch_unit(std::size_t group, UnitGet get,
     }
     ++stats_.unit_posts;
     co_await msgs_.post(target, wire);
-    if (pu->replied) break;
-    co_await pu->done.wait_for(sched_, timeout);
-    if (pu->replied) break;
+    if (reply->answered()) break;
+    co_await reply->wait_for(sched_, timeout);
+    if (reply->answered()) break;
     ++stats_.unit_timeouts;
-    timeout = std::min(timeout * 2, cfg_.max_timeout);
+    timeout = next_timeout(timeout);
   }
   wg->done(sched_);
 }

@@ -17,13 +17,14 @@
 //    stay exactly-once, and answers unit fetches. apply_local() is the
 //    repair machine's loopback for units it re-homes onto its own node.
 //  * StripedClient — client-host side. put()/get() with per-unit retry
-//    workers mirroring KvClientHost's timeout/backoff discipline, plus the
-//    degraded-read state machine.
+//    workers on the KV backoff (kv/backoff.hpp), plus the degraded-read
+//    state machine.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ec/placement.hpp"
@@ -95,17 +96,11 @@ class StripedStore {
   StripedStoreStats stats_;
 };
 
-struct StripedClientConfig {
-  sim::Duration base_timeout = sim::milliseconds(3);
-  sim::Duration max_timeout = sim::milliseconds(50);
-  /// Per unit-write worker; writes are persistent like replication.
-  int put_max_attempts = 12;
-  /// Per unit-fetch attempt budget inside one read round (reads give up on a
-  /// unit quickly — the degraded path covers for it).
-  int get_attempts = 4;
-  /// Full read rounds (fetch data, then parity, reconstruct) before kTimeout.
-  int get_rounds = 3;
-};
+/// Waiters for unit acks and unit replies, keyed by (packed request id,
+/// unit). An ack is delivered as the UnitReply decode_unit_reply() makes
+/// of it.
+using UnitReplies =
+    sim::Replies<std::pair<std::uint64_t, std::uint8_t>, UnitReply>;
 
 /// Result of one striped call, after all retries.
 struct StripedOutcome {
@@ -140,8 +135,7 @@ struct StripedClientStats {
 class StripedClient {
  public:
   StripedClient(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
-                const ec::StripeMap& map, const ec::RsCodec& codec,
-                StripedClientConfig cfg = {});
+                const ec::StripeMap& map, const ec::RsCodec& codec);
   ~StripedClient();
 
   /// Add this client's tap (unit acks and replies) to the endpoint.
@@ -167,31 +161,21 @@ class StripedClient {
   [[nodiscard]] const StripedClientStats& stats() const { return stats_; }
 
  private:
-  struct PendingUnit {
-    sim::Trigger done;
-    bool replied = false;
-    Status status = Status::kTimeout;
-    UnitReply reply;  // fetches only
-  };
-
   bool handle(const vmmc::Msg& m);
   /// Re-resolve the holder of `unit` under the current membership view.
   [[nodiscard]] net::HostId holder_of(std::size_t group, std::size_t unit);
-  sim::Process put_unit(std::uint64_t packed_id, UnitPut put, char* ok,
-                        sim::WaitGroup* wg);
-  sim::Process fetch_unit(std::size_t group, UnitGet get, PendingUnit* pu,
-                          sim::WaitGroup* wg);
+  sim::Process put_unit(UnitPut put, char* ok, sim::WaitGroup* wg);
+  /// Fetch into `reply`, a slot get() opened and reads after the join.
+  sim::Process fetch_unit(std::size_t group, UnitGet get,
+                          UnitReplies::Slot* reply, sim::WaitGroup* wg);
 
   sim::Scheduler& sched_;
   vmmc::MsgEndpoint& msgs_;
   const ec::StripeMap& map_;
   const ec::RsCodec& codec_;
-  StripedClientConfig cfg_;
   DeadHook dead_;
-  // (request id, unit) -> worker, for both put acks and fetch replies; put
-  // workers key on the writer id, fetch workers on the internal fetch id.
-  std::unordered_map<std::uint64_t, std::map<std::uint8_t, PendingUnit*>>
-      pending_;
+  // Put workers key on the writer id, fetch workers on the internal fetch id.
+  UnitReplies replies_;
   std::uint64_t fetch_seq_ = 0;
   StripedClientStats stats_;
   obs::Histogram* put_latency_ = nullptr;

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "vmmc/codec.hpp"
@@ -151,5 +152,16 @@ inline MsgType peek_type(const std::vector<std::uint8_t>& b) {
 
 using vmmc::decode;
 using vmmc::encode;
+
+/// A unit reply, or a unit ack read as the UnitReply carrying its id, key,
+/// unit and status: the one answer type unit waiters match. nullopt when
+/// `b` is malformed or neither message.
+inline std::optional<UnitReply> decode_unit_reply(
+    const std::vector<std::uint8_t>& b) {
+  if (peek_type(b) == MsgType::kUnitReply) return decode<UnitReply>(b);
+  const auto a = decode<UnitAck>(b);
+  if (!a) return std::nullopt;
+  return UnitReply{a->id, a->key, a->unit, a->status, {}, 0, {}};
+}
 
 }  // namespace sanfault::kv

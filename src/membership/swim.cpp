@@ -21,6 +21,11 @@ constexpr std::uint8_t kPingReqByte = 0x23;
 
 constexpr std::uint64_t kGossipTag = 0x5357494dull;  // "SWIM"
 
+/// Most membership updates piggybacked on one gossip message.
+constexpr std::size_t kMaxPiggyback = 8;
+/// Each update is re-gossiped kDisseminationMult * ceil(log2(n)) times.
+constexpr std::uint32_t kDisseminationMult = 3;
+
 std::uint32_t ceil_log2(std::size_t n) {
   std::uint32_t b = 0;
   while ((std::size_t{1} << b) < n) ++b;
@@ -29,15 +34,14 @@ std::uint32_t ceil_log2(std::size_t n) {
 
 }  // namespace
 
-std::uint32_t SwimAgent::dissemination_rounds(const SwimConfig& cfg,
-                                              std::size_t n) {
-  return cfg.dissemination_mult * std::max<std::uint32_t>(1, ceil_log2(std::max<std::size_t>(n, 2)));
+std::uint32_t SwimAgent::dissemination_rounds(std::size_t n) {
+  return kDisseminationMult * std::max<std::uint32_t>(1, ceil_log2(std::max<std::size_t>(n, 2)));
 }
 
 sim::Duration SwimAgent::detection_bound(const SwimConfig& cfg, std::size_t n) {
   return cfg.suspect_timeout +
          cfg.protocol_period *
-             static_cast<sim::Duration>(dissemination_rounds(cfg, n));
+             static_cast<sim::Duration>(dissemination_rounds(n));
 }
 
 SwimAgent::SwimAgent(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
@@ -110,7 +114,7 @@ void SwimAgent::logf(const std::string& line) {
 void SwimAgent::enqueue_update(net::HostId h, MemberState st,
                                std::uint32_t inc) {
   gossip_[h.v] = GossipEntry{
-      st, inc, dissemination_rounds(cfg_, members_.size() + 1)};
+      st, inc, dissemination_rounds(members_.size() + 1)};
 }
 
 std::vector<std::uint8_t> SwimAgent::encode_msg(std::uint8_t type,
@@ -136,7 +140,7 @@ std::vector<std::uint8_t> SwimAgent::encode_msg(std::uint8_t type,
     return a.first < b.first;
   });
   for (auto& p : rest) {
-    if (picked.size() >= cfg_.max_piggyback) break;
+    if (picked.size() >= kMaxPiggyback) break;
     picked.push_back(p);
   }
 
@@ -282,23 +286,24 @@ sim::Process SwimAgent::period_loop() {
 
 sim::Process SwimAgent::probe_round(net::HostId target) {
   ++stats_.probe_rounds;
-  ProbeRound rd;
-  const std::uint64_t nonce = next_nonce_++;
-  rounds_[nonce] = &rd;
-
-  ++stats_.pings_tx;
-  post_msg(target, encode_msg(kPingByte, nonce, target, target));
-  co_await sim::DelayFor{sched_, cfg_.probe_timeout};
+  bool acked = false;
+  {
+    const std::uint64_t nonce = next_nonce_++;
+    const decltype(acks_)::Slot ack(acks_, nonce);
+    ++stats_.pings_tx;
+    post_msg(target, encode_msg(kPingByte, nonce, target, target));
+    co_await sim::DelayFor{sched_, cfg_.probe_timeout};
+    acked = ack.answered();
+  }
   // The direct window is over; from here only the indirect phase (its own
   // nonce) can still clear the target. A direct ack limping in later is
   // ignored — the suspicion/refutation machinery is the recovery path for
   // genuinely slow members, and the k-indirect rescue stays observable.
-  rounds_.erase(nonce);
 
-  if (!rd.acked) {
+  if (!acked) {
     ++stats_.probe_timeouts;
     const std::uint64_t inonce = next_nonce_++;
-    rounds_[inonce] = &rd;
+    const decltype(acks_)::Slot ack(acks_, inonce);
     // Indirect probes: ask k members (not self, not the target) to ping the
     // target and relay its ack under our nonce.
     std::vector<net::HostId> cands;
@@ -319,10 +324,10 @@ sim::Process SwimAgent::probe_round(net::HostId target) {
     sim::Duration wait = cfg_.protocol_period - cfg_.probe_timeout;
     wait -= wait / 10;
     if (wait > 0) co_await sim::DelayFor{sched_, wait};
-    rounds_.erase(inonce);
+    acked = ack.answered();
   }
 
-  if (!rd.acked) locally_suspect(target);
+  if (!acked) locally_suspect(target);
 }
 
 void SwimAgent::send_ack(net::HostId to, std::uint64_t nonce) {
@@ -368,9 +373,10 @@ bool SwimAgent::on_msg(const vmmc::Msg& m) {
       break;
     case kAckByte: {
       ++stats_.acks_rx;
-      if (auto it = rounds_.find(nonce); it != rounds_.end()) {
-        it->second->acked = true;
-      } else if (auto rl = relays_.find(nonce); rl != relays_.end()) {
+      if (acks_.deliver(sched_, nonce) != decltype(acks_)::Delivery::kUnknown) {
+        break;  // our own round's ack (a repeat changes nothing)
+      }
+      if (auto rl = relays_.find(nonce); rl != relays_.end()) {
         // Ack for a ping we sent on someone else's behalf: relay it home
         // under the requester's nonce.
         ++stats_.indirect_acks_relayed;

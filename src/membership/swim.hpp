@@ -21,11 +21,11 @@
 //    failover), and dead state gossips out. Dead is terminal — rejoining is
 //    an administrative act, as in DAOS, not a protocol transition.
 //
-// Dissemination is piggybacked: every ping/ack/probe-req carries up to
-// `max_piggyback` membership updates, each retransmitted a budgeted
-// `dissemination_mult * ceil(log2(n))` times, freshest-first. An update
-// about the message's destination is always included, so a suspected member
-// learns of its suspicion on the next probe it receives.
+// Dissemination is piggybacked: every ping/ack/probe-req carries up to 8
+// membership updates, each retransmitted a budgeted 3 * ceil(log2(n))
+// times, freshest-first (kMaxPiggyback and kDisseminationMult in swim.cpp).
+// An update about the message's destination is always included, so a
+// suspected member learns of its suspicion on the next probe it receives.
 //
 // Everything is scheduler-time and seeded-Rng driven: two same-seed runs
 // produce byte-identical event logs (tests/membership_test.cpp compares
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "net/ids.hpp"
+#include "sim/awaitables.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -60,10 +61,6 @@ struct SwimConfig {
   sim::Duration suspect_timeout = sim::milliseconds(3);
   /// Indirect probe fan-out after a direct-ack timeout.
   std::size_t k_indirect = 3;
-  /// Max membership updates piggybacked per gossip message.
-  std::size_t max_piggyback = 8;
-  /// Each update is re-gossiped dissemination_mult * ceil(log2(n)) times.
-  std::uint32_t dissemination_mult = 3;
   /// Artificial delay before this agent acks a ping — models a member whose
   /// host is processing-bound (the indirect-probe rescue scenario in tests).
   sim::Duration ack_delay = 0;
@@ -124,8 +121,7 @@ class SwimAgent {
 
   /// Updates-per-gossip budget: how many times each state change is
   /// re-transmitted before it stops riding outgoing messages.
-  [[nodiscard]] static std::uint32_t dissemination_rounds(
-      const SwimConfig& cfg, std::size_t n);
+  [[nodiscard]] static std::uint32_t dissemination_rounds(std::size_t n);
   /// The detection-latency bound the property tests gate on:
   /// suspect_timeout + protocol_period * dissemination_rounds(n).
   [[nodiscard]] static sim::Duration detection_bound(const SwimConfig& cfg,
@@ -144,10 +140,6 @@ class SwimAgent {
     std::uint32_t inc = 0;
     std::uint32_t sends_left = 0;
   };
-  struct ProbeRound {
-    bool acked = false;
-  };
-
   bool on_msg(const vmmc::Msg& m);
   sim::Process period_loop();
   sim::Process probe_round(net::HostId target);
@@ -160,7 +152,7 @@ class SwimAgent {
   void locally_suspect(net::HostId h);
   void confirm_dead(net::HostId h);
   void enqueue_update(net::HostId h, MemberState st, std::uint32_t inc);
-  /// Pop up to max_piggyback updates (the destination's entry rides first).
+  /// Pop up to kMaxPiggyback updates (the destination's entry rides first).
   std::vector<std::uint8_t> encode_msg(std::uint8_t type, std::uint64_t nonce,
                                        net::HostId target, net::HostId dst);
   void logf(const std::string& line);
@@ -175,7 +167,9 @@ class SwimAgent {
   std::vector<net::HostId> rotation_;
   std::size_t rotation_idx_ = 0;
   std::uint64_t next_nonce_ = 1;
-  std::map<std::uint64_t, ProbeRound*> rounds_;  // nonce -> in-flight round
+  /// Probe rounds' acks, by ping or probe-req nonce. A round reads its slot
+  /// once its window closes; nothing waits on it.
+  sim::Replies<std::uint64_t> acks_;
   struct Relay {
     net::HostId requester;
     std::uint64_t nonce = 0;  // the requester's probe-req nonce

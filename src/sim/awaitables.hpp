@@ -3,6 +3,7 @@
 //   co_await DelayFor{sched, microseconds(5)};   // sleep in simulated time
 //   co_await trigger.wait(sched);                // wait for a one-shot event
 //   co_await trigger.wait_for(sched, timeout);   // ... or until timeout
+//   co_await slot.wait_for(sched, timeout);      // a reply, matched by key
 //   co_await wg.wait(sched);                     // join N processes
 //   T v = co_await chan.pop(sched);              // blocking queue pop
 //
@@ -14,8 +15,11 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
+#include <map>
 #include <optional>
+#include <stdexcept>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -95,6 +99,87 @@ class Trigger {
  private:
   bool fired_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
+};
+
+/// Reply table: matches each reply to the waiter that asked for it, by key
+/// (a request id, a nonce). Over an at-least-once transport a reply can
+/// arrive twice, or after its waiter gave up; the table keeps the first
+/// reply for an open key and says what it did with every other one, so each
+/// caller counts stale and duplicate replies its own way.
+///
+///   Replies<Key, Reply>::Slot slot(table, key);   // open the key
+///   co_await slot.wait_for(sched, timeout);       // first reply or timeout
+///   if (slot.answered()) use(slot.reply());
+///                                                 // ~Slot closes the key
+template <typename Key, typename Reply = std::monostate>
+class Replies {
+ public:
+  enum class Delivery {
+    kAccepted,  // first reply for an open key: kept, its waiter woken
+    kUnknown,   // no slot has the key open (never opened, or closed)
+    kRepeat,    // the slot already holds a reply; this one is dropped
+  };
+
+  /// One waiter's entry. The destructor closes the key, which touches the
+  /// table: a suspended coroutine frame that holds a Slot must be destroyed
+  /// before the object that owns the table.
+  class Slot {
+   public:
+    /// Opens `key`; throws std::logic_error if a slot already has it open.
+    Slot(Replies& table, Key key) : table_(table), key_(std::move(key)) {
+      if (!table_.open_.emplace(key_, this).second) {
+        throw std::logic_error("sim::Replies: key is already open");
+      }
+    }
+    ~Slot() { table_.open_.erase(key_); }
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+    [[nodiscard]] bool answered() const { return reply_.has_value(); }
+    /// The first reply delivered; valid once answered().
+    [[nodiscard]] Reply& reply() { return *reply_; }
+
+    /// Resumes on the first delivery or on wake().
+    [[nodiscard]] auto wait(Scheduler& sched) { return done_.wait(sched); }
+    /// Resumes on the first delivery or after `timeout` (Trigger::wait_for);
+    /// answered() tells which.
+    [[nodiscard]] auto wait_for(Scheduler& sched, Duration timeout) {
+      return done_.wait_for(sched, timeout);
+    }
+
+   private:
+    friend class Replies;
+    Replies& table_;
+    Key key_;
+    Trigger done_;
+    std::optional<Reply> reply_;
+  };
+
+  Replies() = default;
+  Replies(const Replies&) = delete;
+  Replies& operator=(const Replies&) = delete;
+
+  /// Hands `reply` to the slot that has `key` open. A slot nobody waits on
+  /// still keeps it, and no event is scheduled.
+  Delivery deliver(Scheduler& sched, const Key& key, Reply reply = {}) {
+    const auto it = open_.find(key);
+    if (it == open_.end()) return Delivery::kUnknown;
+    Slot& s = *it->second;
+    if (s.reply_) return Delivery::kRepeat;
+    s.reply_.emplace(std::move(reply));
+    s.done_.fire(sched);
+    return Delivery::kAccepted;
+  }
+
+  /// Resumes the waiter of an open, unanswered slot without a reply (a
+  /// timeout the caller schedules itself). Does nothing to any other key.
+  void wake(Scheduler& sched, const Key& key) {
+    const auto it = open_.find(key);
+    if (it != open_.end() && !it->second->reply_) it->second->done_.fire(sched);
+  }
+
+ private:
+  std::map<Key, Slot*> open_;
 };
 
 /// Go-style wait group: add() before spawning, done() when a process

@@ -34,15 +34,13 @@ std::uint64_t Runtime::wait_key(Msg m, std::uint32_t a, std::uint32_t b,
 // --------------------------------------------------------------------------
 
 Runtime::Runtime(harness::Cluster& cluster, SvmConfig cfg, int procs_per_node)
-    : cluster_(cluster), cfg_(cfg) {
-  nodes_.resize(cluster_.size());
+    : cluster_(cluster), cfg_(cfg), nodes_(cluster.size()) {
   int id = 0;
   for (std::size_t n = 0; n < cluster_.size(); ++n) {
     for (int p = 0; p < procs_per_node; ++p) {
       procs_.push_back(std::make_unique<Proc>(*this, id++, n));
     }
   }
-  barrier_waits_.assign(procs_.size(), nullptr);
   setup_endpoints();
 }
 
@@ -180,16 +178,9 @@ sim::Process Runtime::handle_msg(std::size_t node, vmmc::DepositEvent ev) {
     case Msg::kPageData:
     case Msg::kWbAck:
     case Msg::kLockGrant:
-    case Msg::kBarrierRelease: {
-      auto& waits = nodes_[node].waits;
-      auto it = waits.find(wait_key(kind, a, b, proc));
-      if (it != waits.end()) {
-        sim::Trigger* t = it->second;
-        waits.erase(it);
-        t->fire(sched);
-      }
+    case Msg::kBarrierRelease:
+      nodes_[node].waits.deliver(sched, wait_key(kind, a, b, proc));
       break;
-    }
     case Msg::kPageWb: {
       // Canonical data is authoritative already; acknowledge completion.
       co_await send_msg(node, src_node, Msg::kWbAck, a, b, proc, 0);
@@ -216,13 +207,8 @@ sim::Process Runtime::handle_msg(std::size_t node, vmmc::DepositEvent ev) {
         const auto wnode = static_cast<std::size_t>(who >> 16);
         const auto wproc = static_cast<std::uint32_t>(who & 0xFFFF);
         if (wnode == node) {
-          auto& waits = nodes_[node].waits;
-          auto it = waits.find(wait_key(Msg::kLockGrant, a, 0, wproc));
-          if (it != waits.end()) {
-            sim::Trigger* t = it->second;
-            waits.erase(it);
-            t->fire(sched);
-          }
+          nodes_[node].waits.deliver(sched,
+                                     wait_key(Msg::kLockGrant, a, 0, wproc));
         } else {
           co_await send_msg(node, wnode, Msg::kLockGrant, a, 0, wproc, 0);
         }
@@ -254,11 +240,8 @@ sim::Task<void> Runtime::barrier_arrive(int proc_id) {
   for (auto& p : procs_) {
     const auto pid = static_cast<std::uint32_t>(p->id());
     if (p->node() == 0) {
-      if (barrier_waits_[p->id()] != nullptr) {
-        sim::Trigger* t = barrier_waits_[static_cast<std::size_t>(p->id())];
-        barrier_waits_[static_cast<std::size_t>(p->id())] = nullptr;
-        t->fire(sched);
-      }
+      nodes_[0].waits.deliver(sched,
+                              wait_key(Msg::kBarrierRelease, 0, 0, pid));
     } else {
       co_await send_msg(0, p->node(), Msg::kBarrierRelease, 0, 0, pid, 0);
     }
@@ -286,12 +269,11 @@ sim::Task<std::span<std::uint8_t>> Proc::acquire(RegionId r,
   const auto p1 = static_cast<std::uint32_t>(
       len == 0 ? p0 : (offset + len - 1) / pb);
 
-  // Pipelined fetch: post every request, then collect every page.
-  struct Fetch {
-    std::uint32_t page;
-    sim::Trigger done;
-  };
-  std::vector<std::unique_ptr<Fetch>> fetches;
+  // Pipelined fetch: post every request, then collect every page. Each slot
+  // is its own heap cell: a std::deque's blocks moved where glibc places
+  // FFT's 4 MB arrays, and svm-apps' peak RSS with them (+4 MB).
+  std::vector<std::uint32_t> pages;
+  std::vector<std::unique_ptr<Runtime::Waits::Slot>> fetches;
   for (std::uint32_t p = p0; p <= p1 && p < reg.num_pages; ++p) {
     const std::size_t home = rt_.home_of_page(r, p);
     const std::size_t vidx = node_ * reg.num_pages + p;
@@ -300,20 +282,19 @@ sim::Task<std::span<std::uint8_t>> Proc::acquire(RegionId r,
       continue;
     }
     ++rt_.stats_.page_fetches;
-    auto f = std::make_unique<Fetch>();
-    f->page = p;
-    rt_.nodes_[node_].waits[Runtime::wait_key(
-        Runtime::Msg::kPageData, r, p, static_cast<std::uint32_t>(id_))] =
-        &f->done;
-    fetches.push_back(std::move(f));
+    pages.push_back(p);
+    fetches.push_back(std::make_unique<Runtime::Waits::Slot>(
+        rt_.nodes_[node_].waits,
+        Runtime::wait_key(Runtime::Msg::kPageData, r, p,
+                          static_cast<std::uint32_t>(id_))));
     co_await rt_.send_msg(node_, home, Runtime::Msg::kPageReq, r, p,
                           static_cast<std::uint32_t>(id_), 0);
   }
-  for (auto& f : fetches) {
-    co_await f->done.wait(sched);
-    reg.valid[node_ * reg.num_pages + f->page] = true;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    co_await fetches[i]->wait(sched);
+    reg.valid[node_ * reg.num_pages + pages[i]] = true;
   }
-  if (fetches.empty()) {
+  if (pages.empty()) {
     co_await sim::DelayFor{sched, rt_.cfg_.local_op};
   }
   times_.data += sched.now() - t0;
@@ -337,28 +318,24 @@ void Proc::mark_dirty(RegionId r, std::size_t offset, std::size_t len) {
 sim::Task<void> Proc::release() {
   auto& sched = rt_.cluster_.sched;
   const sim::Time t0 = sched.now();
-  struct Wb {
-    sim::Trigger done;
-  };
-  std::vector<std::unique_ptr<Wb>> acks;
+  std::vector<std::unique_ptr<Runtime::Waits::Slot>> acks;
   for (auto& [r, pages] : dirty_) {
     for (std::uint32_t p : pages) {
       const std::size_t home = rt_.home_of_page(r, p);
       if (home == node_) continue;  // writes to home-local pages are free
       ++rt_.stats_.write_backs;
-      auto wb = std::make_unique<Wb>();
-      rt_.nodes_[node_].waits[Runtime::wait_key(
-          Runtime::Msg::kWbAck, r, p, static_cast<std::uint32_t>(id_))] =
-          &wb->done;
-      acks.push_back(std::move(wb));
+      acks.push_back(std::make_unique<Runtime::Waits::Slot>(
+          rt_.nodes_[node_].waits,
+          Runtime::wait_key(Runtime::Msg::kWbAck, r, p,
+                            static_cast<std::uint32_t>(id_))));
       co_await rt_.send_msg(node_, home, Runtime::Msg::kPageWb, r, p,
                             static_cast<std::uint32_t>(id_),
                             rt_.cfg_.page_bytes);
     }
   }
   dirty_.clear();
-  for (auto& wb : acks) {
-    co_await wb->done.wait(sched);
+  for (auto& ack : acks) {
+    co_await ack->wait(sched);
   }
   times_.data += sched.now() - t0;
 }
@@ -367,19 +344,18 @@ sim::Task<void> Proc::barrier() {
   co_await release();
   auto& sched = rt_.cluster_.sched;
   const sim::Time t0 = sched.now();
-  sim::Trigger done;
+  Runtime::Waits::Slot released(
+      rt_.nodes_[node_].waits,
+      Runtime::wait_key(Runtime::Msg::kBarrierRelease, 0, 0,
+                        static_cast<std::uint32_t>(id_)));
   if (node_ == 0) {
-    rt_.barrier_waits_[static_cast<std::size_t>(id_)] = &done;
     co_await sim::DelayFor{sched, rt_.cfg_.local_op};
     co_await rt_.barrier_arrive(id_);
   } else {
-    rt_.nodes_[node_].waits[Runtime::wait_key(
-        Runtime::Msg::kBarrierRelease, 0, 0,
-        static_cast<std::uint32_t>(id_))] = &done;
     co_await rt_.send_msg(node_, 0, Runtime::Msg::kBarrierArrive, 0, 0,
                           static_cast<std::uint32_t>(id_), 0);
   }
-  co_await done.wait(sched);
+  co_await released.wait(sched);
   times_.barrier += sched.now() - t0;
 }
 
@@ -394,23 +370,23 @@ sim::Task<void> Proc::lock(std::uint32_t lock_id) {
     if (!l.held) {
       l.held = true;
     } else {
-      sim::Trigger done;
-      rt_.nodes_[node_].waits[Runtime::wait_key(
-          Runtime::Msg::kLockGrant, lock_id, 0,
-          static_cast<std::uint32_t>(id_))] = &done;
+      Runtime::Waits::Slot grant(
+          rt_.nodes_[node_].waits,
+          Runtime::wait_key(Runtime::Msg::kLockGrant, lock_id, 0,
+                            static_cast<std::uint32_t>(id_)));
       l.queue.push_back((static_cast<std::uint64_t>(node_) << 16) |
                         static_cast<std::uint32_t>(id_));
-      co_await done.wait(sched);
+      co_await grant.wait(sched);
     }
   } else {
     ++rt_.stats_.remote_lock_requests;
-    sim::Trigger done;
-    rt_.nodes_[node_].waits[Runtime::wait_key(
-        Runtime::Msg::kLockGrant, lock_id, 0,
-        static_cast<std::uint32_t>(id_))] = &done;
+    Runtime::Waits::Slot grant(
+        rt_.nodes_[node_].waits,
+        Runtime::wait_key(Runtime::Msg::kLockGrant, lock_id, 0,
+                          static_cast<std::uint32_t>(id_)));
     co_await rt_.send_msg(node_, home, Runtime::Msg::kLockReq, lock_id, 0,
                           static_cast<std::uint32_t>(id_), 0);
-    co_await done.wait(sched);
+    co_await grant.wait(sched);
   }
   times_.lock += sched.now() - t0;
 }
@@ -430,14 +406,9 @@ sim::Task<void> Proc::unlock(std::uint32_t lock_id) {
       const auto wnode = static_cast<std::size_t>(who >> 16);
       const auto wproc = static_cast<std::uint32_t>(who & 0xFFFF);
       if (wnode == node_) {
-        auto& waits = rt_.nodes_[node_].waits;
-        auto it = waits.find(
+        rt_.nodes_[node_].waits.deliver(
+            sched,
             Runtime::wait_key(Runtime::Msg::kLockGrant, lock_id, 0, wproc));
-        if (it != waits.end()) {
-          sim::Trigger* t = it->second;
-          waits.erase(it);
-          t->fire(sched);
-        }
       } else {
         co_await rt_.send_msg(node_, wnode, Runtime::Msg::kLockGrant, lock_id,
                               0, wproc, 0);

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
+#include "sim/awaitables.hpp"
 #include "sim/task.hpp"
 #include "svm/timing.hpp"
 #include "vmmc/endpoint.hpp"
@@ -144,6 +145,10 @@ class Runtime {
     kBarrierRelease,
   };
 
+  /// A node's processors waiting for page data, write-back acks, lock
+  /// grants and barrier releases, by wait_key.
+  using Waits = sim::Replies<std::uint64_t>;
+
   struct NodeState {
     std::unique_ptr<vmmc::Endpoint> ep;
     vmmc::ExportId ctrl = 0;   // small protocol messages
@@ -151,8 +156,7 @@ class Runtime {
     /// Imports of every other node's exports, by node index.
     std::vector<vmmc::Endpoint::Import> ctrl_imp;
     std::vector<vmmc::Endpoint::Import> pages_imp;
-    /// Pending waits keyed by (kind, region, page/lock id, proc).
-    std::map<std::uint64_t, sim::Trigger*> waits;
+    Waits waits;
   };
 
   struct RegionRec {
@@ -196,7 +200,6 @@ class Runtime {
   // Barrier state (master = node 0).
   std::uint32_t barrier_gen_ = 0;
   int barrier_count_ = 0;
-  std::vector<sim::Trigger*> barrier_waits_;  // per proc
 
   int running_ = 0;
   bool setup_done_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace sanfault::traffic {
 
@@ -34,7 +35,9 @@ TrafficEngine::TrafficEngine(sim::Scheduler& sched,
       rng_(cfg.seed),
       keys_(cfg.num_keys, cfg.zipf_theta),
       next_seq_(cfg.num_clients, 0) {
-  assert(!hosts_.empty());
+  if (hosts_.empty()) {
+    throw std::invalid_argument("TrafficEngine: no client hosts");
+  }
 
   obs::Registry& reg = obs::Registry::of(sched_);
   req_latency_ = &reg.histogram("traffic.request_latency_ns", "ns");
@@ -128,7 +131,7 @@ sim::Process TrafficEngine::run_op(std::uint64_t client, kv::RequestId id,
   const bool is_write = op != kv::Op::kGet;
   if (is_write) shadow_.record_issued_write(id, key);
 
-  kv::Outcome o = co_await host.call(id, op, key, std::move(value), cfg_.retry);
+  kv::Outcome o = co_await host.call(id, op, key, std::move(value));
 
   ++stats_.completed;
   stats_.retries += static_cast<std::uint64_t>(std::max(o.attempts - 1, 0));

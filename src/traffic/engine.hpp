@@ -52,7 +52,6 @@ struct TrafficConfig {
   std::size_t value_max = 512;
   std::uint64_t seed = 1;
   sim::Duration window = sim::milliseconds(10);
-  kv::KvRetryPolicy retry;
   bool record_trace = false;
 };
 
@@ -106,6 +105,8 @@ class ZipfSampler {
 
 class TrafficEngine {
  public:
+  /// Logical client c issues through hosts[c % hosts.size()]. Throws
+  /// std::invalid_argument when `hosts` is empty.
   TrafficEngine(sim::Scheduler& sched, std::vector<kv::KvClientHost*> hosts,
                 TrafficConfig cfg);
   ~TrafficEngine();

@@ -79,23 +79,22 @@ sim::Channel<DepositEvent>& Endpoint::notifications(ExportId id) {
 
 sim::Task<std::optional<Endpoint::Import>> Endpoint::import(net::HostId remote,
                                                             ExportId exp) {
-  PendingImport pend;
   const std::uint64_t nonce = next_nonce_++;
-  pending_imports_[nonce] = &pend;
+  decltype(imports_)::Slot grant(imports_, nonce);
 
   nic::SendRequest req;
   req.dst = remote;
   req.user = encode(Kind::kImportReq, exp, true, 0, nonce, 0);
   nic_.host_submit(std::move(req));
 
-  co_await pend.done.wait(sched_);
-  pending_imports_.erase(nonce);
-  if (!pend.granted) {
+  co_await grant.wait(sched_);
+  const std::optional<std::size_t> size = grant.reply();
+  if (!size) {
     ++stats_.imports_denied;
     co_return std::nullopt;
   }
   ++stats_.imports_ok;
-  co_return Import{remote, exp, static_cast<std::size_t>(pend.size)};
+  co_return Import{remote, exp, *size};
 }
 
 sim::Task<void> Endpoint::send(Import imp, std::size_t offset,
@@ -146,14 +145,12 @@ void Endpoint::on_host_rx(net::UserHeader u, net::PayloadRef payload,
       nic_.host_submit(std::move(resp));
       return;
     }
-    case Kind::kImportResp: {
-      const auto it = pending_imports_.find(u.w2);
-      if (it == pending_imports_.end()) return;  // duplicate/stale response
-      it->second->granted = (u.w1 != 0);
-      it->second->size = u.w3;
-      it->second->done.fire(sched_);
+    case Kind::kImportResp:
+      // A duplicate or stale response is dropped.
+      imports_.deliver(sched_, u.w2,
+                       u.w1 != 0 ? std::optional<std::size_t>(u.w3)
+                                 : std::nullopt);
       return;
-    }
     default:
       ++stats_.rejected_rx;
       return;

@@ -104,12 +104,6 @@ class Endpoint {
     std::unique_ptr<sim::Channel<DepositEvent>> notify;
   };
 
-  struct PendingImport {
-    sim::Trigger done;
-    std::uint64_t size = 0;
-    bool granted = false;
-  };
-
   static net::UserHeader encode(Kind kind, ExportId exp, bool last,
                                 std::uint64_t offset, std::uint64_t tag,
                                 std::uint64_t total);
@@ -122,7 +116,8 @@ class Endpoint {
   sim::Scheduler& sched_;
   nic::Nic& nic_;
   std::unordered_map<ExportId, ExportRec> exports_;
-  std::unordered_map<std::uint64_t, PendingImport*> pending_imports_;
+  /// Import responses by nonce: the granted size, or nullopt if denied.
+  sim::Replies<std::uint64_t, std::optional<std::size_t>> imports_;
   ExportId next_export_ = 1;
   std::uint64_t next_nonce_ = 1;
   EndpointStats stats_;

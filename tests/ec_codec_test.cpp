@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "ec/gf256.hpp"
@@ -257,6 +258,16 @@ TEST(StripeMap, BasePlacementDistinctHostsAndPodSpread) {
       EXPECT_LE(count, 2) << "group " << g << " pod " << pod;
     }
   }
+}
+
+TEST(StripeMap, RejectsFewerThanKPlusMServersAndUnparallelPods) {
+  StripeMapConfig cfg;  // k=4 m=2
+  // Five servers would leave unit 5 without a holder.
+  EXPECT_THROW(StripeMap(make_servers(5), make_pods(5, 5), cfg),
+               std::invalid_argument);
+  EXPECT_THROW(StripeMap(make_servers(8), make_pods(7, 4), cfg),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StripeMap(make_servers(6), {}, cfg));
 }
 
 TEST(StripeMap, ResolveMovesOnlyTheDeadHoldersUnit) {

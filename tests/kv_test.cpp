@@ -47,6 +47,15 @@ TEST(ShardMap, AllServersOwnShards) {
   }
 }
 
+TEST(ShardMap, RejectsOneServerAndUnparallelPods) {
+  // One server has no distinct backup to find: the ring walk never ends.
+  EXPECT_THROW(kv::ShardMap({net::HostId{0}}, 4), std::invalid_argument);
+  const std::vector<net::HostId> servers{{0}, {1}, {2}};
+  EXPECT_THROW(kv::ShardMap(servers, 4, 16, 0x5a4dull, {0, 1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(kv::ShardMap(servers, 4, 16, 0x5a4dull, {0, 1, 1}));
+}
+
 TEST(ShardMap, KeyRoutingConsistent) {
   std::vector<net::HostId> servers{{0}, {1}, {2}};
   kv::ShardMap m(servers, 16);
@@ -275,31 +284,37 @@ TEST(KvRig, MembershipWithoutReliableFirmwareIsRejected) {
   EXPECT_NO_THROW(kv::KvRig{rc});
 }
 
+TEST(KvRig, StripedWithFewerThanKPlusMServersIsRejected) {
+  // The default rig has 4 servers; a k=4, m=2 stripe needs 6 holders.
+  kv::KvRigConfig rc;
+  rc.striped = true;
+  EXPECT_THROW(kv::KvRig{rc}, std::invalid_argument);
+}
+
 TEST(KvService, PutGetDelBasics) {
   kv::KvRig rig(small_rig_config());
   bool done = false;
   [](kv::KvRig& rig, bool& done) -> sim::Process {
-    kv::KvRetryPolicy policy;
     auto& ch = rig.client(0);
     const auto v = kv::make_value({1, 1}, 64);
 
-    auto put = co_await ch.call({1, 1}, kv::Op::kPut, 42, v, policy);
+    auto put = co_await ch.call({1, 1}, kv::Op::kPut, 42, v);
     EXPECT_EQ(put.status, kv::Status::kOk);
 
-    auto get = co_await ch.call({1, 2}, kv::Op::kGet, 42, {}, policy);
+    auto get = co_await ch.call({1, 2}, kv::Op::kGet, 42, {});
     EXPECT_EQ(get.status, kv::Status::kOk);
     EXPECT_EQ(get.value, v);
 
-    auto miss = co_await ch.call({1, 3}, kv::Op::kGet, 43, {}, policy);
+    auto miss = co_await ch.call({1, 3}, kv::Op::kGet, 43, {});
     EXPECT_EQ(miss.status, kv::Status::kNotFound);
 
-    auto del = co_await ch.call({1, 4}, kv::Op::kDel, 42, {}, policy);
+    auto del = co_await ch.call({1, 4}, kv::Op::kDel, 42, {});
     EXPECT_EQ(del.status, kv::Status::kOk);
 
-    auto gone = co_await ch.call({1, 5}, kv::Op::kGet, 42, {}, policy);
+    auto gone = co_await ch.call({1, 5}, kv::Op::kGet, 42, {});
     EXPECT_EQ(gone.status, kv::Status::kNotFound);
 
-    auto del2 = co_await ch.call({1, 6}, kv::Op::kDel, 42, {}, policy);
+    auto del2 = co_await ch.call({1, 6}, kv::Op::kDel, 42, {});
     EXPECT_EQ(del2.status, kv::Status::kNotFound);
     done = true;
   }(rig, done);
@@ -310,11 +325,9 @@ TEST(KvService, WritesReplicateToBackup) {
   kv::KvRig rig(small_rig_config());
   bool done = false;
   [](kv::KvRig& rig, bool& done) -> sim::Process {
-    kv::KvRetryPolicy policy;
     for (std::uint64_t k = 0; k < 32; ++k) {
       auto o = co_await rig.client(0).call({2, k + 1}, kv::Op::kPut, k,
-                                           kv::make_value({2, k + 1}, 48),
-                                           policy);
+                                           kv::make_value({2, k + 1}, 48));
       EXPECT_EQ(o.status, kv::Status::kOk);
     }
     done = true;
@@ -345,13 +358,11 @@ TEST(KvService, RetriesUnderInjectedErrorsStayExactlyOnce) {
   kv::ShadowMap shadow;
   bool done = false;
   [](kv::KvRig& rig, kv::ShadowMap& shadow, bool& done) -> sim::Process {
-    kv::KvRetryPolicy policy;
-    policy.base_timeout = sim::milliseconds(2);  // eager client retries
     for (std::uint64_t k = 0; k < 200; ++k) {
       const kv::RequestId id{3, k + 1};
       shadow.record_issued_write(id, k % 50);
       auto o = co_await rig.client(0).call(id, kv::Op::kPut, k % 50,
-                                           kv::make_value(id, 80), policy);
+                                           kv::make_value(id, 80));
       EXPECT_TRUE(o.ok());
       if (o.ok()) shadow.record_committed(id);
     }
@@ -363,6 +374,12 @@ TEST(KvService, RetriesUnderInjectedErrorsStayExactlyOnce) {
   EXPECT_GT(rig.c.rel(0).stats().injected_drops +
                 rig.c.rel(1).stats().injected_drops +
                 rig.c.rel(2).stats().injected_drops,
+            0u);
+  // The client did retry, and a server dropped a retry of a write it was
+  // still replicating: the retry and dedup paths both ran.
+  EXPECT_GT(rig.client(0).stats().timeouts, 0u);
+  EXPECT_GT(rig.server(0).stats().dup_requests +
+                rig.server(1).stats().dup_requests,
             0u);
   const auto audit = kv::audit(*rig.map, rig.server_view(), shadow);
   EXPECT_EQ(audit.lost, 0u);

@@ -1,6 +1,7 @@
 // Unit tests for sim::Process coroutines and the awaitable primitives.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,121 @@ TEST(Trigger, WaitForOnAFiredTriggerArmsNoTimer) {
   EXPECT_EQ(w.at, 0u);  // never suspended
   EXPECT_EQ(w.pending_after, baseline);
   EXPECT_FALSE(w.fired_after);
+}
+
+using Table = Replies<int, std::string>;
+
+struct Answer {
+  Time at = kNever;
+  bool answered = false;
+  std::string reply;
+};
+
+// Waits up to `timeout` for the slot's reply, then records what it found.
+Process answer_waiter(Scheduler& s, Table::Slot& slot, Duration timeout,
+                      Answer& a) {
+  co_await slot.wait_for(s, timeout);
+  a.at = s.now();
+  a.answered = slot.answered();
+  if (a.answered) a.reply = slot.reply();
+}
+
+TEST(Replies, UnknownForAKeyNeverOpenedOrAlreadyClosed) {
+  Scheduler s;
+  Table t;
+  EXPECT_EQ(t.deliver(s, 1, "x"), Table::Delivery::kUnknown);
+  { const Table::Slot closed(t, 2); }
+  EXPECT_NO_THROW({ const Table::Slot reopened(t, 2); });
+  EXPECT_EQ(t.deliver(s, 2, "x"), Table::Delivery::kUnknown);
+}
+
+TEST(Replies, FirstReplyIsKeptAndARepeatIsReported) {
+  Scheduler s;
+  Table t;
+  Table::Slot slot(t, 7);
+  EXPECT_FALSE(slot.answered());
+  EXPECT_EQ(t.deliver(s, 7, "first"), Table::Delivery::kAccepted);
+  EXPECT_EQ(t.deliver(s, 7, "second"), Table::Delivery::kRepeat);
+  ASSERT_TRUE(slot.answered());
+  EXPECT_EQ(slot.reply(), "first");
+}
+
+TEST(Replies, WakeResumesAnUnansweredSlotWithoutAReply) {
+  Scheduler s;
+  Table t;
+  Table::Slot slot(t, 1);
+  Answer a;
+  answer_waiter(s, slot, 100, a);
+  s.at(10, [&] { t.wake(s, 1); });
+  s.run();
+  EXPECT_EQ(a.at, 10u);
+  EXPECT_FALSE(a.answered);
+}
+
+TEST(Replies, WakeLeavesAnsweredAndClosedKeysAlone) {
+  Scheduler s;
+  Table t;
+  Table::Slot slot(t, 1);
+  Answer first;
+  Answer second;
+  // The first wait ends with the reply; the second, on the same answered
+  // slot, must run to its own timeout however often its key is woken.
+  [](Scheduler& sc, Table::Slot& sl, Answer& a, Answer& b) -> Process {
+    co_await sl.wait_for(sc, 100);
+    a.at = sc.now();
+    co_await sl.wait_for(sc, 50);
+    b.at = sc.now();
+  }(s, slot, first, second);
+  s.at(10, [&] { EXPECT_EQ(t.deliver(s, 1, "r"), Table::Delivery::kAccepted); });
+  s.at(20, [&] { t.wake(s, 1); });
+  s.run();
+  EXPECT_EQ(first.at, 10u);
+  EXPECT_EQ(second.at, 60u);
+
+  const std::size_t baseline = s.pending_events();
+  t.wake(s, 2);  // never opened
+  { const Table::Slot closed(t, 3); }
+  t.wake(s, 3);
+  EXPECT_EQ(s.pending_events(), baseline);
+}
+
+TEST(Replies, SlotsOpenAtOnceMatchRepliesInAnyOrder) {
+  Scheduler s;
+  Table t;
+  Table::Slot one(t, 1);
+  Table::Slot two(t, 2);
+  Answer a1;
+  Answer a2;
+  answer_waiter(s, one, 100, a1);
+  answer_waiter(s, two, 100, a2);
+  s.at(5, [&] { t.deliver(s, 2, "b"); });
+  s.at(7, [&] { t.deliver(s, 1, "a"); });
+  s.run();
+  EXPECT_EQ(a2.at, 5u);
+  EXPECT_EQ(a2.reply, "b");
+  EXPECT_EQ(a1.at, 7u);
+  EXPECT_EQ(a1.reply, "a");
+}
+
+TEST(Replies, OpeningAnOpenKeyThrows) {
+  Scheduler s;
+  Table t;
+  Table::Slot slot(t, 4);
+  EXPECT_THROW({ const Table::Slot twin(t, 4); }, std::logic_error);
+  // The failed open left the first slot in charge of the key.
+  EXPECT_EQ(t.deliver(s, 4, "r"), Table::Delivery::kAccepted);
+  EXPECT_EQ(slot.reply(), "r");
+}
+
+TEST(Replies, DeliveryWithNoWaiterSchedulesNothing) {
+  Scheduler s;
+  Table t;
+  Table::Slot slot(t, 9);
+  s.at(1000, [] {});
+  const std::size_t baseline = s.pending_events();
+  EXPECT_EQ(t.deliver(s, 9, "r"), Table::Delivery::kAccepted);
+  EXPECT_EQ(s.pending_events(), baseline);
+  EXPECT_EQ(slot.reply(), "r");
 }
 
 Process worker(Scheduler& s, WaitGroup& wg, Duration d) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "kv/rig.hpp"
@@ -136,6 +137,13 @@ traffic::TrafficStats run_once(std::uint64_t seed) {
   }
   EXPECT_TRUE(engine.done());
   return engine.stats();
+}
+
+TEST(TrafficEngine, RejectsNoClientHosts) {
+  // Without a host, the first arrival would divide by zero picking one.
+  sim::Scheduler sched;
+  EXPECT_THROW(traffic::TrafficEngine(sched, {}, traffic::TrafficConfig{}),
+               std::invalid_argument);
 }
 
 TEST(TrafficEngine, SameSeedReplaysIdentically) {
