@@ -20,8 +20,8 @@ namespace {
 constexpr int kBlocks = 48;
 constexpr std::size_t kBlockBytes = 16 * 1024;
 
-sim::Process client(harness::Cluster& c, vmmc::Endpoint& ep,
-                    vmmc::Endpoint::Import imp, bool& done) {
+sim::Process client(vmmc::Endpoint& ep, vmmc::Endpoint::Import imp,
+                    bool& done) {
   for (int b = 0; b < kBlocks; ++b) {
     std::vector<std::uint8_t> block(kBlockBytes,
                                     static_cast<std::uint8_t>(b + 1));
@@ -84,7 +84,7 @@ int main() {
   bool recv_done = false;
   bool send_done = false;
   server(c, server_ep, exp, distinct, duplicates, recv_done);
-  client(c, client_ep, imp, send_done);
+  client(client_ep, imp, send_done);
 
   // Kill the primary trunks 2 ms into the stream (the preloaded shortest
   // route uses the first trunk of each redundant pair).

@@ -59,7 +59,7 @@ void RecoveryMonitor::on_delivery(const net::Packet& pkt, net::HostId) {
     // A data delivery on a scrub-repaired pair (the repair may sit on
     // either end, so both orientations close the clock) is the channel
     // demonstrably carrying traffic again.
-    for (const auto skey : {std::make_pair(pkt.hdr.src.v, pkt.hdr.dst.v),
+    for (const auto& skey : {std::make_pair(pkt.hdr.src.v, pkt.hdr.dst.v),
                             std::make_pair(pkt.hdr.dst.v, pkt.hdr.src.v)}) {
       if (auto s = pending_scrubs_.find(skey); s != pending_scrubs_.end()) {
         ++report_.scrub_recovery_samples;

@@ -1,7 +1,9 @@
 #include "firmware/reliability.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace sanfault::firmware {
@@ -138,13 +140,38 @@ bool ReliableFirmware::should_drop_now() {
 }
 
 const TxChannel* ReliableFirmware::tx_channel(HostId h) const {
-  auto it = tx_.find(h);
-  return it == tx_.end() ? nullptr : &it->second;
+  return tx_.find(h);
 }
 
 const RxChannel* ReliableFirmware::rx_channel(HostId h) const {
-  auto it = rx_.find(h);
-  return it == rx_.end() ? nullptr : &it->second;
+  return rx_.find(h);
+}
+
+void ReliableFirmware::BusySet::set(HostId h, bool busy) {
+  if (h.v / 64 >= words_.size()) {
+    if (!busy) return;
+    words_.resize(h.v / 64 + 1);
+  }
+  std::uint64_t& w = words_[h.v / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (h.v % 64);
+  if (((w & bit) != 0) == busy) return;
+  w ^= bit;
+  if (busy) {
+    ++count_;
+  } else {
+    --count_;
+  }
+}
+
+std::uint32_t ReliableFirmware::BusySet::next(std::uint32_t from) const {
+  std::size_t i = from / 64;
+  if (i >= words_.size()) return kNone;
+  std::uint64_t w = words_[i] & (~std::uint64_t{0} << (from % 64));
+  while (w == 0) {
+    if (++i == words_.size()) return kNone;
+    w = words_[i];
+  }
+  return static_cast<std::uint32_t>(i * 64 + std::countr_zero(w));
 }
 
 sim::Duration ReliableFirmware::tx_cpu_cost(const nic::SendRequest&) const {
@@ -235,10 +262,12 @@ void ReliableFirmware::on_host_packet(nic::SendRequest req) {
     // No route known. Park the packet (it already owns its send buffer) and
     // discover one on demand.
     ch.retrans_queue.push_back(QueuedPacket{std::move(pkt), 0, false});
+    busy_.set(dst, true);
     queue_depth_->record(ch.retrans_queue.size());
     if (mapper_ == nullptr) {
       // Without a mapper this is a hard error: drop and recycle.
       ch.retrans_queue.pop_back();
+      busy_.set(dst, !ch.retrans_queue.empty());
       ++stats_.no_route_drops;
       nic_.release_send_buffers();
       return;
@@ -249,6 +278,7 @@ void ReliableFirmware::on_host_packet(nic::SendRequest req) {
 
   pkt.hdr.route = *route;
   ch.retrans_queue.push_back(QueuedPacket{std::move(pkt), 0, false});
+  busy_.set(dst, true);
   queue_depth_->record(ch.retrans_queue.size());
   QueuedPacket& qp = ch.retrans_queue.back();
   ++stats_.data_tx;
@@ -424,6 +454,7 @@ void ReliableFirmware::process_ack(HostId from, std::uint32_t ack,
   } else {
     for (std::size_t i = 0; i < cover; ++i) q.pop_front();
     freed = cover;
+    if (q.empty()) busy_.set(from, false);
   }
   if (freed > 0) {
     // One cumulative ACK frees a whole prefix — "a single operation".
@@ -481,10 +512,7 @@ void ReliableFirmware::arm_timer() {
 void ReliableFirmware::on_timer() {
   ++stats_.timer_fires;
 
-  std::size_t non_empty = 0;
-  for (const auto& [h, ch] : tx_) {
-    if (!ch.retrans_queue.empty()) ++non_empty;
-  }
+  const std::size_t non_empty = busy_.size();
   // Idle scans are not lifecycle events; tracing them would flood the ring
   // on long runs (the timer never stops ticking).
   if (non_empty > 0) {
@@ -505,17 +533,15 @@ void ReliableFirmware::on_timer() {
       scrub_pass();
     }
     const sim::Time now = nic_.sched().now();
-    for (auto& [h, ch] : tx_) {
-      if (ch.retrans_queue.empty() || ch.remap_in_flight || ch.unreachable) {
-        continue;
-      }
+    for_each_busy([&](HostId h, TxChannel& ch) {
+      if (ch.remap_in_flight || ch.unreachable) return;
       const QueuedPacket& oldest = ch.retrans_queue.front();
-      if (!oldest.sent_once) continue;  // parked awaiting a route
+      if (!oldest.sent_once) return;  // parked awaiting a route
       // last_sent can be in the future (send-DMA completion time of a
       // packet still draining onto the wire): not timed out.
       if (oldest.last_sent >= now ||
           now - oldest.last_sent < cfg_.retrans_interval) {
-        continue;
+        return;
       }
 
       if (ch.rounds_without_progress >= cfg_.fail_min_rounds &&
@@ -524,7 +550,7 @@ void ReliableFirmware::on_timer() {
       } else {
         retransmit_channel(h, ch);
       }
-    }
+    });
     // Re-arm only now: the timer handler runs on the single control
     // processor, so an overloaded MCP stretches the effective timer period
     // instead of piling up unbounded retransmission work — as the real
@@ -700,13 +726,13 @@ void ReliableFirmware::nic_reset() {
   // A firmware restart loses the mapper's volatile SRAM state too (path
   // cache, attach-port knowledge) — everything below rediscovers cold.
   mapper_->on_nic_reset();
-  for (auto& [h, ch] : tx_) {
-    if (ch.retrans_queue.empty() || ch.unreachable) continue;
+  for_each_busy([&](HostId h, TxChannel& ch) {
+    if (ch.unreachable) return;
     // Channels with work in flight rediscover their path immediately; the
     // resulting generation restart renumbers and resends the queue, so the
     // reset is invisible to the layers above (modulo latency).
     begin_remap(h, ch);
-  }
+  });
 }
 
 void ReliableFirmware::exclude_peer(HostId peer) {
@@ -731,7 +757,19 @@ void ReliableFirmware::exclude_peer(HostId peer) {
 
 void ReliableFirmware::scrub_pass() {
   ++stats_.scrub_passes;
-  for (auto& [h, ch] : tx_) {
+  // Every live channel, idle ones included: the corruptor can garble an idle
+  // channel's next_seq, and the bounded-capacity invariants must hold on
+  // every channel, not only on the busy ones.
+  for (std::uint32_t v = 0; v < tx_.extent(); ++v) {
+    const HostId h{v};
+    TxChannel* chp = tx_.find(h);
+    if (chp == nullptr) continue;
+    TxChannel& ch = *chp;
+    if (busy_.contains(h) == ch.retrans_queue.empty()) {
+      throw std::logic_error("ReliableFirmware: busy set disagrees with the "
+                             "retransmission queue toward host " +
+                             std::to_string(v));
+    }
     if (ch.unreachable || ch.remap_in_flight) continue;
     // Bounded-capacity invariants of a healthy sender channel: sequence
     // numbers start at 1 (0 is unassignable), the retransmission queue is a
@@ -758,7 +796,11 @@ void ReliableFirmware::scrub_pass() {
     if (repair_tx(h, ch)) return;  // escalated to nic_reset: all channels
                                    // are being remapped, stop the pass
   }
-  for (auto& [h, rxch] : rx_) {
+  for (std::uint32_t v = 0; v < rx_.extent(); ++v) {
+    const HostId h{v};
+    RxChannel* rxp = rx_.find(h);
+    if (rxp == nullptr) continue;
+    RxChannel& rxch = *rxp;
     if (rxch.expected_seq == 0) {
       // expected_seq 0 makes every piggy-backed ack underflow to 2^32-1
       // (which the peer's bogus-ack guard rejects, stalling the reverse
@@ -808,35 +850,24 @@ bool ReliableFirmware::repair_tx(HostId h, TxChannel& ch) {
   return false;
 }
 
-TxChannel* ReliableFirmware::chaos_tx_channel(HostId h) {
-  auto it = tx_.find(h);
-  return it == tx_.end() ? nullptr : &it->second;
-}
+TxChannel* ReliableFirmware::chaos_tx_channel(HostId h) { return tx_.find(h); }
 
-RxChannel* ReliableFirmware::chaos_rx_channel(HostId h) {
-  auto it = rx_.find(h);
-  return it == rx_.end() ? nullptr : &it->second;
-}
+RxChannel* ReliableFirmware::chaos_rx_channel(HostId h) { return rx_.find(h); }
 
 std::vector<HostId> ReliableFirmware::chaos_tx_peers() const {
-  std::vector<HostId> out;
-  out.reserve(tx_.size());
-  for (const auto& [h, ch] : tx_) out.push_back(h);
-  return out;
+  return tx_.ids();
 }
 
 std::vector<HostId> ReliableFirmware::chaos_rx_peers() const {
-  std::vector<HostId> out;
-  out.reserve(rx_.size());
-  for (const auto& [h, ch] : rx_) out.push_back(h);
-  return out;
+  return rx_.ids();
 }
 
-void ReliableFirmware::drop_pending(HostId /*h*/, TxChannel& ch) {
+void ReliableFirmware::drop_pending(HostId h, TxChannel& ch) {
   const std::size_t n = ch.retrans_queue.size();
   if (n > 0) {
     stats_.unreachable_drops += n;
     ch.retrans_queue.clear();
+    busy_.set(h, false);
     nic_.release_send_buffers(n);
   }
 }

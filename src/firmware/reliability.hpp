@@ -5,9 +5,9 @@
 //  * go-back-N with per-remote-node sequence numbers and retransmission
 //    queues; buffers move between the global free queue, the wire, and the
 //    per-node retransmission queue — no copies;
-//  * a single periodic retransmission timer per NIC scans all queues; a
-//    queue whose oldest packet has been unacknowledged for one full interval
-//    is retransmitted in order;
+//  * a single periodic retransmission timer per NIC scans the non-empty
+//    queues, in ascending peer id; a queue whose oldest packet has been
+//    unacknowledged for one full interval is retransmitted in order;
 //  * cumulative ACKs (one ACK frees every buffer up to its sequence number),
 //    no NACKs, no receiver buffering: out-of-order packets are dropped;
 //  * piggy-backed ACKs on reverse data traffic, explicit ACKs only when the
@@ -26,7 +26,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "firmware/ack_policy.hpp"
@@ -175,7 +176,7 @@ class ReliableFirmware final : public nic::FirmwareIface {
   // logged in the chaos event log by the corruptor.
   [[nodiscard]] TxChannel* chaos_tx_channel(net::HostId h);
   [[nodiscard]] RxChannel* chaos_rx_channel(net::HostId h);
-  /// Peers with live channel state, in deterministic (ordered-map) order.
+  /// Peers with live channel state, in ascending host id.
   [[nodiscard]] std::vector<net::HostId> chaos_tx_peers() const;
   [[nodiscard]] std::vector<net::HostId> chaos_rx_peers() const;
 
@@ -186,8 +187,79 @@ class ReliableFirmware final : public nic::FirmwareIface {
   [[nodiscard]] sim::Duration rx_cpu_cost(const net::Packet&) const override;
 
  private:
+  /// Per-peer state, one std::optional slot per HostId::v (host ids are
+  /// dense). A slot comes alive on first use and stays alive; find() of a
+  /// never-used id is nullptr. The deque keeps references to live slots
+  /// valid while the table grows: a TxChannel& is held across calls into
+  /// the mapper.
+  template <class T>
+  class PeerTable {
+   public:
+    T& operator[](net::HostId h) {
+      if (T* t = find(h)) return *t;
+      return emplace(h);
+    }
+    [[nodiscard]] T* find(net::HostId h) {
+      return h.v < slots_.size() && slots_[h.v] ? &*slots_[h.v] : nullptr;
+    }
+    [[nodiscard]] const T* find(net::HostId h) const {
+      return h.v < slots_.size() && slots_[h.v] ? &*slots_[h.v] : nullptr;
+    }
+    /// One past the highest id ever used: sweeps run over [0, extent()).
+    [[nodiscard]] std::uint32_t extent() const {
+      return static_cast<std::uint32_t>(slots_.size());
+    }
+    /// Live ids, ascending.
+    [[nodiscard]] std::vector<net::HostId> ids() const {
+      std::vector<net::HostId> out;
+      for (std::uint32_t v = 0; v < extent(); ++v) {
+        if (slots_[v]) out.push_back(net::HostId{v});
+      }
+      return out;
+    }
+
+   private:
+    T& emplace(net::HostId h) {
+      if (h.v >= slots_.size()) slots_.resize(h.v + 1);
+      return slots_[h.v].emplace();
+    }
+
+    std::deque<std::optional<T>> slots_;
+  };
+
+  /// The busy set: the peers whose tx retransmission queue is non-empty, one
+  /// bit per HostId::v, and their count. It changes only where a queue goes
+  /// between empty and non-empty (on_host_packet's pushes and its no-mapper
+  /// pop, process_ack's pops, drop_pending's clear), so the timer counts and
+  /// scans the busy channels without visiting idle ones.
+  class BusySet {
+   public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    void set(net::HostId h, bool busy);
+    [[nodiscard]] bool contains(net::HostId h) const {
+      return h.v / 64 < words_.size() && (words_[h.v / 64] >> (h.v % 64) & 1);
+    }
+    [[nodiscard]] std::size_t size() const { return count_; }
+    /// The smallest member >= `from`, or kNone.
+    [[nodiscard]] std::uint32_t next(std::uint32_t from) const;
+
+   private:
+    std::vector<std::uint64_t> words_;
+    std::size_t count_ = 0;
+  };
+
   TxChannel& tx(net::HostId h) { return tx_[h]; }
   RxChannel& rx(net::HostId h) { return rx_[h]; }
+  /// Visit the busy channels in ascending id, re-reading membership at each
+  /// step: `f` may empty its own queue or fill a higher one, and the scan
+  /// sees that as an in-order walk over every channel would.
+  template <class F>
+  void for_each_busy(F&& f) {
+    for (std::uint32_t v = busy_.next(0); v != BusySet::kNone;
+         v = busy_.next(v + 1)) {
+      f(net::HostId{v}, *tx_.find(net::HostId{v}));
+    }
+  }
 
   void arm_timer();
   void on_timer();
@@ -211,9 +283,11 @@ class ReliableFirmware final : public nic::FirmwareIface {
   void restart_generation(net::HostId h, TxChannel& ch,
                           const net::Route& route);
   void drop_pending(net::HostId h, TxChannel& ch);
-  /// One scrub pass over every channel, run every kScrubEvery timer fires.
-  /// Repairs are published as kScrubRepair events and counted in scrub_*
-  /// stats.
+  /// One scrub pass over every live channel, idle ones included, run every
+  /// kScrubEvery timer fires. Repairs are published as kScrubRepair events
+  /// and counted in scrub_* stats. Throws std::logic_error if a tx channel's
+  /// busy-set membership disagrees with its queue (a firmware bug, never a
+  /// corruption: the corruptor never changes a queue's length).
   void scrub_pass();
   /// Repair a tx channel whose bounded-capacity invariants failed: forced
   /// generation restart (restart_generation on the current route) or,
@@ -252,10 +326,11 @@ class ReliableFirmware final : public nic::FirmwareIface {
   RouteTable routes_;
   MapperIface* mapper_ = nullptr;
   EventHook event_hook_;
-  // std::map: the timer scan iterates these; ordered maps keep the scan
-  // order (and thus every simulation) deterministic.
-  std::map<net::HostId, TxChannel> tx_;
-  std::map<net::HostId, RxChannel> rx_;
+  // Every walk over these (timer scan, scrub, reset, chaos peer lists) runs
+  // in ascending host id, so the simulation is deterministic.
+  PeerTable<TxChannel> tx_;
+  PeerTable<RxChannel> rx_;
+  BusySet busy_;  // exactly the tx_ channels with a non-empty queue
   ReliabilityStats stats_;
   std::uint32_t scrub_countdown_ = 0;  // timer fires until the next scrub
   std::uint64_t next_drop_in_ = 0;  // §5.1.3 countdown to the next drop

@@ -4,10 +4,13 @@
 // Myrinet mapper distributes full routes. With on-demand mapping (§4.2) the
 // table starts empty or partial and entries are added/invalidated as the
 // mapper discovers and loses paths.
+//
+// Host ids are dense, so the table is one slot per id: every send reads its
+// route by index.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "net/ids.hpp"
 #include "net/route.hpp"
@@ -18,25 +21,33 @@ namespace sanfault::firmware {
 class RouteTable {
  public:
   void set(net::HostId dst, net::Route route) {
-    routes_[dst] = std::move(route);
+    if (dst.v >= routes_.size()) routes_.resize(dst.v + 1);
+    if (!routes_[dst.v]) ++size_;
+    routes_[dst.v] = std::move(route);
   }
 
   [[nodiscard]] std::optional<net::Route> get(net::HostId dst) const {
-    auto it = routes_.find(dst);
-    if (it == routes_.end()) return std::nullopt;
-    return it->second;
+    if (dst.v >= routes_.size()) return std::nullopt;
+    return routes_[dst.v];
   }
 
-  void invalidate(net::HostId dst) { routes_.erase(dst); }
+  void invalidate(net::HostId dst) {
+    if (dst.v >= routes_.size() || !routes_[dst.v]) return;
+    routes_[dst.v].reset();
+    --size_;
+  }
 
   /// Drop every route (a NIC reset loses the volatile route cache).
-  void clear() { routes_.clear(); }
-
-  [[nodiscard]] bool contains(net::HostId dst) const {
-    return routes_.contains(dst);
+  void clear() {
+    routes_.clear();
+    size_ = 0;
   }
 
-  [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  [[nodiscard]] bool contains(net::HostId dst) const {
+    return dst.v < routes_.size() && routes_[dst.v].has_value();
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Preload shortest routes from `self` to every other host (the full-map
   /// baseline), all read off one search tree. Unreachable hosts are skipped.
@@ -48,7 +59,8 @@ class RouteTable {
   }
 
  private:
-  std::unordered_map<net::HostId, net::Route> routes_;
+  std::vector<std::optional<net::Route>> routes_;  // indexed by HostId::v
+  std::size_t size_ = 0;                           // live slots
 };
 
 }  // namespace sanfault::firmware

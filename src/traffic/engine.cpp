@@ -1,14 +1,13 @@
 #include "traffic/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 namespace sanfault::traffic {
 
 ZipfSampler::ZipfSampler(std::size_t n, double theta) : n_(n) {
-  assert(n > 0);
+  if (n == 0) throw std::invalid_argument("ZipfSampler: no keys");
   if (theta <= 0.0) return;  // uniform
   cdf_.resize(n);
   double sum = 0.0;
@@ -37,6 +36,9 @@ TrafficEngine::TrafficEngine(sim::Scheduler& sched,
       next_seq_(cfg.num_clients, 0) {
   if (hosts_.empty()) {
     throw std::invalid_argument("TrafficEngine: no client hosts");
+  }
+  if (cfg_.num_clients == 0) {
+    throw std::invalid_argument("TrafficEngine: no logical clients");
   }
 
   obs::Registry& reg = obs::Registry::of(sched_);

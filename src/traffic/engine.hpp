@@ -95,6 +95,7 @@ struct TrafficStats {
 /// precomputed CDF + binary search. theta == 0 degenerates to uniform.
 class ZipfSampler {
  public:
+  /// Throws std::invalid_argument when `n` is 0.
   ZipfSampler(std::size_t n, double theta);
   std::uint64_t sample(sim::Rng& rng) const;
 
@@ -106,7 +107,8 @@ class ZipfSampler {
 class TrafficEngine {
  public:
   /// Logical client c issues through hosts[c % hosts.size()]. Throws
-  /// std::invalid_argument when `hosts` is empty.
+  /// std::invalid_argument when `hosts` is empty or the config has no
+  /// logical clients or no keys.
   TrafficEngine(sim::Scheduler& sched, std::vector<kv::KvClientHost*> hosts,
                 TrafficConfig cfg);
   ~TrafficEngine();

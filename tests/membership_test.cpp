@@ -135,7 +135,9 @@ TEST(Swim, DeadMemberConfirmedWithinBoundAndHookFiresOnce) {
           // The cut victim's own agent legitimately confirms everyone ELSE
           // (from behind the partition the whole world went dark); survivors
           // must only ever confirm the victim.
-          if (i != victim) EXPECT_EQ(dead, r.c.hosts[victim]);
+          if (i != victim) {
+            EXPECT_EQ(dead, r.c.hosts[victim]);
+          }
           if (dead == r.c.hosts[victim]) ++hook_fires[i];
         });
   }

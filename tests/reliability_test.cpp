@@ -111,6 +111,45 @@ TEST(Reliability, SequenceNumbersAdvanceMonotonically) {
   EXPECT_EQ(rx->expected_seq, 11u);
 }
 
+TEST(Reliability, ChannelsExistOnlyForContactedPeersInAscendingOrder) {
+  // Per-peer state is one slot per host id. A channel comes alive on first
+  // contact only, and the peer lists the corruptor draws from name exactly
+  // the contacted peers, ascending, however far apart their ids are.
+  ClusterConfig cfg = base_cfg();
+  cfg.num_hosts = 64;
+  cfg.topo = harness::TopoKind::kClos;
+  Cluster c(cfg);
+  for (std::size_t h = 1; h < c.hosts.size(); ++h) {
+    EXPECT_EQ(c.rel(0).tx_channel(c.hosts[h]), nullptr) << "peer " << h;
+    EXPECT_EQ(c.rel(0).rx_channel(c.hosts[h]), nullptr) << "peer " << h;
+  }
+  EXPECT_TRUE(c.rel(0).chaos_tx_peers().empty());
+  EXPECT_TRUE(c.rel(0).chaos_rx_peers().empty());
+
+  for (const std::size_t to : {63u, 5u, 17u}) {
+    c.send(0, to, std::vector<std::uint8_t>(64, 1));
+  }
+  c.sched.run_until(c.sched.now() + sim::milliseconds(50));
+  const std::vector<net::HostId> contacted{c.hosts[5], c.hosts[17],
+                                           c.hosts[63]};
+  EXPECT_EQ(c.rel(0).chaos_tx_peers(), contacted);
+  EXPECT_EQ(c.rel(0).chaos_rx_peers(), contacted);
+  for (const std::size_t h : {1u, 6u, 16u, 62u}) {
+    EXPECT_EQ(c.rel(0).tx_channel(c.hosts[h]), nullptr) << "peer " << h;
+    EXPECT_EQ(c.rel(0).chaos_tx_channel(c.hosts[h]), nullptr) << "peer " << h;
+    EXPECT_EQ(c.rel(0).rx_channel(c.hosts[h]), nullptr) << "peer " << h;
+    EXPECT_EQ(c.rel(0).chaos_rx_channel(c.hosts[h]), nullptr) << "peer " << h;
+  }
+  // A receiver learns its sender from the data (and its piggy-backed ACK).
+  const std::vector<net::HostId> sender{c.hosts[0]};
+  EXPECT_EQ(c.rel(63).chaos_tx_peers(), sender);
+  EXPECT_EQ(c.rel(63).chaos_rx_peers(), sender);
+  EXPECT_EQ(c.rel(63).tx_channel(c.hosts[5]), nullptr);
+  // An id past every table is simply unknown.
+  EXPECT_EQ(c.rel(0).tx_channel(net::HostId{1000}), nullptr);
+  EXPECT_EQ(c.rel(0).chaos_rx_channel(net::HostId{1000}), nullptr);
+}
+
 TEST(Reliability, PiggybackSuppressesExplicitAcksOnTwoWayTraffic) {
   Cluster c(base_cfg());
   Drainer d0;

@@ -80,6 +80,27 @@ def main():
           [vc, fx("workflow_bad.yml")], 1, "duplicate artifact name")
     check("validate_ci validates the repo's real workflows", [vc], 0)
 
+    # layer_profile over a canned `gprof -b` text: every charging rule has a
+    # row whose share is a round number once the calibration kernel (and its
+    # mislabelled callee's share) is left out.
+    lp = os.path.join(SCRIPTS, "layer_profile.py")
+    canned = [lp, "--from-gprof", fx("layer_profile_gprof.txt")]
+    for row in ["| event queue | 25.0 % |",   # Scheduler members
+                "| sim other | 5.0 % |",     # SlotPool<net::Packet>: own ns
+                "| net | 15.0 % |",
+                "| nic | 5.0 % |",
+                "| firmware | 20.0 % |",     # + on_timer lambda, deque<...>
+                "| mapper | 5.0 % |",        # OnDemandMapper split out
+                "| kv | 10.0 % |",           # _Function_handler's 2nd arg
+                "| membership | 5.0 % |",
+                "| obs | 5.0 % |",           # operator<< parsed
+                "| unattributed | 5.0 % |"]:  # kernel's arc removed
+        check(f"layer_profile charges {row}", canned, 0, row)
+    check("layer_profile states its limits", canned, 0,
+          "layer shares only, not functions or seconds")
+    check("layer_profile rejects a text with no flat profile",
+          [lp, "--from-gprof", fx("metrics_ok.json")], 2, "no flat profile")
+
     # Coverage ratchet logic, unit-level: check_floor() against synthetic
     # per-file stats (running gcov here would need an instrumented build).
     sys.path.insert(0, SCRIPTS)

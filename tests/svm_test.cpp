@@ -176,7 +176,9 @@ TEST(Svm, TimeCategoriesAccumulateWhereExpected) {
     EXPECT_GE(t.compute, sim::microseconds(50)) << "proc " << i;
     EXPECT_GT(t.barrier, 0u) << "proc " << i;
     EXPECT_GT(t.lock, 0u) << "proc " << i;
-    if (rt.proc(i).node() != 3) EXPECT_GT(t.data, 0u) << "proc " << i;
+    if (rt.proc(i).node() != 3) {
+      EXPECT_GT(t.data, 0u) << "proc " << i;
+    }
   }
 }
 

@@ -146,6 +146,33 @@ TEST(TrafficEngine, RejectsNoClientHosts) {
                std::invalid_argument);
 }
 
+TEST(TrafficEngine, RejectsNoLogicalClients) {
+  // With no logical client, the first arrival would index an empty
+  // per-client sequence table.
+  kv::KvRigConfig rc;
+  rc.num_servers = 2;
+  rc.num_client_hosts = 1;
+  kv::KvRig rig(rc);
+  traffic::TrafficConfig tc;
+  tc.num_clients = 0;
+  EXPECT_THROW(traffic::TrafficEngine(rig.c.sched, rig.client_view(), tc),
+               std::invalid_argument);
+}
+
+TEST(TrafficEngine, RejectsNoKeys) {
+  // With no key, every request would silently go to key 0.
+  kv::KvRigConfig rc;
+  rc.num_servers = 2;
+  rc.num_client_hosts = 1;
+  kv::KvRig rig(rc);
+  traffic::TrafficConfig tc;
+  tc.num_keys = 0;
+  EXPECT_THROW(traffic::TrafficEngine(rig.c.sched, rig.client_view(), tc),
+               std::invalid_argument);
+  EXPECT_THROW(traffic::ZipfSampler(0, 0.99), std::invalid_argument);
+  EXPECT_THROW(traffic::ZipfSampler(0, 0.0), std::invalid_argument);
+}
+
 TEST(TrafficEngine, SameSeedReplaysIdentically) {
   const auto a = run_once(1234);
   const auto b = run_once(1234);
