@@ -10,7 +10,9 @@
 #   --perf-smoke   run bench_simcore --quick and fail if any metric falls
 #                  below bench/golden/simcore_floor.json (a >2x regression;
 #                  see docs/PERFORMANCE.md for the floor's provenance and
-#                  how to re-baseline it).
+#                  how to re-baseline it), then run each gated perfbench
+#                  workload for 3 s and fail unless its simulated-run digest
+#                  equals perfbench/baseline.json's (scripts/perf_digests.py).
 #   --sanitize     additionally build with -DSANFAULT_SANITIZE=address,undefined
 #                  in build_asan/ and run the test suite under the sanitizers.
 #   --coverage     additionally build with -DSANFAULT_COVERAGE=ON in
@@ -151,6 +153,8 @@ if [[ "$PERF_SMOKE" == 1 ]]; then
   ./build/bench/bench_simcore --quick --json build/simcore_quick.json
   python3 scripts/perf_floor.py build/simcore_quick.json \
       bench/golden/simcore_floor.json
+  echo "--- perf digests: gated perfbench workloads vs perfbench/baseline.json"
+  python3 scripts/perf_digests.py
 fi
 
 if [[ "$SANITIZE" == 1 ]]; then

@@ -119,7 +119,8 @@ void Fabric::set_link_fault_rates(std::optional<LinkId> l, double loss,
       FaultEvent{FaultKind::kFaultRates, l ? l->v : kAllLinks, loss, corrupt});
 }
 
-void Fabric::ensure_link_state() {
+void Fabric::rewire() {
+  wiring_ = topo_->wiring_version();
   while (link_srv_.size() < topo_->num_links()) {
     const auto l = static_cast<std::uint64_t>(link_srv_.size());
     link_srv_.emplace_back(sched_);
@@ -131,6 +132,29 @@ void Fabric::ensure_link_state() {
                  sim::Rng(cfg_.seed ^ ((2 * l + 2) * 0x9e3779b97f4a7c15ull))});
   }
   if (rx_.size() < topo_->num_hosts()) rx_.resize(topo_->num_hosts());
+
+  const auto end_of = [this](Port p) {
+    PortEnd e;
+    if (const auto att = topo_->peer_of(p)) {
+      e.link = att->link.v;
+      e.fwd = topo_->link_ends(att->link).first == p;
+      e.peer = att->peer.dev;
+      e.peer_port = att->peer.port;
+    }
+    return e;
+  };
+  ports_.clear();
+  switch_base_.clear();
+  for (std::uint32_t h = 0; h < topo_->num_hosts(); ++h) {
+    ports_.push_back(end_of(Port{Device::host(HostId{h}), 0}));
+  }
+  for (std::uint32_t s = 0; s < topo_->num_switches(); ++s) {
+    switch_base_.push_back(static_cast<std::uint32_t>(ports_.size()));
+    const SwitchId sw{s};
+    for (std::uint8_t p = 0; p < topo_->switch_ports(sw); ++p) {
+      ports_.push_back(end_of(Port{Device::sw(sw), p}));
+    }
+  }
 }
 
 void Fabric::attach(HostId h, RxHandler rx) {
@@ -143,7 +167,8 @@ sim::Duration Fabric::ser_time(const Packet& pkt, LinkId l) const {
                             topo_->link_model(l).bandwidth_bps);
 }
 
-void Fabric::drop(const Packet& pkt, DropReason reason) {
+void Fabric::drop(Parked h, DropReason reason) {
+  const Packet pkt = in_flight_.take(h);
   switch (reason) {
     case DropReason::kLinkDown: ++stats_.dropped_link_down; break;
     case DropReason::kSwitchDead: ++stats_.dropped_switch_dead; break;
@@ -161,11 +186,16 @@ void Fabric::drop(const Packet& pkt, DropReason reason) {
   if (drop_hook_) drop_hook_(pkt, reason);
 }
 
-void Fabric::deliver(Packet&& pkt, HostId dst) {
-  if (dst.v >= rx_.size() || !rx_[dst.v]) {
-    drop(pkt, DropReason::kNotAttached);
+void Fabric::arrive(Parked h, HostId dst, std::size_t route_idx) {
+  if (route_idx != in_flight_[h].hdr.route.ports.size()) {
+    drop(h, DropReason::kMisroute);
     return;
   }
+  if (dst.v >= rx_.size() || !rx_[dst.v]) {
+    drop(h, DropReason::kNotAttached);
+    return;
+  }
+  Packet pkt = in_flight_.take(h);
   ++stats_.delivered;
   if (pkt.corrupt_marker) ++stats_.delivered_corrupt;
   if (delivery_hook_) delivery_hook_(pkt, dst);
@@ -173,71 +203,76 @@ void Fabric::deliver(Packet&& pkt, HostId dst) {
 }
 
 sim::Time Fabric::inject(HostId src, Packet pkt) {
-  ensure_link_state();
   pkt.corrupt_marker = false;
   ++stats_.injected;
   last_departure_ = sched_.now();  // drops before the wire depart "now"
-  step(std::move(pkt), Device::host(src), 0);
+  step(in_flight_.put(std::move(pkt)), Device::host(src), 0);
   return last_departure_;
 }
 
-// Precondition: the packet head is at `at` and ready to leave it now.
-void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
-  Port out;
+// Precondition: the head of the packet parked under `h` is at `at` and ready
+// to leave it now. The packet stays parked until it is delivered or dropped;
+// a reference into in_flight_ dies at the next put, so none is held across
+// one.
+void Fabric::step(Parked h, Device at, std::size_t route_idx) {
+  ensure_link_state();
+  const PortEnd* out;
   if (at.is_host()) {
-    out = Port{at, 0};
+    if (at.index >= topo_->num_hosts()) {
+      drop(h, DropReason::kMisroute);
+      return;
+    }
+    out = &ports_[at.index];
   } else {
-    if (!topo_->switch_up(at.as_switch())) {
-      drop(pkt, DropReason::kSwitchDead);
+    const SwitchId sw = at.as_switch();
+    if (!topo_->switch_up(sw)) {
+      drop(h, DropReason::kSwitchDead);
       return;
     }
-    if (route_idx >= pkt.hdr.route.ports.size()) {
-      drop(pkt, DropReason::kMisroute);
+    const PortList& route = in_flight_[h].hdr.route.ports;
+    if (route_idx >= route.size()) {
+      drop(h, DropReason::kMisroute);
       return;
     }
-    const std::uint8_t p = pkt.hdr.route.ports[route_idx++];
-    if (p >= topo_->switch_ports(at.as_switch())) {
-      drop(pkt, DropReason::kMisroute);
+    const std::uint8_t p = route[route_idx++];
+    if (p >= topo_->switch_ports(sw)) {
+      drop(h, DropReason::kMisroute);
       return;
     }
-    out = Port{at, p};
+    out = &ports_[switch_base_[sw.v] + p];
   }
 
-  const auto att = topo_->peer_of(out);
-  if (!att) {
-    drop(pkt, DropReason::kMisroute);
+  if (out->link == PortEnd::kUnwired) {
+    drop(h, DropReason::kMisroute);
     return;
   }
-  const LinkId l = att->link;
+  const LinkId l{out->link};
   if (!topo_->link_up(l)) {
-    drop(pkt, DropReason::kLinkDown);
+    drop(h, DropReason::kLinkDown);
     return;
   }
 
   const LinkModel& model = topo_->link_model(l);
-  auto [end_a, end_b] = topo_->link_ends(l);
-  const bool fwd = (end_a == out);
-  sim::FifoServer& srv = fwd ? link_srv_[l.v].ab : link_srv_[l.v].ba;
+  sim::FifoServer& srv = out->fwd ? link_srv_[l.v].ab : link_srv_[l.v].ba;
   // Fault draws come from this direction's own stream, in traversal order —
   // independent of how unrelated events and other links' draws interleave.
-  sim::Rng& rng = fwd ? link_rng_[l.v].ab : link_rng_[l.v].ba;
-  const Device peer = att->peer.dev;
+  sim::Rng& rng = out->fwd ? link_rng_[l.v].ab : link_rng_[l.v].ba;
+  const Device peer = out->peer;
 
   LinkFaults& lf = link_faults_[l.v];
   if (lf.blocked) {
     // Wormhole blocking: the packet head sits in the fabric until the
     // hardware deadlock timer fires and the path reset flushes it.
     sched_.after(cfg_.deadlock_timeout,
-                 [this, h = in_flight_.put(std::move(pkt))] {
-                   drop(in_flight_.take(h), DropReason::kPathReset);
-                 });
+                 [this, h] { drop(h, DropReason::kPathReset); });
     return;
   }
   if (lf.loss_prob > 0.0 && rng.bernoulli(lf.loss_prob)) {
-    drop(pkt, DropReason::kRandomLoss);
+    drop(h, DropReason::kRandomLoss);
     return;
   }
   if (lf.corrupt_prob > 0.0 && rng.bernoulli(lf.corrupt_prob)) {
+    Packet& pkt = in_flight_[h];
     if (!pkt.payload.empty()) {
       // Copy-on-write: payload buffers are shared between the wire copy and
       // the sender's retransmission queue, so corrupt a private copy.
@@ -270,8 +305,11 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
 
   for (int ci = 0; ci < copies; ++ci) {
     // The duplicate occupies the link for its own serialization slot and
-    // then traverses independently (re-drawing downstream faults).
-    Packet p = (ci + 1 < copies) ? pkt : std::move(pkt);
+    // then traverses independently (re-drawing downstream faults). Parking
+    // it may move every parked packet, so the copy's reference is taken
+    // after the put.
+    const Parked ph = (ci + 1 < copies) ? in_flight_.put(in_flight_[h]) : h;
+    Packet& p = in_flight_[ph];
     const sim::Duration ser = ser_time(p, l);
     const sim::Time completion = srv.submit(ser);  // tail leaves this link
     const sim::Time start = completion - ser;      // head entered the link
@@ -284,15 +322,9 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
       const sim::Time tail_arrival =
           sim::time_add(sim::time_add(completion, model.latency),
                         reorder_extra);
-      sched_.at(tail_arrival,
-                [this, h = in_flight_.put(std::move(p)), peer, route_idx] {
-                  Packet pkt = in_flight_.take(h);
-                  if (route_idx != pkt.hdr.route.ports.size()) {
-                    drop(pkt, DropReason::kMisroute);
-                  } else {
-                    deliver(std::move(pkt), peer.as_host());
-                  }
-                });
+      sched_.at(tail_arrival, [this, ph, peer, route_idx] {
+        arrive(ph, peer.as_host(), route_idx);
+      });
     } else {
       // Head arrival at the next crossbar, plus its fall-through delay. Record
       // the port the packet enters through (see Packet::in_ports). The
@@ -301,19 +333,18 @@ void Fabric::step(Packet pkt, Device at, std::size_t route_idx) {
       if (trace_->enabled()) {
         trace_->emit(obs::TraceEvent{
             sched_.now(), p.hdr.src.v, p.hdr.dst.v, p.hdr.seq,
-            att->peer.port, p.hdr.generation,
+            out->peer_port, p.hdr.generation,
             static_cast<std::uint16_t>(peer.as_switch().v),
             obs::TraceKind::kHopTraverse});
       }
-      p.in_ports.push_back(att->peer.port);
+      p.in_ports.push_back(out->peer_port);
       const sim::Time head_arrival =
           sim::time_add(sim::time_add(sim::time_add(start, model.latency),
                                       cfg_.switch_delay),
                         reorder_extra);
-      sched_.at(head_arrival,
-                [this, h = in_flight_.put(std::move(p)), peer, route_idx] {
-                  step(in_flight_.take(h), peer, route_idx);
-                });
+      sched_.at(head_arrival, [this, ph, peer, route_idx] {
+        step(ph, peer, route_idx);
+      });
     }
   }
 }

@@ -8,6 +8,18 @@
 //     sum_hops(latency + switch_delay) + serialization_once
 // which is the wormhole pipeline formula.
 //
+// Per-hop cost. Each hop is one scheduled event, so the hop path is kept
+// cheap without moving any event:
+//  * a packet is parked in `in_flight_` once, at injection, and the same
+//    SlotPool handle rides every hop, tail-arrival and path-reset closure
+//    until the packet is delivered or dropped;
+//  * what is cabled to each (device, port) is read from a flat table of
+//    {link, direction, peer device, peer port}, rebuilt (with the per-link
+//    servers, fault knobs and RNG streams of new links) whenever
+//    Topology::wiring_version() — bumped by add_host, add_switch, connect
+//    and disconnect — has moved since the last build. Link and switch
+//    up/down state is not cached: every hop reads it live.
+//
 // Failure surface (what §3.3 of the paper enumerates):
 //  * hardware packet corruption  -> per-link corrupt probability; the
 //    corrupted packet carries Packet::corrupt_marker, the receiving NIC's
@@ -194,11 +206,30 @@ class Fabric {
     explicit LinkServers(sim::Scheduler& s) : ab(s), ba(s) {}
   };
 
-  void ensure_link_state();
+  using Parked = sim::SlotPool<Packet>::Handle;
+
+  /// What a packet leaving through one (device, port) crosses and reaches.
+  struct PortEnd {
+    static constexpr std::uint32_t kUnwired = 0xffffffffu;
+    std::uint32_t link = kUnwired;  // LinkId::v, or kUnwired
+    Device peer;                    // the device at the far end
+    std::uint8_t peer_port = 0;     // the port it is reached through
+    bool fwd = false;  // leaves through the link's a end: crosses a->b
+  };
+
+  /// Rebuild the link state and port table if the topology was rewired
+  /// since the last build; one compare when it was not.
+  void ensure_link_state() {
+    if (wiring_ != topo_->wiring_version()) rewire();
+  }
+  void rewire();
   void notify_fault(const FaultEvent& ev);
-  void step(Packet pkt, Device at, std::size_t route_idx);
-  void drop(const Packet& pkt, DropReason reason);
-  void deliver(Packet&& pkt, HostId dst);
+  void step(Parked h, Device at, std::size_t route_idx);
+  /// Take the packet out of in_flight_, count and report the drop.
+  void drop(Parked h, DropReason reason);
+  /// Tail arrival at host `dst`: deliver the packet, or drop it if route
+  /// bytes are left over or no receiver is attached.
+  void arrive(Parked h, HostId dst, std::size_t route_idx);
 
   /// Returns the serialization duration of `pkt` on a link.
   [[nodiscard]] sim::Duration ser_time(const Packet& pkt, LinkId l) const;
@@ -224,10 +255,16 @@ class Fabric {
   std::function<void(const FaultEvent&)> fault_hook_;
   std::uint64_t fault_transitions_ = 0;
   obs::TraceRing* trace_ = nullptr;  // packet-lifecycle hop/drop events
-  /// Packets between hops: each hop, tail-arrival and path-reset event
-  /// captures a handle into this pool instead of the packet, so its closure
-  /// stays inside the scheduler's inline buffer.
+  /// Packets in the fabric, parked from injection to delivery or drop: each
+  /// hop, tail-arrival and path-reset event captures the packet's handle
+  /// instead of the packet, so its closure stays inside the scheduler's
+  /// inline buffer.
   sim::SlotPool<Packet> in_flight_;
+  /// The port table: host h's one port at index h, then every switch's
+  /// ports from switch_base_[s] on, as of topology wiring version wiring_.
+  std::vector<PortEnd> ports_;
+  std::vector<std::uint32_t> switch_base_;
+  std::uint64_t wiring_ = ~std::uint64_t{0};  // never a built version
   /// Set by step() on the injection hop (hosts do not forward, so the first
   /// synchronous step call is the only host-originated one).
   sim::Time last_departure_ = 0;

@@ -10,6 +10,7 @@
 namespace sanfault::net {
 
 HostId Topology::add_host() {
+  ++wiring_;
   hosts_.push_back(HostRec{});
   return HostId{static_cast<std::uint32_t>(hosts_.size() - 1)};
 }
@@ -18,6 +19,7 @@ SwitchId Topology::add_switch(std::uint8_t num_ports) {
   SwitchRec rec;
   rec.num_ports = num_ports;
   rec.port_link.resize(num_ports);
+  ++wiring_;
   switches_.push_back(std::move(rec));
   return SwitchId{static_cast<std::uint32_t>(switches_.size() - 1)};
 }
@@ -48,6 +50,7 @@ LinkId Topology::connect(Port a, Port b, LinkModel model) {
   auto& sb = port_slot(b);
   if (sa || sb) throw std::logic_error("Topology::connect: port already wired");
   const LinkId id{static_cast<std::uint32_t>(links_.size())};
+  ++wiring_;
   links_.push_back(LinkRec{a, b, model, /*up=*/true, /*disconnected=*/false});
   sa = id;
   sb = id;
@@ -57,6 +60,7 @@ LinkId Topology::connect(Port a, Port b, LinkModel model) {
 void Topology::disconnect(LinkId l) {
   auto& rec = links_.at(l.v);
   if (rec.disconnected) return;
+  ++wiring_;
   rec.disconnected = true;
   port_slot(rec.a).reset();
   port_slot(rec.b).reset();

@@ -53,6 +53,11 @@ class Topology {
   /// used to "move" a node in the dynamic-reconfiguration experiments).
   void disconnect(LinkId l);
 
+  /// Bumped by every add_host, add_switch, connect and disconnect, so a
+  /// reader that caches what each port reaches (net::Fabric's port table)
+  /// knows when to rebuild it. Up/down state does not bump it.
+  [[nodiscard]] std::uint64_t wiring_version() const { return wiring_; }
+
   [[nodiscard]] std::size_t num_hosts() const { return hosts_.size(); }
   [[nodiscard]] std::size_t num_switches() const { return switches_.size(); }
   [[nodiscard]] std::size_t num_links() const { return links_.size(); }
@@ -205,6 +210,7 @@ class Topology {
   std::vector<HostRec> hosts_;
   std::vector<SwitchRec> switches_;
   std::vector<LinkRec> links_;
+  std::uint64_t wiring_ = 0;
 };
 
 /// Build the paper's Figure-2 evaluation fabric: two 16-port and two 8-port

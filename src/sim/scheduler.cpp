@@ -22,6 +22,11 @@ void Scheduler::throw_past_time(Time t) const {
                          " is in the past (now=" + std::to_string(now_) + ")");
 }
 
+void Scheduler::throw_exhausted(const char* what) {
+  throw std::length_error(std::string("Scheduler: out of ") + what +
+                          " (the heap key holds 2^24 slots and 2^40 seqs)");
+}
+
 void Scheduler::run() {
   while (step()) {
   }
@@ -33,7 +38,7 @@ void Scheduler::run_until(Time t) {
     // with the old priority_queue a cancelled event at u <= t sitting on top
     // of a live event at v > t would let step() overshoot the horizon.
     skim_cancelled();
-    if (heap_.empty() || key_time(heap_.front().key) > t) break;
+    if (heap_.empty() || key_time(heap_.front()) > t) break;
     if (!step()) break;
   }
   now_ = std::max(now_, t);

@@ -5,8 +5,12 @@
 // every run deterministic.
 //
 // Hot-path design (see docs/PERFORMANCE.md for measurements):
-//  * the ready queue is an indexed binary heap of 24-byte PODs
-//    (time, seq, slot) — sift operations never move callables;
+//  * the ready queue is a binary heap of 16-byte keys,
+//    `time << 64 | seq << 24 | slot`: seq is unique, so a key orders exactly
+//    as (time, seq) does, and the slot of the node holding the callable
+//    rides in the low 24 bits — sift operations never move callables. A
+//    slot at or past 2^24 or a seq at or past 2^40 throws std::length_error
+//    instead of spilling into the neighbouring field;
 //  * callables live in a pool of slot-indexed nodes, inline up to
 //    kEventInlineBytes via InlineFn; the packet paths park packets and send
 //    requests in sim::SlotPools and capture handles, so timer, hop, receive,
@@ -92,6 +96,7 @@ class Scheduler {
   /// (or after(0, ...)), which runs after already-queued same-time events.
   EventHandle at(Time t, EventFn fn) {
     if (t < now_) throw_past_time(t);
+    if (next_seq_ == kSeqLimit) throw_exhausted("sequence numbers");
     if (fn.heap_allocated()) ++inline_spills_;
     const std::uint32_t slot = acquire_slot();
     nodes_[slot].fn = std::move(fn);
@@ -106,6 +111,7 @@ class Scheduler {
                 std::is_invocable_v<std::decay_t<F>&>>>
   EventHandle at(Time t, F&& fn) {
     if (t < now_) throw_past_time(t);
+    if (next_seq_ == kSeqLimit) throw_exhausted("sequence numbers");
     if constexpr (!EventFn::fits_inline<std::decay_t<F>>) ++inline_spills_;
     const std::uint32_t slot = acquire_slot();
     nodes_[slot].fn.emplace(std::forward<F>(fn));
@@ -151,13 +157,14 @@ class Scheduler {
   bool step() {
     skim_cancelled();
     if (heap_.empty()) return false;
-    const HeapEntry top = heap_.front();
+    const Key top = heap_.front();
     pop_top();
     // Move the callable out before freeing: the event may (re)schedule into
     // its own slot, and pool growth may reallocate nodes_.
-    EventFn fn = std::move(nodes_[top.slot].fn);
-    free_slot(top.slot);
-    now_ = key_time(top.key);
+    const std::uint32_t slot = key_slot(top);
+    EventFn fn = std::move(nodes_[slot].fn);
+    free_slot(slot);
+    now_ = key_time(top);
     ++executed_;
     --live_;
     fn();
@@ -184,23 +191,29 @@ class Scheduler {
   [[nodiscard]] std::uint64_t inline_spills() const { return inline_spills_; }
 
  private:
-  /// Heap element: ordering key plus the index of the node holding the
-  /// callable. POD — sift operations move 32 bytes, never a closure. The
-  /// (time, seq) pair is packed into one 128-bit key so ordering is a single
-  /// branch-free compare (the lexicographic two-field compare cost a
-  /// data-dependent branch per sift level, which mispredicts ~50% of the
-  /// time on jittered timestamps).
-  struct HeapEntry {
-    unsigned __int128 key;  // (t << 64) | seq
-    std::uint32_t slot;
-  };
+  /// Heap element: `time << 64 | seq << kSlotBits | slot`. Sequence numbers
+  /// are unique, so comparing keys orders events exactly as (time, seq) does
+  /// and one branch-free compare decides each sift step (a lexicographic
+  /// two-field compare cost a data-dependent branch per level, which
+  /// mispredicts ~50% of the time on jittered timestamps). The slot of the
+  /// node holding the callable rides in the low bits, so a sift moves 16
+  /// bytes and never a closure. The bounds are checked where a slot or a seq
+  /// is handed out: kSlotLimit concurrent nodes and kSeqLimit schedules.
+  using Key = unsigned __int128;
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr unsigned kSeqBits = 64 - kSlotBits;
+  static constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << kSeqBits;
 
-  static unsigned __int128 make_key(Time t, std::uint64_t seq) {
-    return static_cast<unsigned __int128>(t) << 64 | seq;
+  static Key make_key(Time t, std::uint64_t seq, std::uint32_t slot) {
+    return static_cast<Key>(t) << 64 | (seq << kSlotBits | slot);
   }
 
-  static Time key_time(unsigned __int128 key) {
-    return static_cast<Time>(key >> 64);
+  static Time key_time(Key key) { return static_cast<Time>(key >> 64); }
+
+  static std::uint32_t key_slot(Key key) {
+    return static_cast<std::uint32_t>(key) &
+           static_cast<std::uint32_t>(kSlotLimit - 1);
   }
 
   /// Pooled event node. `gen` identifies the current tenancy of the slot;
@@ -221,23 +234,24 @@ class Scheduler {
       free_slots_.pop_back();
       return slot;
     }
+    if (nodes_.size() == kSlotLimit) throw_exhausted("event slots");
     const auto slot = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
     return slot;
   }
 
   EventHandle push_entry(Time t, std::uint32_t slot) {
-    heap_.push_back(HeapEntry{make_key(t, next_seq_++), slot});
+    heap_.push_back(make_key(t, next_seq_++, slot));
     sift_up(heap_.size() - 1);
     ++live_;
     return EventHandle{slot, nodes_[slot].gen};
   }
 
   void sift_up(std::size_t i) {
-    const HeapEntry e = heap_[i];
+    const Key e = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (heap_[parent].key <= e.key) break;
+      if (heap_[parent] <= e) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
@@ -251,10 +265,10 @@ class Scheduler {
   // smaller-child selection is arithmetic, not a branch.
   void sift_down(std::size_t i) {
     const std::size_t n = heap_.size();
-    const HeapEntry e = heap_[i];
+    const Key e = heap_[i];
     std::size_t child;
     while ((child = 2 * i + 1) + 1 < n) {
-      child += static_cast<std::size_t>(heap_[child + 1].key < heap_[child].key);
+      child += static_cast<std::size_t>(heap_[child + 1] < heap_[child]);
       heap_[i] = heap_[child];
       i = child;
     }
@@ -267,7 +281,7 @@ class Scheduler {
   }
 
   void pop_top() {
-    const HeapEntry back = heap_.back();
+    const Key back = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
       heap_.front() = back;
@@ -286,7 +300,7 @@ class Scheduler {
   /// Discard cancelled entries sitting on top of the heap.
   void skim_cancelled() {
     while (!heap_.empty()) {
-      const std::uint32_t slot = heap_.front().slot;
+      const std::uint32_t slot = key_slot(heap_.front());
       if (!nodes_[slot].cancelled) return;
       pop_top();
       free_slot(slot);
@@ -299,9 +313,9 @@ class Scheduler {
   /// (time, seq) order, so the sequence of surfaced minima is identical.
   void compact() {
     std::size_t w = 0;
-    for (const HeapEntry& e : heap_) {
-      if (nodes_[e.slot].cancelled) {
-        free_slot(e.slot);
+    for (const Key e : heap_) {
+      if (nodes_[key_slot(e)].cancelled) {
+        free_slot(key_slot(e));
       } else {
         heap_[w++] = e;
       }
@@ -317,12 +331,12 @@ class Scheduler {
   /// the displaced entry is not biased toward the leaves.
   void sift_down_classic(std::size_t i) {
     const std::size_t n = heap_.size();
-    const HeapEntry e = heap_[i];
+    const Key e = heap_[i];
     for (;;) {
       std::size_t child = 2 * i + 1;
       if (child >= n) break;
-      if (child + 1 < n && heap_[child + 1].key < heap_[child].key) ++child;
-      if (heap_[child].key >= e.key) break;
+      if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+      if (heap_[child] >= e) break;
       heap_[i] = heap_[child];
       i = child;
     }
@@ -330,8 +344,9 @@ class Scheduler {
   }
 
   [[noreturn]] void throw_past_time(Time t) const;
+  [[noreturn]] static void throw_exhausted(const char* what);
 
-  std::vector<HeapEntry> heap_;
+  std::vector<Key> heap_;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::function<void()>> teardown_;

@@ -157,6 +157,46 @@ TEST_F(FabricFixture, MidFlightLinkDeathAffectsOnlyLaterPackets) {
   EXPECT_EQ(f.stats().dropped_link_down, 1u);
 }
 
+// A host moved mid-run: h1 is unplugged from the switch's port 1 and plugged
+// into port 1 of a second switch hanging off port 2. Packets cross the
+// fabric between the unplug and the replug, so a fabric that cached what the
+// ports reach and missed either rewiring would route on stale cabling.
+TEST_F(FabricFixture, MovedHostIsReachedOnlyOnItsNewRoute) {
+  const SwitchId sw2 = topo.add_switch(4);
+  topo.connect({Device::sw(sw), 2}, {Device::sw(sw2), 0});
+  Fabric f = make_fabric();
+  std::vector<std::pair<sim::Time, DropReason>> drops;
+  f.set_drop_hook([&](const Packet&, DropReason r) {
+    drops.emplace_back(sched.now(), r);
+  });
+  const Route old_route{{1}};
+  const Route new_route{{2, 1}};
+  sched.at(0, [&] { f.inject(h0, data_packet(h0, h1, old_route, 4)); });
+  sched.at(10'000, [&] { topo.disconnect(l1); });
+  sched.at(20'000, [&] { f.inject(h0, data_packet(h0, h1, old_route, 4)); });
+  sched.at(30'000, [&] {
+    topo.connect({Device::host(h1), 0}, {Device::sw(sw2), 1});
+  });
+  sched.at(40'000, [&] {
+    f.inject(h0, data_packet(h0, h1, new_route, 4));
+    f.inject(h0, data_packet(h0, h1, old_route, 4));
+  });
+  sched.run();
+
+  ASSERT_EQ(rx1.got.size(), 2u);
+  EXPECT_LT(rx1.got[0].first, 10'000u);
+  EXPECT_GT(rx1.got[1].first, 40'000u);
+  EXPECT_EQ(rx1.got[1].second.hdr.route, new_route);
+  // Both old-route packets fall off at the switch's now empty port 1.
+  ASSERT_EQ(drops.size(), 2u);
+  EXPECT_GT(drops[0].first, 20'000u);
+  EXPECT_LT(drops[0].first, 30'000u);
+  EXPECT_EQ(drops[0].second, DropReason::kMisroute);
+  EXPECT_GT(drops[1].first, 40'000u);
+  EXPECT_EQ(drops[1].second, DropReason::kMisroute);
+  EXPECT_EQ(f.stats().dropped_misroute, 2u);
+}
+
 // Number of byte positions at which two equal-length payloads differ.
 std::size_t bytes_differing(const PayloadRef& a, const PayloadRef& b) {
   EXPECT_EQ(a.size(), b.size());

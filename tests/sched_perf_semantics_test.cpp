@@ -184,6 +184,97 @@ TEST(SchedCompaction, CancelDuringExecutionWindow) {
   EXPECT_EQ(fired, (std::vector<int>{0, 3}));
 }
 
+// --- order golden ----------------------------------------------------------
+
+// A seeded mix of schedules whose run order is folded into an FNV-1a digest.
+// Each round schedules at now(), onto one shared tie time, near now() (more
+// ties) and at random future times; cancels past the compaction threshold;
+// and runs part of the queue, so freed slots are reused while earlier ties
+// are still pending and a later event often holds a lower slot than an
+// earlier one at the same time. Running events schedule children at now().
+class OrderMix {
+ public:
+  explicit OrderMix(std::uint64_t seed) : rng_(seed) {}
+
+  void rounds(int n) {
+    for (int r = 0; r < n; ++r) round();
+  }
+
+  void drain() { s_.run(); }
+
+  // Drain the queue, then schedule and run no-op events one at a time until
+  // `seq` schedules have been made in all, so the mix that follows hands out
+  // sequence numbers from there.
+  void advance_seq_to(std::uint64_t seq) {
+    drain();
+    for (; scheduled_ < seq; ++scheduled_) {
+      s_.after(0, [] {});
+      s_.step();
+    }
+  }
+
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+  [[nodiscard]] std::uint64_t ran() const { return ran_; }
+  [[nodiscard]] std::uint64_t scheduled() const { return scheduled_; }
+
+ private:
+  void round() {
+    const sim::Time tie = s_.now() + 1 + rng_.uniform(50);
+    std::vector<sim::EventHandle> armed;
+    for (int i = 0; i < 200; ++i) {
+      switch (rng_.uniform(4)) {
+        case 0: armed.push_back(schedule(s_.now())); break;
+        case 1: armed.push_back(schedule(tie)); break;
+        case 2: armed.push_back(schedule(s_.now() + rng_.uniform(8))); break;
+        default:
+          armed.push_back(schedule(s_.now() + rng_.uniform(100000)));
+          break;
+      }
+    }
+    // Cancel three in four: well past the 64-entry compaction threshold.
+    for (const sim::EventHandle& h : armed) {
+      if (rng_.uniform(4) != 0) s_.cancel(h);
+    }
+    for (std::uint64_t n = rng_.uniform(100); n > 0 && s_.step(); --n) {
+    }
+  }
+
+  sim::EventHandle schedule(sim::Time t) {
+    const std::uint64_t id = scheduled_++;
+    return s_.at(t, [this, id] {
+      fold(id);
+      ++ran_;
+      if (rng_.uniform(8) == 0) schedule(s_.now());
+    });
+  }
+
+  void fold(std::uint64_t id) {
+    for (int b = 0; b < 8; ++b) {
+      digest_ = (digest_ ^ ((id >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+
+  sim::Scheduler s_;
+  sim::Rng rng_;
+  std::uint64_t scheduled_ = 0;  // every at() so far: the next event's seq
+  std::uint64_t ran_ = 0;
+  std::uint64_t digest_ = 0xcbf29ce484222325ull;
+};
+
+// The heap key packs (time, seq, slot) into one 128-bit value; this pins the
+// order it yields. The second half of the mix runs across seq 2^24, so a key that
+// kept fewer seq bits, or that ordered ties by slot, changes the digest.
+TEST(SchedOrderGolden, SeededMixRunsInTheSameOrder) {
+  OrderMix mix(2002);
+  mix.rounds(40);
+  mix.advance_seq_to((std::uint64_t{1} << 24) - 3000);
+  mix.rounds(40);
+  mix.drain();
+  EXPECT_GT(mix.scheduled(), std::uint64_t{1} << 24);
+  EXPECT_EQ(mix.ran(), 4689u);
+  EXPECT_EQ(mix.digest(), 0xa48e30c2ecd31e4full);
+}
+
 // --- re-arm pattern (the reliability firmware's per-delivery shape) --------
 
 TEST(SchedReArm, CancelThenReArmKeepsOneLiveTimer) {
@@ -249,10 +340,13 @@ TEST(SchedInlineSpills, KvServiceOnFigure2SpillsUnderFivePercent) {
 
 // bench_simcore's end-to-end ring (4 KB segments, reliable firmware, injected
 // drops and retransmissions): every hop, receive, delivery, submission and
-// ACK closure fits the inline buffer.
+// ACK closure fits the inline buffer. Its wire packets and events are pinned
+// exactly, so a hop or queue change that adds, drops or moves an event fails
+// here and not only in a benchmark.
 TEST(SchedInlineSpills, ReliableRingNeverSpills) {
   const harness::RingResult r = harness::run_reliable_ring(1000);
-  EXPECT_GT(r.wire_tx, 4000u);
+  EXPECT_EQ(r.wire_tx, 4528u);
+  EXPECT_EQ(r.events, 38672u);
   EXPECT_EQ(r.inline_spills, 0u) << "of " << r.events << " events";
 }
 

@@ -12,8 +12,10 @@ Usage: run_scripts_test.py [repo_root]
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.realpath(
     sys.argv[1] if len(sys.argv) > 1
@@ -101,12 +103,47 @@ def main():
     check("layer_profile rejects a text with no flat profile",
           [lp, "--from-gprof", fx("metrics_ok.json")], 2, "no flat profile")
 
+    # perf_digests over a stand-in perfbench: each case assembles a root
+    # from a spec gating two workloads, a baseline, and a run.py stub that
+    # writes the result files a results fixture describes.
+    pd = os.path.join(SCRIPTS, "perf_digests.py")
+    for label, baseline, results, want_exit, marker in [
+        ("perf_digests every digest kept", "perf_digests_baseline.json",
+         "perf_digests_results_same.json", 0, "every gated workload kept"),
+        ("perf_digests names the workload that differs",
+         "perf_digests_baseline.json",
+         "perf_digests_results_beta_differs.json", 1, "changed on beta"),
+        ("perf_digests result without sim_digest -> missing key",
+         "perf_digests_baseline.json", "perf_digests_results_no_digest.json",
+         2, "has no key sim_digest"),
+        ("perf_digests run wrote no result -> missing file",
+         "perf_digests_baseline.json", "perf_digests_results_no_beta.json",
+         2, "missing file"),
+        ("perf_digests baseline lacks a gated workload -> missing key",
+         "perf_digests_baseline_no_beta.json",
+         "perf_digests_results_same.json", 2,
+         "has no key workloads.beta.seed42_sim_digest"),
+    ]:
+        with tempfile.TemporaryDirectory() as root:
+            os.mkdir(os.path.join(root, "perfbench"))
+            for src, dst in [("perf_digests_benchmark.json", "BENCHMARK.json"),
+                             (baseline, "perfbench/baseline.json"),
+                             (results, "perfbench/results.json"),
+                             ("perf_digests_run_stub.py", "perfbench/run.py")]:
+                shutil.copyfile(fx(src), os.path.join(root, dst))
+            with open(os.path.join(root, "perfbench", "baseline.json")) as f:
+                before = f.read()
+            check(label, [pd, root], want_exit, marker)
+            with open(os.path.join(root, "perfbench", "baseline.json")) as f:
+                if f.read() != before:
+                    failures.append(f"{label}: perf_digests wrote the "
+                                    f"baseline")
+
     # Coverage ratchet logic, unit-level: check_floor() against synthetic
     # per-file stats (running gcov here would need an instrumented build).
     sys.path.insert(0, SCRIPTS)
     import coverage_summary  # noqa: E402
     import json
-    import tempfile
     stats = {"src/chaos/corruptor.cpp": (50, 100),
              "src/firmware/reliability.cpp": (90, 100)}
     with tempfile.NamedTemporaryFile("w", suffix=".json",
