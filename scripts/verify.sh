@@ -7,12 +7,11 @@
 # Modes and optional stages:
 #   --quick        CI-sized gate (~minutes): skips the chaos determinism
 #                  double-run and validates the campaign with one pass.
-#   --perf-smoke   run bench_simcore --quick and fail if any metric falls
-#                  below bench/golden/simcore_floor.json (a >2x regression;
-#                  see docs/PERFORMANCE.md for the floor's provenance and
-#                  how to re-baseline it), then run each gated perfbench
-#                  workload for 3 s and fail unless its simulated-run digest
-#                  equals perfbench/baseline.json's (scripts/perf_digests.py).
+#   --perf-smoke   run scripts/perf_digests.py, the performance gate CI's
+#                  perf job runs: each gated perfbench workload runs for 3 s
+#                  and must keep perfbench/baseline.json's simulated-run
+#                  digest, pass perfbench's own gates, and report run_s
+#                  within 2x the baseline median (docs/PERFORMANCE.md).
 #   --sanitize     additionally build with -DSANFAULT_SANITIZE=address,undefined
 #                  in build_asan/ and run the test suite under the sanitizers.
 #   --coverage     additionally build with -DSANFAULT_COVERAGE=ON in
@@ -149,11 +148,7 @@ echo "figure determinism OK: serial and parallel runs bit-identical"
 python3 scripts/validate_ci.py
 
 if [[ "$PERF_SMOKE" == 1 ]]; then
-  echo "--- perf smoke: bench_simcore --quick vs bench/golden/simcore_floor.json"
-  ./build/bench/bench_simcore --quick --json build/simcore_quick.json
-  python3 scripts/perf_floor.py build/simcore_quick.json \
-      bench/golden/simcore_floor.json
-  echo "--- perf digests: gated perfbench workloads vs perfbench/baseline.json"
+  echo "--- perf gate: gated perfbench workloads vs perfbench/baseline.json"
   python3 scripts/perf_digests.py
 fi
 

@@ -81,11 +81,6 @@ void OnDemandMapper::PathCache::set_backup(HostId h, net::AltRoute alt) {
   it->second->backup = std::move(alt);
 }
 
-const std::optional<net::AltRoute>* OnDemandMapper::PathCache::backup(
-    HostId h) const {
-  return peek_backup(h);
-}
-
 bool OnDemandMapper::PathCache::promote(HostId h) {
   auto it = idx_.find(h);
   if (it == idx_.end() || !it->second->backup) return false;
@@ -262,19 +257,28 @@ void OnDemandMapper::fill_backup(HostId dst) {
   // Disjointness can be impossible (both hosts on one crossbar, or a chain
   // fabric with no way around): degrade gracefully to a backup-less entry —
   // failures for this destination fall back to probing.
-  if (!alt) return;
-  switch (alt->cls) {
-    case net::DisjointClass::kNodeDisjoint: ++stats_.backup_node_disjoint; break;
-    case net::DisjointClass::kLinkDisjoint: ++stats_.backup_link_disjoint; break;
-    case net::DisjointClass::kOverlapping: ++stats_.backup_overlapping; break;
+  if (alt) install_backup(dst, std::move(*alt));
+}
+
+void OnDemandMapper::install_backup(HostId dst, net::AltRoute alt) {
+  switch (alt.cls) {
+    case net::DisjointClass::kNodeDisjoint:
+      ++stats_.backup_node_disjoint;
+      break;
+    case net::DisjointClass::kLinkDisjoint:
+      ++stats_.backup_link_disjoint;
+      break;
+    case net::DisjointClass::kOverlapping:
+      ++stats_.backup_overlapping;
+      break;
   }
   ++stats_.backup_computed;
-  path_cache_.set_backup(dst, std::move(*alt));
+  path_cache_.set_backup(dst, std::move(alt));
 }
 
 bool OnDemandMapper::promote_backup(HostId dst) {
   if (!cfg_.proactive_backup) return false;
-  const std::optional<net::AltRoute>* slot = path_cache_.backup(dst);
+  const std::optional<net::AltRoute>* slot = path_cache_.peek_backup(dst);
   if (slot == nullptr || !slot->has_value()) return false;
   const Route backup = (*slot)->route;
   // The fault that killed the primary may have hit the backup too (or the
@@ -324,19 +328,7 @@ sim::Process OnDemandMapper::replenish_backup(HostId dst, Route primary) {
                                                &replier);
   const Route* cur2 = path_cache_.peek(dst);
   if (ok && replier == dst && cur2 != nullptr && *cur2 == primary) {
-    switch (alt->cls) {
-      case net::DisjointClass::kNodeDisjoint:
-        ++stats_.backup_node_disjoint;
-        break;
-      case net::DisjointClass::kLinkDisjoint:
-        ++stats_.backup_link_disjoint;
-        break;
-      case net::DisjointClass::kOverlapping:
-        ++stats_.backup_overlapping;
-        break;
-    }
-    ++stats_.backup_computed;
-    path_cache_.set_backup(dst, std::move(*alt));
+    install_backup(dst, std::move(*alt));
   }
   replenishing_.erase(dst);
 }

@@ -249,13 +249,12 @@ class OnDemandMapper final : public MapperIface {
     }
     void clear();
 
-    /// Backup slot of an existing entry (no-ops / nullptr when h is absent).
+    /// Backup slot of an existing entry (no-op when h is absent).
     void set_backup(net::HostId h, net::AltRoute alt);
-    [[nodiscard]] const std::optional<net::AltRoute>* backup(net::HostId h) const;
     /// Backup -> primary in place; the backup slot empties. False if absent.
     bool promote(net::HostId h);
 
-    /// Non-touching lookups (test introspection; recency order unchanged).
+    /// Non-touching lookups (recency order unchanged; nullptr when absent).
     [[nodiscard]] const net::Route* peek(net::HostId h) const;
     [[nodiscard]] const std::optional<net::AltRoute>* peek_backup(
         net::HostId h) const;
@@ -307,6 +306,8 @@ class OnDemandMapper final : public MapperIface {
   [[nodiscard]] std::uint64_t backup_salt(net::HostId dst) const;
   /// Compute + install the backup slot for a just-installed primary.
   void fill_backup(net::HostId dst);
+  /// Count `alt` by its disjointness class and store it as dst's backup.
+  void install_backup(net::HostId dst, net::AltRoute alt);
   /// Validate (trace_route_up) + promote the backup; true on success.
   bool promote_backup(net::HostId dst);
   /// Background: recompute a backup disjoint from the *new* primary, verify

@@ -1,6 +1,5 @@
 #include "harness/microbench.hpp"
 
-#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -207,18 +206,14 @@ RingResult run_reliable_ring(int msgs_per_host) {
     c.sched.after(1 + i, [&sub, i] { sub.pump(i); });
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
   const sim::Time cap = sim::seconds(600);
   while (!all_done && c.sched.now() < cap && c.sched.step()) {
   }
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
 
   RingResult r;
   for (std::size_t i = 0; i < n; ++i) r.wire_tx += c.nic(i).stats().wire_tx;
   r.events = c.sched.events_executed();
   r.inline_spills = c.sched.inline_spills();
-  r.run_wall_s = dt.count();
   return r;
 }
 

@@ -7,8 +7,8 @@
 // All three run over VMMC endpoints on hosts 0 and 1 of a Cluster, after an
 // untimed warm-up exchange (routes mapped, pools steady).
 //
-// run_reliable_ring is the simulator's own end-to-end workload (bench_simcore
-// times it, sched_perf_semantics_test checks its allocation behavior).
+// run_reliable_ring is a fixed reliable-firmware workload whose wire packets,
+// events and inline spills sched_perf_semantics_test pins exactly.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +48,6 @@ struct RingResult {
   std::uint64_t wire_tx = 0;        // packets put on the wire, all NICs
   std::uint64_t events = 0;         // scheduler events executed
   std::uint64_t inline_spills = 0;  // events whose callable heap-allocated
-  double run_wall_s = 0;            // host wall time of the event loop only
 };
 
 /// A 4-node reliable-firmware cluster (32 send buffers, §5.1.3 error

@@ -338,11 +338,11 @@ TEST(SchedInlineSpills, KvServiceOnFigure2SpillsUnderFivePercent) {
   EXPECT_LT(spills * 20, events) << spills << " of " << events << " events";
 }
 
-// bench_simcore's end-to-end ring (4 KB segments, reliable firmware, injected
-// drops and retransmissions): every hop, receive, delivery, submission and
-// ACK closure fits the inline buffer. Its wire packets and events are pinned
-// exactly, so a hop or queue change that adds, drops or moves an event fails
-// here and not only in a benchmark.
+// harness::run_reliable_ring's 4-host ring (4 KB segments, reliable firmware,
+// injected drops and retransmissions): every hop, receive, delivery,
+// submission and ACK closure fits the inline buffer. Its wire packets and
+// events are pinned exactly, so a hop or queue change that adds, drops or
+// moves an event fails here.
 TEST(SchedInlineSpills, ReliableRingNeverSpills) {
   const harness::RingResult r = harness::run_reliable_ring(1000);
   EXPECT_EQ(r.wire_tx, 4528u);

@@ -60,17 +60,6 @@ def main():
           [md, fx("metrics_golden.json"), fx("metrics_stale_golden.json")],
           2, "re-generate")
 
-    pf = os.path.join(SCRIPTS, "perf_floor.py")
-    check("perf_floor holds",
-          [pf, fx("simcore_run_ok.json"), fx("simcore_floor.json")], 0,
-          "perf smoke OK")
-    check("perf_floor regression",
-          [pf, fx("simcore_run_regressed.json"), fx("simcore_floor.json")],
-          1, "events_per_sec")
-    check("perf_floor unknown run key -> shape error",
-          [pf, fx("simcore_run_unknown_key.json"), fx("simcore_floor.json")],
-          2, "surprise_metric")
-
     vc = os.path.join(SCRIPTS, "validate_ci.py")
     check("validate_ci accepts clean workflow",
           [vc, fx("workflow_ok.yml")], 0, "OK")
@@ -105,7 +94,8 @@ def main():
 
     # perf_digests over a stand-in perfbench: each case assembles a root
     # from a spec gating two workloads, a baseline, and a run.py stub that
-    # writes the result files a results fixture describes.
+    # writes the result files a results fixture describes and prints the
+    # JSON line run.py would (correct, run_s) last.
     pd = os.path.join(SCRIPTS, "perf_digests.py")
     for label, baseline, results, want_exit, marker in [
         ("perf_digests every digest kept", "perf_digests_baseline.json",
@@ -123,6 +113,17 @@ def main():
          "perf_digests_baseline_no_beta.json",
          "perf_digests_results_same.json", 2,
          "has no key workloads.beta.seed42_sim_digest"),
+        ("perf_digests failed perfbench gate with the same digest",
+         "perf_digests_baseline.json",
+         "perf_digests_results_beta_incorrect.json", 1,
+         "perfbench's own gates failed on beta: run.py exited 1"),
+        ("perf_digests names the workload over its run_s bound",
+         "perf_digests_baseline.json", "perf_digests_results_beta_slow.json",
+         1, "run_s over its bound on beta: 3.000 s > 2.000 s"),
+        ("perf_digests baseline without run_s.median -> missing key",
+         "perf_digests_baseline_no_run_s.json",
+         "perf_digests_results_same.json", 2,
+         "has no key workloads.beta.run_s.median"),
     ]:
         with tempfile.TemporaryDirectory() as root:
             os.mkdir(os.path.join(root, "perfbench"))
