@@ -14,6 +14,7 @@
 #include "firmware/updown.hpp"
 #include "harness/cluster.hpp"
 #include "harness/table.hpp"
+#include "sweep.hpp"
 
 using namespace sanfault;
 
@@ -76,7 +77,8 @@ Recovery measure_recovery(harness::MapperKind mk) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::parse_flags(argc, argv, {})) return 2;
   std::printf("=== Ablation: on-demand mapping vs full-map UP*/DOWN* ===\n\n");
 
   std::printf("--- permanent trunk failure recovery (host0 -> host3) ---\n");

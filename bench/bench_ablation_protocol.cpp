@@ -15,7 +15,6 @@
 //     always-request (max ACK traffic, min buffer hold) vs sparse fixed
 //     requests (min ACK traffic, deep rollbacks under loss).
 #include <cstdio>
-#include <cstring>
 
 #include "harness/table.hpp"
 #include "sweep_common.hpp"
@@ -44,7 +43,8 @@ double uni_bw(benchsweep::PointConfig pc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
+  bool full = false;
+  if (!bench::parse_flags(argc, argv, {{"--full", full}})) return 2;
   benchsweep::PointConfig base;
   base.msg_bytes = 65536;
   base.queue = 32;

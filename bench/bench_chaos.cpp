@@ -33,23 +33,23 @@
 // Two state-corruption modes ride along (docs/CHAOS.md "State corruption"),
 // both over chaos::run_convergence_case, the cell the property battery
 // runs too: `--corrupt-smoke` runs one fixed-seed case per corruption
-// class and emits a byte-comparable artifact (verify.sh double-runs and
-// diffs it); `--soak <seed> [--soak-cases N]` derives N randomized cases
-// from the master seed — the nightly workflow's randomized battery, whose
-// artifact records every case's scenario DSL for exact replay.
+// class and emits a byte-comparable artifact (scripts/same_behaviour.sh
+// double-runs and diffs it); `--soak <seed> [--soak-cases N]` derives N
+// randomized cases from the master seed — the nightly workflow's
+// randomized battery, whose artifact records every case's scenario DSL for
+// exact replay. Both run their cases on the --jobs pool too.
 //
-//   ./build/bench/bench_chaos [--quick] [--json <file>]
-//                             [--metrics-json <file>] [--log <file>]
-//                             [--jobs <N>] [--corrupt-smoke]
-//                             [--soak <seed>]
-//                             [--soak-cases <N>]
+//   ./build/bench/bench_chaos [--quick] [--scale] [--compare]
+//                             [--json <file>] [--metrics-json <file>]
+//                             [--log <file>] [--jobs <N>] [--corrupt-smoke]
+//                             [--soak <seed>] [--soak-cases <N>]
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,14 +57,13 @@
 #include "chaos/engine.hpp"
 #include "chaos/recovery.hpp"
 #include "chaos/scenario.hpp"
-#include "firmware/reliability.hpp"
 #include "harness/cluster.hpp"
 #include "sim/rng.hpp"
 #include "harness/table.hpp"
 #include "kv/audit.hpp"
 #include "kv/rig.hpp"
 #include "obs/metrics.hpp"
-#include "parallel_sweep.hpp"
+#include "sweep.hpp"
 #include "traffic/engine.hpp"
 
 namespace {
@@ -276,16 +275,7 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t total_requests,
   kv::KvRig rig(rc);
 
   chaos::RecoveryMonitor monitor(rig.c.sched);
-  rig.c.fabric().set_fault_hook(
-      [&monitor](const net::FaultEvent& ev) { monitor.on_fault(ev); });
-  rig.c.fabric().set_delivery_hook(
-      [&monitor](const net::Packet& pkt, net::HostId dst) {
-        monitor.on_delivery(pkt, dst);
-      });
-  for (firmware::ReliableFirmware* fw : rig.rel_view()) {
-    fw->set_event_hook(
-        [&monitor](const firmware::FwEvent& ev) { monitor.on_fw_event(ev); });
-  }
+  monitor.watch(rig.c);
 
   std::vector<std::uint32_t> victims;
   std::string scen_text;
@@ -366,98 +356,52 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t total_requests,
   return r;
 }
 
-bool write_json(const char* path, const std::vector<CellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CellResult& r = rows[i];
-    const auto& rec = r.recovery;
-    std::fprintf(
-        f,
-        "  {\"scenario\": \"%s\", \"hosts\": %zu, \"issued\": %llu, "
-        "\"ok\": %llu, \"failed\": %llu, \"goodput_rps\": %.1f, "
-        "\"availability\": %.6f, \"proactive\": %s, \"ttfr_first_ns\": %llu, "
-        "\"ttfr_max_ns\": %llu, \"ttfr_samples\": %llu, "
-        "\"ttfr_dest_samples\": %llu, \"ttfr_dest_median_ns\": %llu, "
-        "\"gen_restarts\": %llu, \"remap_convergences\": %llu, "
-        "\"remap_conv_max_ns\": %llu, \"remap_conv_promoted\": %llu, "
-        "\"remap_conv_probed\": %llu, \"retrans_amplification\": %.4f, "
-        "\"goodput_dip_area\": %.1f, \"nic_resets\": %llu, "
-        "\"audit_ok\": %s, \"invariant_violations\": %zu, "
-        "\"placement\": \"%s\", \"quorum_expected\": %d, "
-        "\"quorum_held\": %s, \"shards_no_live_replica\": %llu}%s\n",
-        r.spec.scenario, r.spec.hosts,
-        static_cast<unsigned long long>(r.issued),
-        static_cast<unsigned long long>(r.ok),
-        static_cast<unsigned long long>(r.failed), r.goodput_rps,
-        r.availability, r.spec.proactive ? "true" : "false",
-        static_cast<unsigned long long>(rec.ttfr_first),
-        static_cast<unsigned long long>(rec.ttfr_max),
-        static_cast<unsigned long long>(rec.ttfr_samples),
-        static_cast<unsigned long long>(rec.ttfr_dest_samples),
-        static_cast<unsigned long long>(median_ttfr(rec)),
-        static_cast<unsigned long long>(rec.gen_restarts),
-        static_cast<unsigned long long>(rec.remap_convergences),
-        static_cast<unsigned long long>(rec.remap_conv_max),
-        static_cast<unsigned long long>(rec.remap_conv_promoted),
-        static_cast<unsigned long long>(rec.remap_conv_probed),
-        rec.retrans_amplification(), rec.goodput_dip_area,
-        static_cast<unsigned long long>(rec.nic_resets),
-        r.audit.ok() ? "true" : "false", r.violations.size(),
-        !r.spec.placement_cell ? "none"
-        : r.spec.pod_aware     ? "pod-aware"
-                               : "random",
-        r.quorum_expected, r.quorum_held ? "true" : "false",
-        static_cast<unsigned long long>(r.shards_no_live_replica),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+bench::Fields json_fields(const CellResult& r) {
+  const chaos::RecoveryReport& rec = r.recovery;
+  return {{"scenario", r.spec.scenario},
+          {"hosts", r.spec.hosts},
+          {"issued", r.issued},
+          {"ok", r.ok},
+          {"failed", r.failed},
+          {"goodput_rps", r.goodput_rps, 1},
+          {"availability", r.availability, 6},
+          {"proactive", r.spec.proactive},
+          {"ttfr_first_ns", rec.ttfr_first},
+          {"ttfr_max_ns", rec.ttfr_max},
+          {"ttfr_samples", rec.ttfr_samples},
+          {"ttfr_dest_samples", rec.ttfr_dest_samples},
+          {"ttfr_dest_median_ns", median_ttfr(rec)},
+          {"gen_restarts", rec.gen_restarts},
+          {"remap_convergences", rec.remap_convergences},
+          {"remap_conv_max_ns", rec.remap_conv_max},
+          {"remap_conv_promoted", rec.remap_conv_promoted},
+          {"remap_conv_probed", rec.remap_conv_probed},
+          {"retrans_amplification", rec.retrans_amplification(), 4},
+          {"goodput_dip_area", rec.goodput_dip_area, 1},
+          {"nic_resets", rec.nic_resets},
+          {"audit_ok", r.audit.ok()},
+          {"invariant_violations", r.violations.size()},
+          {"placement", !r.spec.placement_cell ? "none"
+                        : r.spec.pod_aware     ? "pod-aware"
+                                               : "random"},
+          {"quorum_expected", r.quorum_expected},
+          {"quorum_held", r.quorum_held},
+          {"shards_no_live_replica", r.shards_no_live_replica}};
 }
 
-bool write_metrics_json(const char* path,
-                        const std::vector<CellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CellResult& r = rows[i];
-    std::fprintf(f,
-                 "{\"cell\": {\"scenario\": \"%s\", \"hosts\": %zu},\n"
-                 "\"metrics\": %s}%s\n",
-                 r.spec.scenario, r.spec.hosts, r.metrics_json.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+bench::Fields metrics_cell(const CellResult& r) {
+  return {{"scenario", r.spec.scenario}, {"hosts", r.spec.hosts}};
 }
 
 /// Concatenated per-cell chaos event logs — the byte-comparable determinism
-/// artifact (scripts/verify.sh runs the campaign twice and diffs this).
-bool write_log(const char* path, const std::vector<CellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
+/// artifact (scripts/same_behaviour.sh compares it across runs and builds).
+std::string event_log(const std::vector<CellResult>& rows) {
+  std::string out;
   for (const CellResult& r : rows) {
-    std::fprintf(f, "=== scenario=%s hosts=%zu ===\n%s", r.spec.scenario,
-                 r.spec.hosts, r.event_log.c_str());
+    out += std::string("=== scenario=") + r.spec.scenario +
+           " hosts=" + std::to_string(r.spec.hosts) + " ===\n" + r.event_log;
   }
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -465,130 +409,127 @@ bool write_log(const char* path, const std::vector<CellResult>& rows) {
 // (chaos::run_convergence_case) that the tests/property_test
 // SelfStabilization battery also runs.
 
+/// How one convergence case ended, as the artifacts record it.
+std::string verdict(const chaos::ConvergenceResult& r) {
+  if (r.converged()) {
+    return "converged (applied=" + std::to_string(r.applied) +
+           " witness=" + std::to_string(r.witness) + ")\n";
+  }
+  std::string out = "FAILED\n";
+  for (const std::string& v : r.violations) out += "  violation: " + v + "\n";
+  return out;
+}
+
+/// One --corrupt-smoke cell: the convergence case and the class it corrupts.
+struct SmokeCell : chaos::ConvergenceResult {
+  std::string name;
+};
+
 /// --corrupt-smoke: one fixed-seed cell per corruption class on fig2-16.
-/// The artifact (written to --log) is fully deterministic — verify.sh runs
-/// the smoke twice and byte-compares, proving corruption injection, the
-/// scrubber, and the recovery path all replay identically.
-int run_corrupt_smoke(const char* log_path, const char* metrics_path) {
+/// The artifact (written to --log) is fully deterministic — the
+/// same_behaviour.sh battery runs the smoke twice and byte-compares,
+/// proving corruption injection, the scrubber, and the recovery path all
+/// replay identically.
+int run_corrupt_smoke(std::uint64_t jobs, const char* log_path,
+                      const char* metrics_path) {
   constexpr std::uint64_t kSmokeSeed = 9003;  // inside the battery's range
+  std::vector<chaos::CorruptState> classes;
+  for (int cls = 0; cls < 6; ++cls) {
+    classes.push_back(static_cast<chaos::CorruptState>(cls));
+  }
+  const std::vector<SmokeCell> cells =
+      bench::run_cells(jobs, classes, [&](chaos::CorruptState cls) {
+        return SmokeCell{
+            chaos::run_convergence_case(harness::TopoKind::kFigure2, 16, cls,
+                                        kSmokeSeed, metrics_path != nullptr),
+            std::string(chaos::corrupt_state_name(cls))};
+      });
+
   std::string artifact =
       "=== corruption smoke: fig2-16, 6 classes, seed " +
       std::to_string(kSmokeSeed) + " ===\n";
-  std::string metrics = "[\n";
   bool all_ok = true;
-  for (int cls = 0; cls < 6; ++cls) {
-    const auto state = static_cast<chaos::CorruptState>(cls);
-    const std::string name(chaos::corrupt_state_name(state));
-    const chaos::ConvergenceResult r =
-        chaos::run_convergence_case(harness::TopoKind::kFigure2, 16, state,
-                                    kSmokeSeed, metrics_path != nullptr);
-    artifact += "--- class=" + name + " ---\n" +
-                r.dsl + r.chaos_log + "fw: " + r.fw_stats + "\nresult: ";
-    if (r.converged()) {
-      artifact += "converged (applied=" + std::to_string(r.applied) +
-                  " witness=" + std::to_string(r.witness) + ")\n";
-    } else {
-      all_ok = false;
-      artifact += "FAILED\n";
-      for (const std::string& v : r.violations) {
-        artifact += "  violation: " + v + "\n";
-      }
-    }
-    if (metrics_path != nullptr) {
-      metrics += "{\"cell\": {\"scenario\": \"corrupt-" + name +
-                 "\", \"hosts\": 16},\n\"metrics\": " + r.metrics_json + "}" +
-                 (cls + 1 < 6 ? "," : "") + "\n";
-    }
-    std::printf("corrupt-smoke class=%-11s %s\n", name.c_str(),
-                r.converged() ? "converged" : "FAILED");
+  for (const SmokeCell& c : cells) {
+    artifact += "--- class=" + c.name + " ---\n" + c.dsl + c.chaos_log +
+                "fw: " + c.fw_stats + "\nresult: " + verdict(c);
+    all_ok &= c.converged();
+    std::printf("corrupt-smoke class=%-11s %s\n", c.name.c_str(),
+                c.converged() ? "converged" : "FAILED");
   }
-  metrics += "]\n";
-  if (log_path != nullptr) {
-    std::FILE* f = std::fopen(log_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", log_path);
-      return 1;
-    }
-    std::fwrite(artifact.data(), 1, artifact.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s (%zu bytes)\n", log_path, artifact.size());
-  } else {
+  if (log_path == nullptr) {
     std::fwrite(artifact.data(), 1, artifact.size(), stdout);
+  } else if (!bench::write_file(log_path, artifact)) {
+    return 1;
   }
-  if (metrics_path != nullptr) {
-    std::FILE* f = std::fopen(metrics_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", metrics_path);
-      return 1;
-    }
-    std::fwrite(metrics.data(), 1, metrics.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", metrics_path);
+  const auto cell_of = [](const SmokeCell& c) {
+    return bench::Fields{{"scenario", "corrupt-" + c.name}, {"hosts", 16}};
+  };
+  if (metrics_path != nullptr &&
+      !bench::write_file(metrics_path, bench::metrics_array(cells, cell_of))) {
+    return 1;
   }
   std::printf("corruption smoke: %s\n",
               all_ok ? "all classes converged" : "CONVERGENCE FAILURES");
   return all_ok ? 0 : 1;
 }
 
+/// One --soak case, derived from the master seed.
+struct SoakCase {
+  chaos::CorruptState cls;
+  std::uint64_t seed;
+  bool clos;  // the 64-host fat-tree, else fig2-16
+};
+
 /// --soak <seed>: randomized corruption cases derived from one master seed
 /// (the nightly workflow passes its run id). Every case's class, seed and
 /// fabric come from the master RNG, so re-running with the seed printed in
 /// a red run's artifact replays the exact failing schedule byte-for-byte.
-int run_soak(std::uint64_t master_seed, std::uint64_t cases,
-             const char* log_path) {
+int run_soak(std::uint64_t jobs, std::uint64_t master_seed,
+             std::uint64_t cases, const char* log_path) {
   sim::Rng master(master_seed ^ 0x50AF5EEDull);
-  std::string artifact = "=== corruption soak: master_seed=" +
-                         std::to_string(master_seed) + " cases=" +
-                         std::to_string(cases) + " ===\n";
+  std::vector<SoakCase> specs;
+  for (std::uint64_t i = 0; i < cases; ++i) {
+    const auto cls = static_cast<chaos::CorruptState>(master.uniform(6));
+    // Every fifth case runs on the 64-host fat-tree; the rest on fig2-16.
+    specs.push_back({cls, master.next(), i % 5 == 4});
+  }
   std::printf("corruption soak: master_seed=%llu cases=%llu\n",
               static_cast<unsigned long long>(master_seed),
               static_cast<unsigned long long>(cases));
+  const std::vector<chaos::ConvergenceResult> results =
+      bench::run_cells(jobs, specs, [](const SoakCase& c) {
+        return chaos::run_convergence_case(
+            c.clos ? harness::TopoKind::kClos : harness::TopoKind::kFigure2,
+            c.clos ? 64 : 16, c.cls, c.seed);
+      });
+
+  std::string artifact = "=== corruption soak: master_seed=" +
+                         std::to_string(master_seed) + " cases=" +
+                         std::to_string(cases) + " ===\n";
   std::uint64_t failures = 0;
-  for (std::uint64_t i = 0; i < cases; ++i) {
-    const auto state = static_cast<chaos::CorruptState>(master.uniform(6));
-    const std::string name(chaos::corrupt_state_name(state));
-    const std::uint64_t case_seed = master.next();
-    // Every fifth case runs on the 64-host fat-tree; the rest on fig2-16.
-    const bool clos = i % 5 == 4;
-    const harness::TopoKind topo =
-        clos ? harness::TopoKind::kClos : harness::TopoKind::kFigure2;
-    const std::size_t hosts = clos ? 64 : 16;
-    const chaos::ConvergenceResult r =
-        chaos::run_convergence_case(topo, hosts, state, case_seed);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const SoakCase& c = specs[i];
+    const chaos::ConvergenceResult& r = results[i];
+    const std::string name(chaos::corrupt_state_name(c.cls));
+    const char* topo = c.clos ? "clos-64" : "fig2-16";
     artifact += "--- case " + std::to_string(i) + ": class=" + name +
-                " seed=" + std::to_string(case_seed) +
-                " topo=" + (clos ? "clos-64" : "fig2-16") + " ---\n" + r.dsl;
+                " seed=" + std::to_string(c.seed) + " topo=" + topo +
+                " ---\n" + r.dsl;
     if (r.converged()) {
-      artifact += "result: converged (applied=" + std::to_string(r.applied) +
-                  " witness=" + std::to_string(r.witness) + ")\n";
-    } else {
-      ++failures;
-      artifact += r.chaos_log + "fw: " + r.fw_stats + "\nresult: FAILED\n";
-      for (const std::string& v : r.violations) {
-        artifact += "  violation: " + v + "\n";
-      }
-      std::printf("soak case %llu FAILED: class=%s seed=%llu topo=%s\n",
-                  static_cast<unsigned long long>(i), name.c_str(),
-                  static_cast<unsigned long long>(case_seed),
-                  clos ? "clos-64" : "fig2-16");
-      for (const std::string& v : r.violations) {
-        std::printf("  violation: %s\n", v.c_str());
-      }
+      artifact += "result: " + verdict(r);
+      continue;
+    }
+    ++failures;
+    artifact += r.chaos_log + "fw: " + r.fw_stats + "\nresult: " + verdict(r);
+    std::printf("soak case %zu FAILED: class=%s seed=%llu topo=%s\n", i,
+                name.c_str(), static_cast<unsigned long long>(c.seed), topo);
+    for (const std::string& v : r.violations) {
+      std::printf("  violation: %s\n", v.c_str());
     }
   }
-  artifact += "=== soak verdict: " +
-              std::to_string(cases - failures) + "/" + std::to_string(cases) +
-              " converged ===\n";
-  if (log_path != nullptr) {
-    std::FILE* f = std::fopen(log_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", log_path);
-      return 1;
-    }
-    std::fwrite(artifact.data(), 1, artifact.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s (%zu bytes)\n", log_path, artifact.size());
-  }
+  artifact += "=== soak verdict: " + std::to_string(cases - failures) + "/" +
+              std::to_string(cases) + " converged ===\n";
+  if (log_path != nullptr && !bench::write_file(log_path, artifact)) return 1;
   std::printf("corruption soak: %llu/%llu converged%s\n",
               static_cast<unsigned long long>(cases - failures),
               static_cast<unsigned long long>(cases),
@@ -603,45 +544,29 @@ int main(int argc, char** argv) {
   bool scale = false;
   bool compare = false;
   bool corrupt_smoke = false;
-  bool soak = false;
-  std::uint64_t soak_seed = 0;
+  std::optional<std::uint64_t> soak_seed;
   std::uint64_t soak_cases = 30;
-  unsigned jobs = 1;
+  std::uint64_t jobs = 1;
   const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* log_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = true;
-    } else if (std::strcmp(argv[i], "--compare") == 0) {
-      compare = true;
-    } else if (std::strcmp(argv[i], "--corrupt-smoke") == 0) {
-      corrupt_smoke = true;
-    } else if (std::strcmp(argv[i], "--soak") == 0 && i + 1 < argc) {
-      soak = true;
-      soak_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--soak-cases") == 0 && i + 1 < argc) {
-      soak_cases = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--log") == 0 && i + 1 < argc) {
-      log_path = argv[++i];
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--scale] [--compare] [--json <file>] "
-                   "[--metrics-json <file>] [--log <file>] [--jobs <N>] "
-                   "[--corrupt-smoke] [--soak <seed>] [--soak-cases <N>]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (!bench::parse_flags(argc, argv,
+                          {{"--quick", quick},
+                           {"--scale", scale},
+                           {"--compare", compare},
+                           {"--json", "<file>", json_path},
+                           {"--metrics-json", "<file>", metrics_path},
+                           {"--log", "<file>", log_path},
+                           {"--jobs", "<N>", jobs},
+                           {"--corrupt-smoke", corrupt_smoke},
+                           {"--soak", "<seed>", soak_seed},
+                           // An empty soak would pass without testing.
+                           {"--soak-cases", "<N>", soak_cases, 1}})) {
+    return 2;
   }
 
-  if (corrupt_smoke) return run_corrupt_smoke(log_path, metrics_path);
-  if (soak) return run_soak(soak_seed, soak_cases, log_path);
+  if (corrupt_smoke) return run_corrupt_smoke(jobs, log_path, metrics_path);
+  if (soak_seed) return run_soak(jobs, *soak_seed, soak_cases, log_path);
 
   const std::uint64_t total_requests = (quick || scale || compare) ? 1500 : 6000;
   const double rate_rps = (quick || scale || compare) ? 50000 : 100000;
@@ -721,17 +646,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total_requests), rate_rps / 1e3,
       specs.size());
 
-  std::vector<std::function<CellResult()>> cells;
-  cells.reserve(specs.size());
-  for (const CellSpec& spec : specs) {
-    cells.emplace_back(
-        [spec, total_requests, rate_rps, num_clients, metrics_path] {
-          return run_cell(spec, total_requests, rate_rps, num_clients,
-                          metrics_path != nullptr);
-        });
-  }
   const std::vector<CellResult> rows =
-      bench::run_cells<CellResult>(jobs, cells);
+      bench::run_cells(jobs, specs, [&](const CellSpec& spec) {
+        return run_cell(spec, total_requests, rate_rps, num_clients,
+                        metrics_path != nullptr);
+      });
 
   bool all_ok = true;
   if (compare) {
@@ -833,10 +752,15 @@ int main(int argc, char** argv) {
   std::printf("\nchaos invariants: %s\n",
               all_ok ? "all cells OK" : "VIOLATIONS");
 
-  if (json_path != nullptr) all_ok = write_json(json_path, rows) && all_ok;
-  if (metrics_path != nullptr) {
-    all_ok = write_metrics_json(metrics_path, rows) && all_ok;
+  if (json_path != nullptr) {
+    all_ok &= bench::write_file(json_path, bench::json_rows(rows, json_fields));
   }
-  if (log_path != nullptr) all_ok = write_log(log_path, rows) && all_ok;
+  if (metrics_path != nullptr) {
+    all_ok &= bench::write_file(metrics_path,
+                                bench::metrics_array(rows, metrics_cell));
+  }
+  if (log_path != nullptr) {
+    all_ok &= bench::write_file(log_path, event_log(rows));
+  }
   return all_ok ? 0 : 1;
 }

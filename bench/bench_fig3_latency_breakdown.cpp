@@ -14,6 +14,7 @@
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
 #include "harness/table.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -32,7 +33,8 @@ double measure_latency(FirmwareKind kind) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::parse_flags(argc, argv, {})) return 2;
   std::printf("=== Figure 3: 4-byte one-way latency breakdown (us) ===\n\n");
 
   const nic::NicConfig nic_cfg;

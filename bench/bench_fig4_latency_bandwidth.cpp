@@ -5,11 +5,11 @@
 // Paper: FT latency overhead <= 2.1 us up to 64 B (<= 20%); bandwidth
 // overhead < 4% for message sizes >= 4 KB; plateau ~120 MB/s (PCI-limited).
 #include <cstdio>
-#include <cstring>
 
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
 #include "harness/table.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -28,7 +28,8 @@ Cluster make(FirmwareKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
+  bool full = false;
+  if (!bench::parse_flags(argc, argv, {{"--full", full}})) return 2;
   const int lat_iters = full ? 200 : 50;
   const int bw_msgs = full ? 60 : 24;
 

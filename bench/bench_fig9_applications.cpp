@@ -13,7 +13,6 @@
 // (FFT 1M points x 18 iters, Radix 4M keys x 5 iters, Water 4096 molecules
 // x 15 steps) — expect a long run.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "apps/fft.hpp"
@@ -21,6 +20,7 @@
 #include "apps/water.hpp"
 #include "harness/cluster.hpp"
 #include "harness/table.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -88,7 +88,8 @@ void print_app(const char* app_name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = argc > 1 && std::strcmp(argv[1], "--paper-sizes") == 0;
+  bool paper = false;
+  if (!bench::parse_flags(argc, argv, {{"--paper-sizes", paper}})) return 2;
 
   std::printf("=== Figure 9: application execution-time breakdowns ===\n");
   std::printf("(aggregate over 8 processors; 4 bars per error-rate group)\n\n");

@@ -16,8 +16,6 @@
 //
 //   ./build/bench/bench_kv_service [--quick] [--json <file>]
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,7 +23,7 @@
 #include "kv/audit.hpp"
 #include "kv/rig.hpp"
 #include "obs/metrics.hpp"
-#include "parallel_sweep.hpp"
+#include "sweep.hpp"
 #include "traffic/engine.hpp"
 
 namespace {
@@ -132,91 +130,55 @@ RunResult run_cell(const RunSpec& spec, std::uint64_t total_requests,
   return r;
 }
 
-bool write_json(const char* path, const std::vector<RunResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunResult& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"clients\": %zu, \"error_rate\": \"%s\", \"campaign\": \"%s\", "
-        "\"elapsed_ms\": %.3f, \"issued\": %llu, \"ok\": %llu, "
-        "\"failed\": %llu, \"throughput_rps\": %.1f, \"goodput_rps\": %.1f, "
-        "\"availability\": %.6f, \"retries\": %llu, \"failovers\": %llu, "
-        "\"path_failures\": %llu, \"p50_us\": %.1f, \"p90_us\": %.1f, "
-        "\"p99_us\": %.1f, \"p999_us\": %.1f, \"audit_ok\": %s, "
-        "\"lost_writes\": %llu, \"dup_writes\": %llu}%s\n",
-        r.spec.clients, r.spec.err_name,
-        r.spec.link_kill ? "link-kill" : "steady", r.elapsed_ms,
-        static_cast<unsigned long long>(r.issued),
-        static_cast<unsigned long long>(r.ok),
-        static_cast<unsigned long long>(r.failed), r.throughput_rps,
-        r.goodput_rps, r.availability,
-        static_cast<unsigned long long>(r.retries),
-        static_cast<unsigned long long>(r.failovers),
-        static_cast<unsigned long long>(r.path_failures), r.p50_us, r.p90_us,
-        r.p99_us, r.p999_us, r.audit.ok() ? "true" : "false",
-        static_cast<unsigned long long>(r.audit.lost),
-        static_cast<unsigned long long>(r.audit.duplicated),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+const char* campaign(const RunSpec& spec) {
+  return spec.link_kill ? "link-kill" : "steady";
 }
 
-// Per-cell obs registry dumps: an array of {"cell": ..., "metrics": ...}
-// objects (the "metrics" value is the registry's own JSON — see
-// docs/OBSERVABILITY.md for the schema and scripts/metrics_diff.py for the
-// comparison tool).
-bool write_metrics_json(const char* path, const std::vector<RunResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RunResult& r = rows[i];
-    std::fprintf(f,
-                 "{\"cell\": {\"clients\": %zu, \"error_rate\": \"%s\", "
-                 "\"campaign\": \"%s\"},\n\"metrics\": %s}%s\n",
-                 r.spec.clients, r.spec.err_name,
-                 r.spec.link_kill ? "link-kill" : "steady",
-                 r.metrics_json.c_str(), i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+bench::Fields json_fields(const RunResult& r) {
+  return {{"clients", r.spec.clients},
+          {"error_rate", r.spec.err_name},
+          {"campaign", campaign(r.spec)},
+          {"elapsed_ms", r.elapsed_ms, 3},
+          {"issued", r.issued},
+          {"ok", r.ok},
+          {"failed", r.failed},
+          {"throughput_rps", r.throughput_rps, 1},
+          {"goodput_rps", r.goodput_rps, 1},
+          {"availability", r.availability, 6},
+          {"retries", r.retries},
+          {"failovers", r.failovers},
+          {"path_failures", r.path_failures},
+          {"p50_us", r.p50_us, 1},
+          {"p90_us", r.p90_us, 1},
+          {"p99_us", r.p99_us, 1},
+          {"p999_us", r.p999_us, 1},
+          {"audit_ok", r.audit.ok()},
+          {"lost_writes", r.audit.lost},
+          {"dup_writes", r.audit.duplicated}};
+}
+
+// The cell key of each per-cell obs registry dump (the "metrics" value is
+// the registry's own JSON — see docs/OBSERVABILITY.md for the schema and
+// scripts/metrics_diff.py for the comparison tool).
+bench::Fields metrics_cell(const RunResult& r) {
+  return {{"clients", r.spec.clients},
+          {"error_rate", r.spec.err_name},
+          {"campaign", campaign(r.spec)}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  unsigned jobs = 1;
+  std::uint64_t jobs = 1;
   const char* json_path = nullptr;
   const char* metrics_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json <file>] "
-                   "[--metrics-json <file>] [--jobs <N>]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (!bench::parse_flags(argc, argv,
+                          {{"--quick", quick},
+                           {"--json", "<file>", json_path},
+                           {"--metrics-json", "<file>", metrics_path},
+                           {"--jobs", "<N>", jobs}})) {
+    return 2;
   }
 
   const std::uint64_t total_requests = quick ? 2000 : 10000;
@@ -237,27 +199,26 @@ int main(int argc, char** argv) {
 
   // Each cell owns its scheduler and registry; run them on a worker pool
   // (declaration-order results, so output is identical for any --jobs N).
-  std::vector<std::function<RunResult()>> cells;
+  std::vector<RunSpec> specs;
   for (const std::size_t clients : client_counts) {
     for (const Err& e : errs) {
       for (const bool kill : {false, true}) {
-        const RunSpec spec{clients, e.name, e.drop_interval, kill};
-        cells.emplace_back([spec, total_requests, rate_rps, metrics_path] {
-          return run_cell(spec, total_requests, rate_rps,
-                          metrics_path != nullptr);
-        });
+        specs.push_back({clients, e.name, e.drop_interval, kill});
       }
     }
   }
-  const std::vector<RunResult> rows = bench::run_cells<RunResult>(jobs, cells);
+  const std::vector<RunResult> rows =
+      bench::run_cells(jobs, specs, [&](const RunSpec& spec) {
+        return run_cell(spec, total_requests, rate_rps,
+                        metrics_path != nullptr);
+      });
 
   harness::Table t({"Clients", "Err", "Campaign", "Goodput(rps)", "Avail",
                     "p50(us)", "p90(us)", "p99(us)", "p99.9(us)", "Retries",
                     "Failovers", "PathFail", "Audit"});
   for (const RunResult& r : rows) {
     t.add_row({std::to_string(r.spec.clients), r.spec.err_name,
-               r.spec.link_kill ? "link-kill" : "steady",
-               harness::fmt(r.goodput_rps, 0),
+               campaign(r.spec), harness::fmt(r.goodput_rps, 0),
                harness::fmt(r.availability, 4), harness::fmt(r.p50_us, 1),
                harness::fmt(r.p90_us, 1), harness::fmt(r.p99_us, 1),
                harness::fmt(r.p999_us, 1), std::to_string(r.retries),
@@ -273,9 +234,12 @@ int main(int argc, char** argv) {
               all_ok ? "all cells OK" : "FAILURES", all_ok ? "0" : "!=0",
               all_ok ? "0" : "!=0");
 
-  if (json_path != nullptr) all_ok = write_json(json_path, rows) && all_ok;
+  if (json_path != nullptr) {
+    all_ok &= bench::write_file(json_path, bench::json_rows(rows, json_fields));
+  }
   if (metrics_path != nullptr) {
-    all_ok = write_metrics_json(metrics_path, rows) && all_ok;
+    all_ok &= bench::write_file(metrics_path,
+                                bench::metrics_array(rows, metrics_cell));
   }
   return all_ok ? 0 : 1;
 }

@@ -17,14 +17,12 @@
 //    that exclusion preempts the local threshold at every survivor.
 //
 // All numbers are sim-time and seeded-Rng derived: two runs produce
-// byte-identical tables and JSON regardless of --jobs (scripts/verify.sh
-// and CI diff the --quick JSON across runs).
+// byte-identical tables and JSON regardless of --jobs
+// (scripts/same_behaviour.sh and CI diff the --quick JSON across runs).
 //
 //   ./build/bench/bench_membership [--quick] [--json <file>] [--jobs <N>]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,7 +30,7 @@
 #include "harness/table.hpp"
 #include "membership/rig.hpp"
 #include "membership/swim.hpp"
-#include "parallel_sweep.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -163,56 +161,35 @@ CellResult run_cell(const CellSpec& spec) {
   return r;
 }
 
-bool write_json(const char* path, const std::vector<CellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CellResult& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"fabric\": \"%s\", \"hosts\": %zu, \"period_us\": %.1f, "
-        "\"k_indirect\": %zu, \"gossip_pkts_per_host_s\": %.1f, "
-        "\"gossip_bytes_per_host_s\": %.1f, \"detect_median_us\": %.1f, "
-        "\"detect_p99_us\": %.1f, \"detect_max_us\": %.1f, "
-        "\"bound_us\": %.1f, \"peer_exclusions\": %llu, "
-        "\"local_pathfails\": %llu, \"pathfail_races_lost\": %llu, "
-        "\"all_confirmed\": %s, \"violations\": %zu}%s\n",
-        r.spec.fabric, r.spec.hosts, sim::to_micros(r.spec.period),
-        r.spec.k_indirect, r.pkts_per_host_s, r.bytes_per_host_s,
-        sim::to_micros(r.det_median), sim::to_micros(r.det_p99),
-        sim::to_micros(r.det_max), sim::to_micros(r.bound),
-        static_cast<unsigned long long>(r.exclusions),
-        static_cast<unsigned long long>(r.local_pathfails),
-        static_cast<unsigned long long>(r.pathfail_races_lost),
-        r.all_confirmed ? "true" : "false", r.violations.size(),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+bench::Fields json_fields(const CellResult& r) {
+  return {{"fabric", r.spec.fabric},
+          {"hosts", r.spec.hosts},
+          {"period_us", sim::to_micros(r.spec.period), 1},
+          {"k_indirect", r.spec.k_indirect},
+          {"gossip_pkts_per_host_s", r.pkts_per_host_s, 1},
+          {"gossip_bytes_per_host_s", r.bytes_per_host_s, 1},
+          {"detect_median_us", sim::to_micros(r.det_median), 1},
+          {"detect_p99_us", sim::to_micros(r.det_p99), 1},
+          {"detect_max_us", sim::to_micros(r.det_max), 1},
+          {"bound_us", sim::to_micros(r.bound), 1},
+          {"peer_exclusions", r.exclusions},
+          {"local_pathfails", r.local_pathfails},
+          {"pathfail_races_lost", r.pathfail_races_lost},
+          {"all_confirmed", r.all_confirmed},
+          {"violations", r.violations.size()}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  unsigned jobs = 1;
+  std::uint64_t jobs = 1;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr, "usage: %s [--quick] [--json <file>] [--jobs <N>]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (!bench::parse_flags(argc, argv,
+                          {{"--quick", quick},
+                           {"--json", "<file>", json_path},
+                           {"--jobs", "<N>", jobs}})) {
+    return 2;
   }
 
   const std::vector<sim::Duration> periods = {
@@ -251,13 +228,7 @@ int main(int argc, char** argv) {
       "%zu cells (steady-state overhead + host-kill detection latency)\n\n",
       specs.size());
 
-  std::vector<std::function<CellResult()>> cells;
-  cells.reserve(specs.size());
-  for (const CellSpec& spec : specs) {
-    cells.emplace_back([spec] { return run_cell(spec); });
-  }
-  const std::vector<CellResult> rows =
-      bench::run_cells<CellResult>(jobs, cells);
+  const std::vector<CellResult> rows = bench::run_cells(jobs, specs, run_cell);
 
   harness::Table t({"Fabric", "Hosts", "Period(us)", "K", "Gossip(pkt/s/h)",
                     "Gossip(B/s/h)", "DetMed(us)", "DetP99(us)", "DetMax(us)",
@@ -288,6 +259,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nmembership sweep: %s\n", all_ok ? "all cells OK" : "FAIL");
 
-  if (json_path != nullptr) all_ok = write_json(json_path, rows) && all_ok;
+  if (json_path != nullptr) {
+    all_ok &= bench::write_file(json_path, bench::json_rows(rows, json_fields));
+  }
   return all_ok ? 0 : 1;
 }

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -42,8 +41,8 @@
 #include "kv/rig.hpp"
 #include "membership/swim.hpp"
 #include "obs/metrics.hpp"
-#include "parallel_sweep.hpp"
 #include "sim/process.hpp"
+#include "sweep.hpp"
 #include "traffic/engine.hpp"
 
 namespace {
@@ -387,114 +386,64 @@ RepairCellResult run_repair_cell(const RepairCellSpec& spec,
   return r;
 }
 
-bool write_json(const char* path, const std::vector<RepairCellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RepairCellResult& r = rows[i];
-    std::fprintf(
-        f,
-        "  {\"hosts\": %zu, \"throttle_bps\": %llu, \"load_rps\": %.0f, "
-        "\"issued\": %llu, \"ok\": %llu, \"failed\": %llu, "
-        "\"goodput_rps\": %.1f, \"availability\": %.6f, "
-        "\"stripes_repaired\": %llu, \"units_rebuilt\": %llu, "
-        "\"repair_bytes\": %llu, \"repair_drain_ns\": %llu, "
-        "\"repair_bw_bps\": %.1f, \"throttle_waits\": %llu, "
-        "\"degraded_reads\": %llu, \"reads_exact\": %llu, "
-        "\"read_total\": %llu, \"striped_audit_ok\": %s, "
-        "\"kv_audit_ok\": %s, \"violations\": %zu}%s\n",
-        r.spec.hosts, static_cast<unsigned long long>(r.spec.throttle),
-        r.spec.rate_rps, static_cast<unsigned long long>(r.issued),
-        static_cast<unsigned long long>(r.ok),
-        static_cast<unsigned long long>(r.failed), r.goodput_rps,
-        r.availability, static_cast<unsigned long long>(r.stripes_repaired),
-        static_cast<unsigned long long>(r.units_rebuilt),
-        static_cast<unsigned long long>(r.repair_bytes),
-        static_cast<unsigned long long>(r.repair_drain),
-        r.repair_bw_bps, static_cast<unsigned long long>(r.throttle_waits),
-        static_cast<unsigned long long>(r.degraded_reads),
-        static_cast<unsigned long long>(r.reads_exact),
-        static_cast<unsigned long long>(r.read_total),
-        r.striped_audit.ok() ? "true" : "false",
-        r.foreground_ok ? "true" : "false", r.violations.size(),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+bench::Fields json_fields(const RepairCellResult& r) {
+  return {{"hosts", r.spec.hosts},
+          {"throttle_bps", r.spec.throttle},
+          {"load_rps", r.spec.rate_rps, 0},
+          {"issued", r.issued},
+          {"ok", r.ok},
+          {"failed", r.failed},
+          {"goodput_rps", r.goodput_rps, 1},
+          {"availability", r.availability, 6},
+          {"stripes_repaired", r.stripes_repaired},
+          {"units_rebuilt", r.units_rebuilt},
+          {"repair_bytes", r.repair_bytes},
+          {"repair_drain_ns", r.repair_drain},
+          {"repair_bw_bps", r.repair_bw_bps, 1},
+          {"throttle_waits", r.throttle_waits},
+          {"degraded_reads", r.degraded_reads},
+          {"reads_exact", r.reads_exact},
+          {"read_total", r.read_total},
+          {"striped_audit_ok", r.striped_audit.ok()},
+          {"kv_audit_ok", r.foreground_ok},
+          {"violations", r.violations.size()}};
 }
 
-bool write_metrics_json(const char* path,
-                        const std::vector<RepairCellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const RepairCellResult& r = rows[i];
-    std::fprintf(f,
-                 "{\"cell\": {\"scenario\": \"repair-%llu-%0.0f\", "
-                 "\"hosts\": %zu},\n\"metrics\": %s}%s\n",
-                 static_cast<unsigned long long>(r.spec.throttle),
-                 r.spec.rate_rps, r.spec.hosts, r.metrics_json.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+bench::Fields metrics_cell(const RepairCellResult& r) {
+  return {{"scenario", "repair-" + std::to_string(r.spec.throttle) + "-" +
+                           harness::fmt(r.spec.rate_rps, 0)},
+          {"hosts", r.spec.hosts}};
 }
 
 /// Concatenated per-cell repair event logs + integer stats — the
-/// byte-comparable determinism artifact (verify.sh double-runs and diffs).
-bool write_log(const char* path, const std::vector<RepairCellResult>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return false;
-  }
+/// byte-comparable determinism artifact (scripts/same_behaviour.sh compares
+/// it across runs and builds).
+std::string event_log(const std::vector<RepairCellResult>& rows) {
+  std::string out;
   for (const RepairCellResult& r : rows) {
-    std::fprintf(f, "=== hosts=%zu throttle=%llu load=%.0f ===\n%s",
-                 r.spec.hosts,
-                 static_cast<unsigned long long>(r.spec.throttle),
-                 r.spec.rate_rps, r.event_log.c_str());
+    out += "=== hosts=" + std::to_string(r.spec.hosts) +
+           " throttle=" + std::to_string(r.spec.throttle) +
+           " load=" + harness::fmt(r.spec.rate_rps, 0) + " ===\n" +
+           r.event_log;
   }
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-  return true;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
-  unsigned jobs = 1;
+  std::uint64_t jobs = 1;
   const char* json_path = nullptr;
   const char* metrics_path = nullptr;
   const char* log_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--log") == 0 && i + 1 < argc) {
-      log_path = argv[++i];
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json <file>] "
-                   "[--metrics-json <file>] [--log <file>] [--jobs <N>]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (!bench::parse_flags(argc, argv,
+                          {{"--quick", quick},
+                           {"--json", "<file>", json_path},
+                           {"--metrics-json", "<file>", metrics_path},
+                           {"--log", "<file>", log_path},
+                           {"--jobs", "<N>", jobs}})) {
+    return 2;
   }
   // The throttle sweep. 20 kB/s stretches the drain to hundreds of
   // milliseconds — comfortably past the detection bound, so the mid-repair
@@ -531,17 +480,11 @@ int main(int argc, char** argv) {
       "KV traffic on clos fabrics, %llu requests per cell, %zu cells\n\n",
       static_cast<unsigned long long>(total_requests), specs.size());
 
-  std::vector<std::function<RepairCellResult()>> cells;
-  cells.reserve(specs.size());
-  for (const RepairCellSpec& spec : specs) {
-    cells.emplace_back(
-        [spec, total_requests, num_clients, preload_keys, metrics_path] {
-          return run_repair_cell(spec, total_requests, num_clients,
-                                 preload_keys, metrics_path != nullptr);
-        });
-  }
   const std::vector<RepairCellResult> rows =
-      bench::run_cells<RepairCellResult>(jobs, cells);
+      bench::run_cells(jobs, specs, [&](const RepairCellSpec& spec) {
+        return run_repair_cell(spec, total_requests, num_clients, preload_keys,
+                               metrics_path != nullptr);
+      });
 
   harness::Table t({"Hosts", "Throttle(B/s)", "Load(rps)", "Goodput(rps)",
                     "Avail", "Repaired", "Units", "RepairKB", "Drain(ms)",
@@ -609,10 +552,15 @@ int main(int argc, char** argv) {
   }
   std::printf("\nrepair gates: %s\n", all_ok ? "all cells OK" : "FAILURES");
 
-  if (json_path != nullptr) all_ok = write_json(json_path, rows) && all_ok;
-  if (metrics_path != nullptr) {
-    all_ok = write_metrics_json(metrics_path, rows) && all_ok;
+  if (json_path != nullptr) {
+    all_ok &= bench::write_file(json_path, bench::json_rows(rows, json_fields));
   }
-  if (log_path != nullptr) all_ok = write_log(log_path, rows) && all_ok;
+  if (metrics_path != nullptr) {
+    all_ok &= bench::write_file(metrics_path,
+                                bench::metrics_array(rows, metrics_cell));
+  }
+  if (log_path != nullptr) {
+    all_ok &= bench::write_file(log_path, event_log(rows));
+  }
   return all_ok ? 0 : 1;
 }

@@ -18,15 +18,13 @@
 // with network size, and deterministic multipath must pick the same
 // equal-cost route on repeated remaps.
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.hpp"
 #include "harness/table.hpp"
-#include "parallel_sweep.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -186,11 +184,11 @@ CellResult run_cell(const CellSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned jobs = 1;
   bool full = false;
-  for (int i = 1; i < argc; ++i) {
-    if (sanfault::bench::parse_jobs_flag(i, argc, argv, jobs)) continue;
-    if (std::strcmp(argv[i], "--full") == 0) full = true;
+  std::uint64_t jobs = 1;
+  if (!bench::parse_flags(argc, argv,
+                          {{"--full", full}, {"--jobs", "<N>", jobs}})) {
+    return 2;
   }
 
   // Figure-2 (16 hosts): host 4 sits on sw8_a; targets 0..3 round-robin over
@@ -234,12 +232,7 @@ int main(int argc, char** argv) {
                      false, 0, clos_targets, clos_dists});
   }
 
-  std::vector<std::function<CellResult()>> cells;
-  cells.reserve(specs.size());
-  for (const auto& s : specs) {
-    cells.push_back([&s] { return run_cell(s); });
-  }
-  const auto results = sanfault::bench::run_cells<CellResult>(jobs, cells);
+  const auto results = bench::run_cells(jobs, specs, run_cell);
 
   std::printf("=== Scale-out on-demand mapping: probe cost vs distance ===\n");
   std::printf("(Table 3 extended to 64/128-host k=8 fat-trees)\n\n");

@@ -16,6 +16,7 @@
 
 #include "harness/cluster.hpp"
 #include "harness/table.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -65,7 +66,8 @@ Row measure(std::size_t target) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!bench::parse_flags(argc, argv, {})) return 2;
   std::printf("=== Table 3: dynamic (on-demand) mapping performance ===\n\n");
 
   // Host 4 sits on sw8_a; hosts 0..3 sit on sw8_a, sw16_a, sw16_b, sw8_b:

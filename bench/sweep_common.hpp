@@ -15,15 +15,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.hpp"
 #include "harness/microbench.hpp"
 #include "harness/table.hpp"
-#include "parallel_sweep.hpp"
+#include "sweep.hpp"
 
 namespace sanfault::benchsweep {
 
@@ -134,17 +132,13 @@ struct FigureSpec {
 
 /// The whole figure binary: parse `[--full] [--jobs <N>]`, simulate every
 /// cell, print one table per drop interval with a bidi and a uni row per
-/// size. Output is byte-identical for every --jobs N (parallel_sweep.hpp).
+/// size. Output is byte-identical for every --jobs N (sweep.hpp).
 inline int run_figure(int argc, char** argv, const FigureSpec& spec) {
   bool full = false;
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (!bench::parse_jobs_flag(i, argc, argv, jobs)) {
-      std::fprintf(stderr, "usage: %s [--full] [--jobs <N>]\n", argv[0]);
-      return 2;
-    }
+  std::uint64_t jobs = 1;
+  if (!bench::parse_flags(argc, argv,
+                          {{"--full", full}, {"--jobs", "<N>", jobs}})) {
+    return 2;
   }
   const std::vector<std::size_t>& sizes =
       full ? spec.full_sizes : spec.quick_sizes;
@@ -152,28 +146,22 @@ inline int run_figure(int argc, char** argv, const FigureSpec& spec) {
 
   // Cells in report order: the No-FT baseline per size, then drop interval
   // -> size -> setting.
-  std::vector<std::function<PointResult()>> cells;
+  std::vector<PointConfig> points;
   for (std::size_t bytes : sizes) {
-    PointConfig pc;
-    pc.msg_bytes = bytes;
-    pc.full = full;
-    pc.with_ft = false;
-    cells.emplace_back([pc] { return run_point(pc); });
+    points.push_back({.msg_bytes = bytes, .full = full, .with_ft = false});
   }
   for (std::uint64_t drop : spec.drop_intervals) {
     for (std::size_t bytes : sizes) {
       for (const Setting& s : spec.settings) {
-        PointConfig pc;
-        pc.msg_bytes = bytes;
-        pc.full = full;
-        pc.retrans_interval = s.retrans_interval;
-        pc.queue = s.queue;
-        pc.drop_interval = drop;
-        cells.emplace_back([pc] { return run_point(pc); });
+        points.push_back({.retrans_interval = s.retrans_interval,
+                          .queue = s.queue,
+                          .drop_interval = drop,
+                          .msg_bytes = bytes,
+                          .full = full});
       }
     }
   }
-  const auto res = bench::run_cells<PointResult>(jobs, cells);
+  const auto res = bench::run_cells(jobs, points, run_point);
 
   std::vector<std::string> header{"Size", "Dir", "No FT(q32)"};
   for (const Setting& s : spec.settings) header.emplace_back(s.label);

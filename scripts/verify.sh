@@ -5,8 +5,9 @@
 # main job runs `verify.sh --quick` (see .github/workflows/ci.yml).
 #
 # Modes and optional stages:
-#   --quick        CI-sized gate (~minutes): skips the chaos determinism
-#                  double-run and validates the campaign with one pass.
+#   --quick        the name CI's main job runs the gate under; since the
+#                  determinism battery (scripts/same_behaviour.sh) took over
+#                  the full-mode-only chaos checks, it runs the same gate.
 #   --perf-smoke   run scripts/perf_digests.py, the performance gate CI's
 #                  perf job runs: each gated perfbench workload runs for 3 s
 #                  and must keep perfbench/baseline.json's simulated-run
@@ -22,13 +23,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK=0
 PERF_SMOKE=0
 SANITIZE=0
 COVERAGE=0
 for arg in "$@"; do
   case "$arg" in
-    --quick) QUICK=1 ;;
+    --quick) ;;
     --perf-smoke) PERF_SMOKE=1 ;;
     --sanitize) SANITIZE=1 ;;
     --coverage) COVERAGE=1 ;;
@@ -69,80 +69,21 @@ echo "--- chaos gate: bench_chaos --quick vs bench/golden/chaos_quick_metrics.js
 python3 scripts/metrics_diff.py --tolerance 0.5 \
     bench/golden/chaos_quick_metrics.json build/chaos_quick_metrics.json
 
-# Corruption smoke (docs/CHAOS.md "State corruption"): one fixed-seed
-# convergence cell per corruption class, run twice; the scrubber's repair
-# path must replay byte-identically, and every class must converge. Cheap
-# enough to block the quick gate too.
-echo "--- corruption smoke: bench_chaos --corrupt-smoke double run"
-./build/bench/bench_chaos --corrupt-smoke \
-    --log build/corrupt_smoke_events.log >/dev/null
-./build/bench/bench_chaos --corrupt-smoke \
-    --log build/corrupt_smoke2_events.log >/dev/null
-cmp build/corrupt_smoke_events.log build/corrupt_smoke2_events.log
-echo "corruption smoke OK: all classes converged, double run bit-identical"
-
-if [[ "$QUICK" == 0 ]]; then
-  # Determinism contract: a second same-seed run must be bit-identical in
-  # results, event log, and metrics (the property tests/chaos_test.cpp and
-  # the chaos-smoke CI job also enforce).
-  ./build/bench/bench_chaos --quick \
-      --json build/chaos_quick2.json \
-      --metrics-json build/chaos_quick2_metrics.json \
-      --log build/chaos_quick2_events.log >/dev/null
-  cmp build/chaos_quick.json build/chaos_quick2.json
-  cmp build/chaos_quick_metrics.json build/chaos_quick2_metrics.json
-  cmp build/chaos_quick_events.log build/chaos_quick2_events.log
-  echo "chaos determinism OK: double run bit-identical"
-
-  # Proactive-failover gate (docs/ROUTING.md, EXPERIMENTS.md "Failover cost
-  # and TTFR"): every scenario runs as an on-demand/proactive pair; the
-  # binary exits nonzero unless proactive median per-destination TTFR is
-  # strictly lower on each link-kill cell (with promoted convergences
-  # observed) and retransmission amplification regresses nowhere.
-  echo "--- failover compare gate: bench_chaos --compare"
-  ./build/bench/bench_chaos --compare --jobs "$(nproc)"
-fi
-
-# Membership gate: the SWIM sweep (docs/OBSERVABILITY.md membership.*) must
-# confirm the killed host everywhere, hold the analytic detection bound, and
-# win the confirm-vs-local-threshold race in every cell; the sweep exits
-# nonzero otherwise. The detector is seeded-Rng + sim-time driven, so a
-# second run — at a different --jobs — must produce byte-identical JSON.
-echo "--- membership gate: bench_membership --quick determinism double run"
-./build/bench/bench_membership --quick \
-    --json build/membership_quick.json >/dev/null
-./build/bench/bench_membership --quick --jobs 2 \
-    --json build/membership_quick2.json >/dev/null
-cmp build/membership_quick.json build/membership_quick2.json
-echo "membership determinism OK: double run bit-identical"
-
-# Repair gate (DESIGN.md §13, EXPERIMENTS.md "Repair bandwidth vs foreground
-# goodput"): the striped host-kill sweep must reconstruct every stripe with
-# clean audits, an honest token bucket, and a throttle-bounded goodput dip —
-# the binary exits nonzero otherwise — and a second run must produce a
-# byte-identical repair transcript and cell JSON.
-echo "--- repair gate: bench_repair --quick determinism double run"
-./build/bench/bench_repair --quick \
-    --json build/repair_quick.json \
-    --log build/repair_quick_events.log >/dev/null
-./build/bench/bench_repair --quick \
-    --json build/repair_quick2.json \
-    --log build/repair_quick2_events.log >/dev/null
-cmp build/repair_quick.json build/repair_quick2.json
-cmp build/repair_quick_events.log build/repair_quick2_events.log
-echo "repair determinism OK: double run bit-identical"
-
-# Paper-figure gate (EXPERIMENTS.md Figures 5-8): each figure binary runs at
-# its default size serially and on every core; bench/parallel_sweep.hpp
-# promises byte-identical output for every --jobs N, so the two must match.
-echo "--- figure gate: Figures 5-8 at --jobs 1 vs --jobs $(nproc)"
-for fig in fig5_interval_noerrors fig6_interval_errors fig7_queue_noerrors \
-           fig8_queue_errors; do
-  ./build/bench/bench_$fig --jobs 1 >"build/${fig}_jobs1.txt"
-  ./build/bench/bench_$fig --jobs "$(nproc)" >"build/${fig}_jobsn.txt"
-  cmp "build/${fig}_jobs1.txt" "build/${fig}_jobsn.txt"
-done
-echo "figure determinism OK: serial and parallel runs bit-identical"
+# Determinism battery: scripts/same_behaviour.sh runs every deterministic
+# bench and example twice from this tree, the first time serially and the
+# second at --jobs $(nproc), and byte-compares all 50 outputs. Each run is
+# also a gate: it fails when any run exits nonzero, so the battery carries
+#   * the corruption smoke (every corruption class converges; docs/CHAOS.md
+#     "State corruption");
+#   * the chaos campaign's invariants and the failover compare gate
+#     (docs/ROUTING.md, EXPERIMENTS.md "Failover cost and TTFR");
+#   * the membership sweep's detection bound and confirm-vs-local-threshold
+#     race;
+#   * the repair sweep's audits, token-bucket honesty and throttle-bounded
+#     goodput dip (DESIGN.md §13);
+#   * Figures 5-8, whose output must not depend on --jobs.
+echo "--- determinism battery: scripts/same_behaviour.sh build build"
+scripts/same_behaviour.sh build build
 
 # Workflow static validation (actionlint stand-in; no-op without PyYAML).
 python3 scripts/validate_ci.py
@@ -163,7 +104,7 @@ if [[ "$SANITIZE" == 1 ]]; then
 fi
 
 if [[ "$COVERAGE" == 1 ]]; then
-  echo "--- coverage build: -DSANFAULT_COVERAGE=ON (advisory)"
+  echo "--- coverage build: -DSANFAULT_COVERAGE=ON"
   cmake -B build_cov -S . -DSANFAULT_COVERAGE=ON
   cmake --build build_cov -j"$(nproc)"
   # Stale .gcda from a previous run would double-count; drop them first.

@@ -1,7 +1,8 @@
 // RecoveryMonitor: measures how the stack recovers from injected faults, and
 // the invariant checker campaigns gate on.
 //
-// The monitor is a passive observer wired into three event streams:
+// The monitor is a passive observer wired into three event streams, which
+// watch() binds on a harness::Cluster:
 //  * net::Fabric fault hook      — when each fault/heal transition happened;
 //  * net::Fabric delivery hook   — every packet handed to a receiver;
 //  * firmware::FwEvent hook      — path failures, remaps, generation
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "firmware/reliability.hpp"
+#include "harness/cluster.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
@@ -112,8 +114,27 @@ class RecoveryMonitor {
  public:
   explicit RecoveryMonitor(sim::Scheduler& sched,
                            sim::Duration window = sim::milliseconds(1));
+  RecoveryMonitor(const RecoveryMonitor&) = delete;  // the hooks hold `this`
+  RecoveryMonitor& operator=(const RecoveryMonitor&) = delete;
 
-  // --- event sinks (bind these to the hooks) -------------------------------
+  /// Bind the event sinks below to `c`: its fabric's fault and delivery
+  /// hooks and every host's firmware event hook. Each replaces the hook's
+  /// previous subscriber, and the monitor must outlive the cluster's run.
+  /// (Inline, so a binary that never calls it carries no code for it.)
+  void watch(harness::Cluster& c) {
+    c.fabric().set_fault_hook(
+        [this](const net::FaultEvent& ev) { on_fault(ev); });
+    c.fabric().set_delivery_hook(
+        [this](const net::Packet& pkt, net::HostId dst) {
+          on_delivery(pkt, dst);
+        });
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      c.rel(i).set_event_hook(
+          [this](const firmware::FwEvent& ev) { on_fw_event(ev); });
+    }
+  }
+
+  // --- event sinks (watch() binds them to the hooks) -----------------------
   void on_fault(const net::FaultEvent& ev);
   void on_delivery(const net::Packet& pkt, net::HostId dst);
   void on_fw_event(const firmware::FwEvent& ev);

@@ -17,9 +17,10 @@ namespace {
 /// erased by the scheduler's teardown hook, so address reuse across
 /// consecutive simulations (tests, bench sweeps) cannot alias registries.
 /// The map is the one piece of cross-scheduler shared state in the process,
-/// so it is mutex-guarded: parallel sweep runners (bench::run_cells) create
-/// and destroy schedulers concurrently. A Registry itself is still owned by
-/// exactly one simulation thread and is not internally synchronized.
+/// so it is mutex-guarded: the bench cell runner (bench::run_cells in
+/// bench/sweep.hpp) creates and destroys schedulers concurrently. A
+/// Registry itself is still owned by exactly one simulation thread and is
+/// not internally synchronized.
 std::unordered_map<const sim::Scheduler*, std::unique_ptr<Registry>>&
 registry_map() {
   static std::unordered_map<const sim::Scheduler*, std::unique_ptr<Registry>>

@@ -126,16 +126,7 @@ chaos::RecoveryReport stream_under_chaos(ClusterConfig cfg,
                                          Drainer& d) {
   Cluster c(cfg);
   chaos::RecoveryMonitor monitor(c.sched);
-  c.fabric().set_fault_hook(
-      [&monitor](const net::FaultEvent& ev) { monitor.on_fault(ev); });
-  c.fabric().set_delivery_hook(
-      [&monitor](const net::Packet& pkt, net::HostId dst) {
-        monitor.on_delivery(pkt, dst);
-      });
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    c.rel(i).set_event_hook(
-        [&monitor](const firmware::FwEvent& ev) { monitor.on_fw_event(ev); });
-  }
+  monitor.watch(c);
   chaos::ChaosEngine eng(c.sched, c.fabric(),
                          chaos::Scenario::parse(scenario));
   eng.arm();
@@ -235,16 +226,7 @@ TEST(ChaosRecovery, PartitionAndHealIsExactlyOnce) {
   kv::KvRig rig(rc);
 
   chaos::RecoveryMonitor monitor(rig.c.sched);
-  rig.c.fabric().set_fault_hook(
-      [&monitor](const net::FaultEvent& ev) { monitor.on_fault(ev); });
-  rig.c.fabric().set_delivery_hook(
-      [&monitor](const net::Packet& pkt, net::HostId dst) {
-        monitor.on_delivery(pkt, dst);
-      });
-  for (firmware::ReliableFirmware* fw : rig.rel_view()) {
-    fw->set_event_hook(
-        [&monitor](const firmware::FwEvent& ev) { monitor.on_fw_event(ev); });
-  }
+  monitor.watch(rig.c);
   chaos::ChaosEngine eng(rig.c.sched, rig.c.fabric(),
                          chaos::Scenario::parse(
                              "scenario part\nseed 5\n"

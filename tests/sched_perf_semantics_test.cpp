@@ -1,7 +1,7 @@
 // Semantics tests for the performance-oriented scheduler internals: lazy
 // cancellation, slot/generation reuse, heap compaction, the inline-capture
 // (spill) budget of the packet hot path, and the determinism contract the
-// parallel sweep runner (bench/parallel_sweep.hpp) relies on. The basics
+// bench cell runner (run_cells in bench/sweep.hpp) relies on. The basics
 // (ordering, FIFO ties, cancel visibility) live in sim_scheduler_test.cpp;
 // these tests drive the edges the lazy representation introduces.
 #include <gtest/gtest.h>
@@ -355,7 +355,7 @@ TEST(SchedInlineSpills, ReliableRingNeverSpills) {
 // One simulation cell: a 2-host reliable cluster streaming messages with
 // injected drops, returning the full metrics registry dump. Equal JSON
 // across serial and concurrent executions is the byte-identical-output
-// contract bench/parallel_sweep.hpp promises for --jobs N.
+// contract bench/sweep.hpp's run_cells promises for --jobs N.
 std::string run_reference_cell() {
   harness::ClusterConfig cfg;
   cfg.num_hosts = 2;
