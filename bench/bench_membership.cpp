@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
   const std::vector<sim::Duration> periods = {
       sim::microseconds(500), sim::milliseconds(1), sim::milliseconds(2)};
 
-  // Quick: the clos-64 period sweep at the production fan-out — the CI
-  // determinism smoke. Full: every fabric x period x fan-out.
+  // Quick: the clos-64 period sweep at the production fan-out — the
+  // determinism battery's entry. Full: every fabric x period x fan-out.
   std::vector<CellSpec> specs;
   if (quick) {
     for (const sim::Duration p : periods) {

@@ -57,6 +57,7 @@ python3 scripts/metrics_diff.py bench/golden/kv_quick_metrics.json \
 
 # Chaos recovery gate: drive the quick fault campaign (docs/CHAOS.md) and
 # diff its recovery counters against bench/golden/chaos_quick_metrics.json.
+# CI's gcc leg uploads the three files it writes as chaos-quick-metrics.
 # The wider tolerance covers the chaos.*_ns timing counters, which shift
 # more across toolchains than event counts do. Regenerate after intentional
 # recovery-path changes with:

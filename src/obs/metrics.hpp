@@ -14,11 +14,12 @@
 // entry per instance, consumers (scripts/metrics_diff.py) aggregate by
 // stripping labels.
 //
-// Hot-path cost: an increment through a cached Counter* is one add; nothing
-// allocates after registration. Components that already keep a cheap stats
-// struct register a *collector* instead — a callback run just before every
-// export that copies the struct into registry counters — so their fast paths
-// stay untouched (pull model, as Prometheus collectors do it). Collectors
+// Hot-path cost: an increment through a cached Counter* is one add; after
+// registration only a histogram allocates, when a sample reaches a new
+// highest bucket. Components that already keep a cheap stats struct
+// register a *collector* instead — a callback run just before every export
+// that copies the struct into registry counters — so their fast paths stay
+// untouched (pull model, as Prometheus collectors do it). Collectors
 // are keyed by an owner pointer and MUST be removed in the owner's
 // destructor (remove_collectors runs them one last time, so final values
 // survive into the teardown export).
@@ -79,7 +80,8 @@ class Gauge {
 };
 
 /// Windowed distribution over the whole run (sim::HdrHistogram: ~3% relative
-/// error, allocation-free recording).
+/// error; recording allocates only when a sample reaches a new highest
+/// bucket).
 class Histogram {
  public:
   void record(std::uint64_t v) { h_.add(v); }

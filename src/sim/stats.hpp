@@ -1,4 +1,10 @@
 // Log-bucketed latency histogram (the storage behind obs::Histogram).
+//
+// Buckets start empty and grow to the highest bucket a sample or a merge
+// reaches, so a histogram costs what its data spans: nothing while empty,
+// about 4 KB for nanosecond latencies up to a millisecond, 15 KB at most.
+// A bucket past the highest one reached would hold zero, so quantiles,
+// equality and every export read as they would over the full range.
 #pragma once
 
 #include <algorithm>
@@ -15,14 +21,13 @@ class HdrHistogram {
  public:
   static constexpr unsigned kSubBits = 5;
   static constexpr std::uint64_t kSub = 1ull << kSubBits;  // 32 sub-buckets
-  // Octave 0 is the exact region [0, kSub); octaves 1..(64-kSubBits-1) cover
+  // Octave 0 is the exact region [0, kSub); octaves 1..(64-kSubBits) cover
   // the rest of the 64-bit range with kSub sub-buckets each.
-  static constexpr std::size_t kBuckets = (64 - kSubBits) * kSub;
-
-  HdrHistogram() : buckets_(kBuckets, 0) {}
 
   void add(std::uint64_t v) {
-    ++buckets_[bucket_of(v)];
+    const std::size_t b = bucket_of(v);
+    if (b >= buckets_.size()) buckets_.resize(b + 1);
+    ++buckets_[b];
     ++n_;
     sum_ += static_cast<double>(v);
     max_ = std::max(max_, v);
@@ -33,7 +38,6 @@ class HdrHistogram {
     return n_ ? sum_ / static_cast<double>(n_) : 0.0;
   }
   [[nodiscard]] std::uint64_t max() const { return max_; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
 
   /// Upper bound of the bucket holding the q-th quantile sample, i.e. a value
   /// >= the true quantile and within one sub-bucket of it. The recorded max
@@ -51,12 +55,17 @@ class HdrHistogram {
   }
 
   void merge(const HdrHistogram& o) {
-    for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += o.buckets_[i];
+    const std::size_t n = o.buckets_.size();
+    if (n > buckets_.size()) buckets_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) buckets_[i] += o.buckets_[i];
     n_ += o.n_;
     sum_ += o.sum_;
     max_ = std::max(max_, o.max_);
   }
 
+  /// Equal counts and maxima mean equal bucket sizes, since the highest
+  /// bucket reached is max()'s, so comparing the vectors compares the full
+  /// range.
   bool operator==(const HdrHistogram& o) const {
     return n_ == o.n_ && max_ == o.max_ && buckets_ == o.buckets_;
   }
@@ -78,7 +87,7 @@ class HdrHistogram {
   }
 
  private:
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // up to the highest bucket reached
   std::uint64_t n_ = 0;
   double sum_ = 0.0;
   std::uint64_t max_ = 0;

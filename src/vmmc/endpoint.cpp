@@ -1,7 +1,9 @@
 #include "vmmc/endpoint.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <cassert>
+#include <new>
 #include <string>
 
 namespace sanfault::vmmc {
@@ -56,21 +58,33 @@ net::UserHeader Endpoint::encode(Kind kind, ExportId exp, bool last,
   return u;
 }
 
+Endpoint::ZeroPages::ZeroPages(std::size_t bytes) {
+  if (bytes == 0) return;
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  p_ = static_cast<std::uint8_t*>(p);
+  n_ = bytes;
+}
+
+Endpoint::ZeroPages::~ZeroPages() {
+  if (p_ != nullptr) ::munmap(p_, n_);
+}
+
 ExportId Endpoint::export_buffer(std::size_t bytes) {
   const ExportId id = next_export_++;
-  ExportRec rec;
-  rec.data.assign(bytes, 0);
-  rec.notify = std::make_unique<sim::Channel<DepositEvent>>();
-  exports_.emplace(id, std::move(rec));
+  exports_.emplace(
+      id, ExportRec{ZeroPages(bytes),
+                    std::make_unique<sim::Channel<DepositEvent>>()});
   return id;
 }
 
 std::span<const std::uint8_t> Endpoint::buffer(ExportId id) const {
-  return exports_.at(id).data;
+  return exports_.at(id).data.span();
 }
 
 std::span<std::uint8_t> Endpoint::buffer_mut(ExportId id) {
-  return exports_.at(id).data;
+  return exports_.at(id).data.span();
 }
 
 sim::Channel<DepositEvent>& Endpoint::notifications(ExportId id) {
@@ -138,7 +152,8 @@ void Endpoint::on_host_rx(net::UserHeader u, net::PayloadRef payload,
       resp.user = encode(Kind::kImportResp, exp, true, 0, /*tag=*/u.w2,
                          it == exports_.end()
                              ? 0
-                             : static_cast<std::uint64_t>(it->second.data.size()));
+                             : static_cast<std::uint64_t>(
+                                   it->second.data.span().size()));
       // Grant iff the export exists; size 0 doubles as the denial marker
       // (VMMC exports are always non-empty).
       resp.user.w1 = (it != exports_.end()) ? 1 : 0;
@@ -166,18 +181,22 @@ void Endpoint::handle_deposit(net::UserHeader u,
     ++stats_.rejected_rx;
     return;
   }
-  auto& buf = it->second.data;
+  const std::span<std::uint8_t> buf = it->second.data.span();
   const std::uint64_t offset = u.w1;
-  if (offset + payload.size() > buf.size()) {
+  const bool last = (u.w0 & kLastBit) != 0;
+  // The segment must lie inside the export, and so must a last segment's
+  // message, which readers take as the `total` bytes ending where the
+  // segment ends. Written so that no header value wraps a sum.
+  if (offset > buf.size() || payload.size() > buf.size() - offset ||
+      (last && u.w3 > offset + payload.size())) {
     ++stats_.rejected_rx;  // protection violation: out of exported bounds
     return;
   }
-  std::copy(payload.begin(), payload.end(),
-            buf.begin() + static_cast<std::ptrdiff_t>(offset));
+  std::copy(payload.begin(), payload.end(), buf.data() + offset);
   ++stats_.segments_rx;
   stats_.bytes_rx += payload.size();
 
-  if (u.w0 & kLastBit) {
+  if (last) {
     ++stats_.deposits_rx;
     DepositEvent ev;
     ev.at = sched_.now();

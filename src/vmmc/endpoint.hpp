@@ -13,7 +13,15 @@
 //    a message lands.
 //
 // The endpoint is protection-checked the way VMMC is: deposits to unknown
-// export ids or out-of-bounds offsets are rejected (counted, not delivered).
+// export ids, out-of-bounds offsets or out-of-bounds message lengths are
+// rejected (counted, not delivered).
+//
+// An export is address space the OS backs on first write, as a real VMMC
+// export is: anonymous private pages, each mapped to a zeroed frame when a
+// deposit first lands in it, so a run pays only for the pages deposits
+// write (a MsgEndpoint ring is sized hosts x per-peer bytes; a clos-64
+// repair run writes about a quarter of it). The bounds check in
+// handle_deposit is the export's only guard; the mapping has no redzone.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +29,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -99,8 +108,24 @@ class Endpoint {
     kImportResp = 3,
   };
 
+  /// `bytes` of anonymous private memory (mmap), unmapped on destruction;
+  /// the OS zero-fills each page on its first write. Nothing is mapped for
+  /// 0 bytes. Throws std::bad_alloc when the mapping fails.
+  class ZeroPages {
+   public:
+    explicit ZeroPages(std::size_t bytes);
+    ZeroPages(ZeroPages&& o) noexcept
+        : p_(std::exchange(o.p_, nullptr)), n_(std::exchange(o.n_, 0)) {}
+    ~ZeroPages();
+    [[nodiscard]] std::span<std::uint8_t> span() const { return {p_, n_}; }
+
+   private:
+    std::uint8_t* p_ = nullptr;
+    std::size_t n_ = 0;
+  };
+
   struct ExportRec {
-    std::vector<std::uint8_t> data;
+    ZeroPages data;
     std::unique_ptr<sim::Channel<DepositEvent>> notify;
   };
 

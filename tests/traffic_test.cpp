@@ -23,7 +23,7 @@ TEST(HdrHistogram, BucketBoundsAreConsistent) {
   for (const std::uint64_t v :
        {0ull, 1ull, 31ull, 32ull, 33ull, 63ull, 64ull, 100ull, 1023ull,
         1024ull, 4097ull, 123456789ull, 1ull << 40, (1ull << 40) + 12345,
-        ~0ull >> 1}) {
+        ~0ull >> 1, 1ull << 63, ~0ull}) {
     const std::size_t b = sim::HdrHistogram::bucket_of(v);
     const std::uint64_t ub = sim::HdrHistogram::upper_bound(b);
     ASSERT_GE(ub, v);
@@ -87,6 +87,62 @@ TEST(HdrHistogram, MergeMatchesCombinedStream) {
   EXPECT_TRUE(a == all);
   EXPECT_EQ(a.count(), all.count());
   EXPECT_EQ(a.quantile(0.99), all.quantile(0.99));
+
+  // Ranges that differ: values below 32 (the exact buckets) and 2^20-scale
+  // values, merged in both orders, equal the histogram fed both streams.
+  sim::HdrHistogram small, large, both;
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t v = rng.uniform(32);
+    small.add(v);
+    both.add(v);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t v = (1u << 20) + rng.uniform(1u << 20);
+    large.add(v);
+    both.add(v);
+  }
+  sim::HdrHistogram small_then_large = small;
+  small_then_large.merge(large);
+  sim::HdrHistogram large_then_small = large;
+  large_then_small.merge(small);
+  for (const sim::HdrHistogram* h : {&small_then_large, &large_then_small}) {
+    EXPECT_TRUE(*h == both);
+    EXPECT_EQ(h->count(), 4000u);
+    EXPECT_EQ(h->max(), both.max());
+    for (const double q : {0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(h->quantile(q), both.quantile(q)) << "q=" << q;
+    }
+  }
+  // p50 is one of the small values and p90 one of the large ones.
+  EXPECT_LT(both.quantile(0.5), 32u);
+  EXPECT_GE(both.quantile(0.9), 1u << 20);
+  // An empty histogram merges in either direction without changing a thing.
+  sim::HdrHistogram empty;
+  sim::HdrHistogram with_empty = small;
+  with_empty.merge(empty);
+  EXPECT_TRUE(with_empty == small);
+  empty.merge(small);
+  EXPECT_TRUE(empty == small);
+
+  // The same values fed in a different order give an equal histogram.
+  std::vector<std::uint64_t> vals;
+  for (int i = 0; i < 2000; ++i) {
+    vals.push_back(i % 3 == 0 ? rng.uniform(32) : rng.uniform(1u << 20));
+  }
+  sim::HdrHistogram forward, backward;
+  for (const auto v : vals) forward.add(v);
+  for (auto it = vals.rbegin(); it != vals.rend(); ++it) backward.add(*it);
+  EXPECT_TRUE(forward == backward);
+  EXPECT_FALSE(forward == small);
+}
+
+TEST(HdrHistogram, RecordsTheTopOfTheRange) {
+  sim::HdrHistogram h;
+  h.add(1);
+  h.add(~0ull);
+  EXPECT_EQ(h.quantile(0.5), 1u);
+  EXPECT_EQ(h.quantile(1.0), ~0ull);
+  EXPECT_EQ(h.max(), ~0ull);
 }
 
 // --- samplers --------------------------------------------------------------

@@ -1,11 +1,18 @@
 // Tests for the VMMC layer: export/import protection, direct deposit,
 // segmentation, notifications, and behavior over the reliable firmware with
-// injected faults; the MsgEndpoint message layer's tap list and contract
-// checks. Also validates the micro-benchmark harness against the paper's
-// §6.1.1 calibration numbers.
+// injected faults; an export's memory cost (only the pages written); the
+// MsgEndpoint message layer's tap list and contract checks. Also validates
+// the micro-benchmark harness against the paper's §6.1.1 calibration
+// numbers.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -140,6 +147,47 @@ TEST(Vmmc, OutOfBoundsDepositRejected) {
   EXPECT_EQ(r.b.stats().deposits_rx, 0u);
 }
 
+TEST(Vmmc, DepositWhoseEndWrapsPastTheAddressRangeRejected) {
+  VmmcRig r;
+  bool done = false;
+  [](VmmcRig& r, bool& done) -> sim::Process {
+    auto exp = r.b.export_buffer(64);
+    auto imp = co_await r.a.import(r.c.hosts[1], exp);
+    // offset + 32 wraps to 16, inside the export: only the offset is out.
+    co_await r.a.send(*imp, std::numeric_limits<std::size_t>::max() - 15,
+                      std::vector<std::uint8_t>(32, 0xFF));
+    co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
+    done = true;
+  }(r, done);
+  r.drive(done);
+  EXPECT_EQ(r.b.stats().rejected_rx, 1u);
+  EXPECT_EQ(r.b.stats().deposits_rx, 0u);
+}
+
+TEST(Vmmc, LastSegmentClaimingMoreThanItsEndRejected) {
+  VmmcRig r;
+  bool done = false;
+  [](VmmcRig& r, bool& done) -> sim::Process {
+    auto exp = r.b.export_buffer(64);
+    (void)co_await r.a.import(r.c.hosts[1], exp);
+    // A forged last segment (the endpoint's wire layout: w0 = kind 1 <<
+    // 56 | last bit 55 | export id) of 16 bytes at offset 0 that declares a
+    // 100-byte message: the message would start 84 bytes before the export.
+    nic::SendRequest req;
+    req.dst = r.c.hosts[1];
+    req.user.w0 = (1ull << 56) | (1ull << 55) | exp;
+    req.user.w1 = 0;
+    req.user.w3 = 100;
+    req.payload.assign(16, 0xFF);
+    r.c.nic(0).host_submit(std::move(req));
+    co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
+    done = true;
+  }(r, done);
+  r.drive(done);
+  EXPECT_EQ(r.b.stats().rejected_rx, 1u);
+  EXPECT_EQ(r.b.stats().deposits_rx, 0u);
+}
+
 TEST(Vmmc, UnknownExportDepositRejected) {
   VmmcRig r;
   bool done = false;
@@ -207,6 +255,51 @@ TEST(Vmmc, SegmentedTransferSurvivesInjectedDrops) {
   }(r, done);
   r.drive(done);
   EXPECT_GT(r.c.rel(0).stats().injected_drops, 0u);
+}
+
+/// Pages of `s` backed by memory, counted with mincore over its page-rounded
+/// span. Count before reading any byte: a read maps the zero page, which
+/// mincore may count.
+std::size_t resident_pages(std::span<const std::uint8_t> s) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(s.data());
+  const std::uintptr_t lo = begin & ~(page - 1);
+  const std::uintptr_t hi = (begin + s.size() + page - 1) & ~(page - 1);
+  std::vector<unsigned char> in_core((hi - lo) / page);
+  if (::mincore(reinterpret_cast<void*>(lo), hi - lo, in_core.data()) != 0) {
+    ADD_FAILURE() << "mincore failed";
+    return in_core.size();
+  }
+  return static_cast<std::size_t>(std::count_if(
+      in_core.begin(), in_core.end(), [](unsigned char c) { return c & 1; }));
+}
+
+TEST(Vmmc, ExportCostsOnlyThePagesWritten) {
+  VmmcRig r;
+  bool done = false;
+  [](VmmcRig& r, bool& done) -> sim::Process {
+    constexpr std::size_t kExport = 64u << 20;
+    constexpr std::size_t kAt = 32u << 20;
+    auto exp = r.b.export_buffer(kExport);
+    auto imp = co_await r.a.import(r.c.hosts[1], exp);
+    std::vector<std::uint8_t> data(4096);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>(i % 255 + 1);
+    }
+    co_await r.a.send(*imp, kAt, data);
+    (void)co_await r.b.notifications(exp).pop(r.c.sched);
+    const auto buf = r.b.buffer(exp);
+    EXPECT_LE(resident_pages(buf), 2u) << "of " << kExport / 4096;
+    const std::vector<std::uint8_t> got(buf.begin() + kAt,
+                                        buf.begin() + kAt + data.size());
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(buf[0], 0);
+    EXPECT_EQ(buf[kAt - 1], 0);
+    EXPECT_EQ(buf[kAt + data.size()], 0);
+    EXPECT_EQ(buf[kExport - 1], 0);
+    done = true;
+  }(r, done);
+  r.drive(done);
 }
 
 // --- MsgEndpoint: messages over one exported ring -------------------------
