@@ -33,12 +33,20 @@ body to a neighbouring symbol of its class (seen: `SwimAgent::next_target`,
 `KvClientHost::KvClientHost`). So the table gives layer shares only, not
 functions or seconds.
 
+The shares are of the seconds gprof's flat profile attributes, which can be
+half of the run or less: time in shared libraries (memcpy, malloc, libm),
+in -pg's mcount and in the kernel falls in no row. So above the table the
+script prints the seconds the flat profile holds and the calibration
+kernel's part of them, and, when it ran the profile itself, the profiled
+process's CPU seconds (user + sys, from its rusage) beside them.
+
 Exit status: 0 on success, 2 when the build, the run or the profile failed.
 """
 
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -51,6 +59,8 @@ LAYERS = ["event queue", "sim other", "net", "nic", "firmware", "mapper",
 UNATTRIBUTED = "unattributed"
 MAPPER_CLASSES = {"OnDemandMapper", "FullMapper", "MapperIface",
                   "UpDownRouting"}
+UNSEEN = ("Time in shared libraries (memcpy, malloc, libm), in -pg's mcount "
+          "and in the kernel falls in no row.")
 LIMITS = ("Shares of gprof self-time samples, perfbench's calibration kernel "
           "excluded. -pg inflates call-heavy code, and a coroutine body can "
           "be charged to a neighbouring symbol of its class, so this table "
@@ -177,15 +187,35 @@ def layer_of(symbol):
     return ns
 
 
-def layer_shares(text):
-    """{layer: share of the simulator's samples}, kernel excluded."""
+def simulator_seconds(text):
+    """({function: self seconds}, kernel excluded; the flat profile's total
+    seconds; the calibration kernel's part of that total)."""
     self_s = parse_flat(text)
     if not self_s:
         fail("no flat profile rows in the gprof output")
-    self_s.pop(KERNEL, None)
+    total = sum(self_s.values())
+    kernel = self_s.pop(KERNEL, 0.0)
     for callee, s in kernel_arcs(text).items():
         if callee in self_s:
-            self_s[callee] = max(0.0, self_s[callee] - s)
+            taken = min(self_s[callee], s)
+            self_s[callee] -= taken
+            kernel += taken
+    return self_s, total, kernel
+
+
+def attributed(label, text, cpu_s=None):
+    """One line: the seconds gprof attributed, beside the run's CPU time."""
+    _, total, kernel = simulator_seconds(text)
+    held = f"gprof's flat profile holds {total:.2f} s"
+    if cpu_s is not None:
+        held += f" of the profiled process's {cpu_s:.2f} s CPU (user + sys)"
+    return (f"{label}: {held}, {kernel:.2f} s of it perfbench's calibration "
+            "kernel.")
+
+
+def layer_shares(text):
+    """{layer: share of the simulator's samples}, kernel excluded."""
+    self_s, _, _ = simulator_seconds(text)
     by_layer = {}
     for name, s in self_s.items():
         layer = layer_of(name)
@@ -196,12 +226,13 @@ def layer_shares(text):
     return {k: v / total for k, v in by_layer.items()}
 
 
-def table(columns):
-    """Markdown table: one row per layer, one share column per profile."""
+def table(columns, seconds):
+    """Markdown table: one row per layer, one share column per profile,
+    below the `seconds` lines."""
     extra = sorted({k for _, shares in columns for k in shares
                     if k not in LAYERS and k != UNATTRIBUTED})
     rows = LAYERS + extra + [UNATTRIBUTED]
-    out = [LIMITS, "",
+    out = seconds + [UNSEEN, "", LIMITS, "",
            "| Layer | " + " | ".join(label for label, _ in columns) + " |",
            "|---|" + "---:|" * len(columns)]
     for layer in rows:
@@ -238,13 +269,18 @@ def profile(root, workload, seconds, seed):
     gmon = build / "gmon.out"
     if gmon.exists():
         gmon.unlink()
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     run([str(binary), "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--out", str(build / "result.json")],
         cwd=build, stdout=sys.stderr)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime -
+                                                  before.ru_stime)
     if not gmon.is_file():
         fail("the profiled run wrote no gmon.out")
-    return run(["gprof", "-b", str(binary), str(gmon)], capture_output=True,
+    text = run(["gprof", "-b", str(binary), str(gmon)], capture_output=True,
                text=True).stdout
+    return text, cpu_s
 
 
 def main():
@@ -261,21 +297,23 @@ def main():
                     help="read saved gprof -b texts instead of profiling")
     args = ap.parse_args()
 
+    columns, seconds = [], []
     if args.from_gprof:
-        columns = []
         for path in args.from_gprof:
             try:
                 text = path.read_text()
             except OSError as e:
                 fail(f"cannot read {path}: {e}")
             columns.append((path.name, layer_shares(text)))
+            seconds.append(attributed(path.name, text))
     else:
-        text = profile(args.root.resolve(), args.workload, args.seconds,
-                       args.seed)
+        text, cpu_s = profile(args.root.resolve(), args.workload,
+                              args.seconds, args.seed)
         if args.save:
             args.save.write_text(text)
-        columns = [(args.workload, layer_shares(text))]
-    print(table(columns))
+        columns.append((args.workload, layer_shares(text)))
+        seconds.append(attributed(args.workload, text, cpu_s))
+    print(table(columns, seconds))
     return 0
 
 

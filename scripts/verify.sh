@@ -2,12 +2,9 @@
 # Tier-1 verification: configure, build everything, run the full test suite,
 # then check bench metrics against the committed golden runs.
 # This is the exact command gate a change must pass before merging; CI's
-# main job runs `verify.sh --quick` (see .github/workflows/ci.yml).
+# main job runs it as is (see .github/workflows/ci.yml).
 #
-# Modes and optional stages:
-#   --quick        the name CI's main job runs the gate under; since the
-#                  determinism battery (scripts/same_behaviour.sh) took over
-#                  the full-mode-only chaos checks, it runs the same gate.
+# Optional stages:
 #   --perf-smoke   run scripts/perf_digests.py, the performance gate CI's
 #                  perf job runs: each gated perfbench workload runs for 3 s
 #                  and must keep perfbench/baseline.json's simulated-run
@@ -28,18 +25,16 @@ SANITIZE=0
 COVERAGE=0
 for arg in "$@"; do
   case "$arg" in
-    --quick) ;;
     --perf-smoke) PERF_SMOKE=1 ;;
     --sanitize) SANITIZE=1 ;;
     --coverage) COVERAGE=1 ;;
-    *) echo "usage: $0 [--quick] [--perf-smoke] [--sanitize] [--coverage]" >&2
+    *) echo "usage: $0 [--perf-smoke] [--sanitize] [--coverage]" >&2
        exit 2 ;;
   esac
 done
 
 # Docs gate (cheap, so it runs first): every markdown link and anchor must
-# resolve and docs/ARCHITECTURE.md must cover every src/ module. Blocking
-# in quick and full modes alike.
+# resolve and docs/ARCHITECTURE.md must cover every src/ module. Blocking.
 python3 scripts/check_docs.py
 
 cmake -B build -S .

@@ -1,5 +1,6 @@
 #include "apps/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -12,34 +13,66 @@ namespace {
 
 using Cplx = std::complex<double>;
 
-/// Iterative radix-2 Cooley-Tukey, unitary (1/sqrt(L)) normalization so that
-/// forward+inverse passes round-trip exactly and energy is preserved.
-void fft_1d(std::span<Cplx> a, bool inverse) {
-  const std::size_t L = a.size();
-  for (std::size_t i = 1, j = 0; i < L; ++i) {
-    std::size_t bit = L >> 1;
+/// a * b as std::complex computes it when no NaN arises. Written out, the
+/// product leaves out C99 Annex G's NaN recovery (an isnan test guarding a
+/// __muldc3 call), which finite data never takes.
+inline Cplx mul(Cplx a, Cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+}  // namespace
+
+namespace detail {
+
+FftPlan::FftPlan(std::size_t n) : n_(n) {
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
+    if (i < j) {
+      swaps_.emplace_back(static_cast<std::uint32_t>(i),
+                          static_cast<std::uint32_t>(j));
+    }
   }
-  for (std::size_t len = 2; len <= L; len <<= 1) {
-    const double ang =
-        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
-    const Cplx wl(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < L; i += len) {
+  for (const bool inverse : {false, true}) {
+    auto& tw = twiddles_[inverse ? 1 : 0];
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double ang = 2.0 * std::numbers::pi / static_cast<double>(len) *
+                         (inverse ? 1 : -1);
+      const Cplx wl(std::cos(ang), std::sin(ang));
       Cplx w(1.0, 0.0);
       for (std::size_t k = 0; k < len / 2; ++k) {
-        const Cplx u = a[i + k];
-        const Cplx v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
+        tw.push_back(w);
         w *= wl;
       }
     }
   }
-  const double s = 1.0 / std::sqrt(static_cast<double>(L));
+}
+
+void FftPlan::transform(std::span<Cplx> a, bool inverse) const {
+  for (const auto& [i, j] : swaps_) std::swap(a[i], a[j]);
+  const Cplx* tw = twiddles_[inverse ? 1 : 0].data();
+  for (std::size_t half = 1; half < n_; half <<= 1) {
+    const Cplx* w = tw + (half - 1);
+    for (std::size_t i = 0; i < n_; i += 2 * half) {
+      Cplx* lo = a.data() + i;
+      Cplx* hi = lo + half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const Cplx u = lo[k];
+        const Cplx v = mul(hi[k], w[k]);
+        lo[k] = u + v;
+        hi[k] = u - v;
+      }
+    }
+  }
+  const double s = 1.0 / std::sqrt(static_cast<double>(n_));
   for (auto& v : a) v *= s;
 }
+
+}  // namespace detail
+
+namespace {
 
 struct FftCtx {
   svm::Runtime& rt;
@@ -48,7 +81,13 @@ struct FftCtx {
   svm::RegionId B;
   std::size_t R = 0;  // matrix dimension (rows == cols == sqrt(n))
   std::size_t n = 0;
+  const detail::FftPlan& plan;  // for rows of R points
 };
+
+/// Side of the square tiles a transpose copies in: a tile reads 4 KB of
+/// source points and writes 4 KB of destination points, so both sides stay
+/// in the level-1 cache while the tile is copied.
+constexpr std::size_t kTile = 16;
 
 /// Rows [i0, i1) of `dst` := transpose of `src` (dst[i][j] = src[j][i]).
 /// Column slices of every remote row are fetched through the SVM — the
@@ -62,10 +101,18 @@ sim::Task<void> transpose(FftCtx& ctx, svm::Proc& p, svm::RegionId src,
   for (std::size_t j = 0; j < R; ++j) {
     co_await p.acquire(src, (j * R + i0) * sizeof(Cplx),
                        (i1 - i0) * sizeof(Cplx));
-    for (std::size_t i = i0; i < i1; ++i) {
-      Y[i * R + j] = X[j * R + i];
-    }
     ops += static_cast<double>(i1 - i0) * 2.0;  // load + store per element
+  }
+  // `src` is read-only until the next barrier, so copying after the last
+  // acquire reads what a copy after each acquire would.
+  for (std::size_t j0 = 0; j0 < R; j0 += kTile) {
+    const std::size_t j1 = std::min(j0 + kTile, R);
+    for (std::size_t t0 = i0; t0 < i1; t0 += kTile) {
+      const std::size_t t1 = std::min(t0 + kTile, i1);
+      for (std::size_t i = t0; i < t1; ++i) {
+        for (std::size_t j = j0; j < j1; ++j) Y[i * R + j] = X[j * R + i];
+      }
+    }
   }
   p.mark_dirty(dst, i0 * R * sizeof(Cplx), (i1 - i0) * R * sizeof(Cplx));
   co_await p.compute(op_cost(ops));
@@ -77,7 +124,7 @@ sim::Task<void> fft_rows(FftCtx& ctx, svm::Proc& p, svm::RegionId reg,
   auto M = as_typed<Cplx>(ctx.rt.region_data(reg));
   const std::size_t R = ctx.R;
   for (std::size_t i = i0; i < i1; ++i) {
-    fft_1d(M.subspan(i * R, R), inverse);
+    ctx.plan.transform(M.subspan(i * R, R), inverse);
   }
   p.mark_dirty(reg, i0 * R * sizeof(Cplx), (i1 - i0) * R * sizeof(Cplx));
   const double log2r = std::log2(static_cast<double>(R));
@@ -92,15 +139,17 @@ sim::Task<void> twiddle_rows(FftCtx& ctx, svm::Proc& p, svm::RegionId reg,
                              std::size_t i0, std::size_t i1, double sign) {
   auto M = as_typed<Cplx>(ctx.rt.region_data(reg));
   const std::size_t R = ctx.R;
-  const double base = sign * 2.0 * std::numbers::pi / static_cast<double>(ctx.n);
+  const double base =
+      sign * 2.0 * std::numbers::pi / static_cast<double>(ctx.n);
   for (std::size_t i = i0; i < i1; ++i) {
     for (std::size_t j = 0; j < R; ++j) {
       const double ang = base * static_cast<double>(i) * static_cast<double>(j);
-      M[i * R + j] *= Cplx(std::cos(ang), std::sin(ang));
+      M[i * R + j] = mul(M[i * R + j], Cplx(std::cos(ang), std::sin(ang)));
     }
   }
   p.mark_dirty(reg, i0 * R * sizeof(Cplx), (i1 - i0) * R * sizeof(Cplx));
-  const double ops = static_cast<double>(i1 - i0) * static_cast<double>(R) * 8.0;
+  const double ops =
+      static_cast<double>(i1 - i0) * static_cast<double>(R) * 8.0;
   co_await p.compute(op_cost(ops));
 }
 
@@ -147,7 +196,8 @@ AppResult run_fft(harness::Cluster& cluster, const FftConfig& cfg) {
   const std::size_t R = 1ull << (cfg.log2_points / 2);
 
   svm::Runtime rt(cluster, cfg.svm, cfg.procs_per_node);
-  FftCtx ctx{rt, cfg, 0, 0, R, n};
+  const detail::FftPlan plan(R);
+  FftCtx ctx{rt, cfg, 0, 0, R, n, plan};
   ctx.A = rt.create_region(n * sizeof(Cplx));
   ctx.B = rt.create_region(n * sizeof(Cplx));
 

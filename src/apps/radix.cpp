@@ -26,6 +26,10 @@ sim::Task<void> radix_proc_body(RadixCtx& ctx, svm::Proc& p) {
   const std::size_t k1 = (pid + 1 == P) ? nk : k0 + nk / P;
   const std::size_t radix = ctx.radix;
   auto hist = as_typed<std::uint32_t>(rt.region_data(ctx.hist));
+  // Step 4's runs, back to back in digit order at the local histogram's
+  // prefix sums; one buffer serves every pass.
+  std::vector<std::uint32_t> runs(k1 - k0);
+  std::vector<std::size_t> run_end(radix);
 
   for (int pass = 0; pass < ctx.cfg.iterations; ++pass) {
     const unsigned shift =
@@ -47,7 +51,8 @@ sim::Task<void> radix_proc_body(RadixCtx& ctx, svm::Proc& p) {
     // 2. Publish my histogram row.
     const std::size_t hrow = pid * radix;
     (void)co_await p.acquire(ctx.hist, hrow * 4, radix * 4);
-    std::copy(count.begin(), count.end(), hist.begin() + static_cast<std::ptrdiff_t>(hrow));
+    std::copy(count.begin(), count.end(),
+              hist.begin() + static_cast<std::ptrdiff_t>(hrow));
     p.mark_dirty(ctx.hist, hrow * 4, radix * 4);
     co_await p.barrier();
 
@@ -68,18 +73,24 @@ sim::Task<void> radix_proc_body(RadixCtx& ctx, svm::Proc& p) {
     // 4. Permute: the RadixLocal restructuring emits one contiguous run per
     // digit value (stable within the block), so remote writes are batched
     // runs instead of single keys.
-    std::vector<std::vector<std::uint32_t>> buckets(radix);
+    std::size_t end = 0;
+    for (std::size_t v = 0; v < radix; ++v) {
+      run_end[v] = end;  // the run's start until the scatter passes it
+      end += count[v];
+    }
     for (std::size_t k = k0; k < k1; ++k) {
-      buckets[(src_keys[k] >> shift) & mask].push_back(src_keys[k]);
+      const std::uint32_t key = src_keys[k];
+      runs[run_end[(key >> shift) & mask]++] = key;
     }
     co_await p.compute(op_cost(4.0 * static_cast<double>(k1 - k0)));
     for (std::size_t v = 0; v < radix; ++v) {
-      if (buckets[v].empty()) continue;
+      const std::size_t n = count[v];
+      if (n == 0) continue;
       const std::size_t start = rank[v];
-      (void)co_await p.acquire(dst, start * 4, buckets[v].size() * 4);
-      std::copy(buckets[v].begin(), buckets[v].end(),
-                dst_keys.begin() + static_cast<std::ptrdiff_t>(start));
-      p.mark_dirty(dst, start * 4, buckets[v].size() * 4);
+      (void)co_await p.acquire(dst, start * 4, n * 4);
+      std::copy_n(runs.begin() + static_cast<std::ptrdiff_t>(run_end[v] - n),
+                  n, dst_keys.begin() + static_cast<std::ptrdiff_t>(start));
+      p.mark_dirty(dst, start * 4, n * 4);
     }
     co_await p.compute(op_cost(4.0 * static_cast<double>(k1 - k0)));
     co_await p.barrier();

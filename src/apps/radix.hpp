@@ -12,6 +12,11 @@
 //
 // Verification: after ceil(32 / log2(radix)) passes the array must be fully
 // sorted and a permutation of the input (checksum match).
+//
+// Step 4 scatters the block's keys by its histogram's prefix sums into one
+// flat buffer per processor, allocated once for all passes, so each digit
+// value's run keeps the block's key order; the runs are then written with
+// one acquire per non-empty run, in digit order.
 #pragma once
 
 #include "apps/workload.hpp"

@@ -124,8 +124,12 @@ sim::Task<void> Endpoint::send(Import imp, std::size_t offset,
     nic::SendRequest req;
     req.dst = imp.remote;
     req.user = encode(Kind::kDeposit, imp.exp, last, offset + pos, tag, total);
-    req.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
-                       data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    if (n == total) {
+      req.payload = std::move(data);  // one segment: hand the buffer over
+    } else {
+      req.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
+                         data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    }
     ++stats_.segments_tx;
     stats_.bytes_tx += n;
 

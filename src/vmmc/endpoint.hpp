@@ -8,7 +8,9 @@
 //    trip validating id and size);
 //  * send() deposits bytes directly into the imported remote buffer at a
 //    given offset — no receiver-side software on the data path. The MCP
-//    segments messages larger than the 4 KB NIC buffer;
+//    segments messages larger than the 4 KB NIC buffer. A message that fits
+//    one buffer (an SVM page, say) is handed to the NIC without a host
+//    copy: send() takes its bytes by value, so they are its to give;
 //  * an optional notification fires at the receiver when the last segment of
 //    a message lands.
 //
@@ -93,6 +95,8 @@ class Endpoint {
   /// Deposit `data` into the imported buffer at `offset`. Segments at the
   /// NIC buffer size; resumes when the last segment has been accepted by the
   /// NIC (the blocking library call returns, the source buffer is reusable).
+  /// A message that fits one NIC buffer becomes its segment's payload as it
+  /// is, without a copy; a longer one is copied slice by slice.
   /// `tag` rides along and is visible in the receiver's DepositEvent.
   sim::Task<void> send(Import imp, std::size_t offset,
                        std::vector<std::uint8_t> data, std::uint64_t tag = 0);

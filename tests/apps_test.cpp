@@ -2,12 +2,21 @@
 // each kernel through the full SVM/VMMC/firmware/fabric stack, clean and
 // under injected errors, plus the per-category timing signatures Figure 9
 // relies on (FFT data-bound, Radix latency-sensitive, Water compute-bound).
+// FFT's row transform is also pinned bit for bit to the textbook recurrence.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <complex>
+#include <cstring>
+#include <numbers>
+#include <span>
+#include <vector>
 
 #include "apps/fft.hpp"
 #include "apps/radix.hpp"
 #include "apps/water.hpp"
 #include "harness/cluster.hpp"
+#include "sim/rng.hpp"
 
 namespace sanfault {
 namespace {
@@ -22,6 +31,61 @@ ClusterConfig paper_cluster(std::uint64_t drop_interval = 0) {
   cfg.fw = FirmwareKind::kReliable;
   cfg.rel.drop_interval = drop_interval;
   return cfg;
+}
+
+using Cplx = std::complex<double>;
+
+/// The textbook radix-2 transform, the plan's reference: std::complex
+/// products, and the twiddle recurrence `w *= wl` restarted in every block.
+void textbook_fft(std::span<Cplx> a, bool inverse) {
+  const std::size_t L = a.size();
+  for (std::size_t i = 1, j = 0; i < L; ++i) {
+    std::size_t bit = L >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  for (std::size_t len = 2; len <= L; len <<= 1) {
+    const double ang =
+        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
+    const Cplx wl(std::cos(ang), std::sin(ang));
+    for (std::size_t i = 0; i < L; i += len) {
+      Cplx w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Cplx u = a[i + k];
+        const Cplx v = a[i + k + len / 2] * w;
+        a[i + k] = u + v;
+        a[i + k + len / 2] = u - v;
+        w *= wl;
+      }
+    }
+  }
+  const double s = 1.0 / std::sqrt(static_cast<double>(L));
+  for (auto& v : a) v *= s;
+}
+
+TEST(FftKernel, PlanMatchesTextbookRecurrenceBitForBit) {
+  // Every row length a run can use, including rows shorter than a transpose
+  // tile. Each seeded row goes forward and back through one plan, compared
+  // after each direction.
+  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+    const apps::detail::FftPlan plan(n);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      sim::Rng rng(seed * 1000 + n);
+      std::vector<Cplx> want(n);
+      for (auto& v : want) {
+        v = Cplx(rng.uniform_double() * 2 - 1, rng.uniform_double() * 2 - 1);
+      }
+      std::vector<Cplx> got = want;
+      for (const bool inverse : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed
+                                        << (inverse ? " inverse" : " forward"));
+        textbook_fft(want, inverse);
+        plan.transform(got, inverse);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Cplx)), 0);
+      }
+    }
+  }
 }
 
 TEST(AppFft, RoundTripVerifiesClean) {
@@ -46,6 +110,17 @@ TEST(AppFft, RoundTripVerifiesUnderInjectedErrors) {
                 c.rel(2).stats().injected_drops +
                 c.rel(3).stats().injected_drops,
             0u);
+}
+
+TEST(AppFft, RoundTripVerifiesOnRowsShorterThanATile) {
+  // 16 points: 4 x 4, so every transpose copies partial tiles, and seven of
+  // the eight processors own no row.
+  Cluster c(paper_cluster());
+  apps::FftConfig cfg;
+  cfg.log2_points = 4;
+  cfg.iterations = 2;
+  auto r = apps::run_fft(c, cfg);
+  EXPECT_TRUE(r.verified);
 }
 
 TEST(AppFft, OddIterationsVerifyEnergy) {
@@ -194,7 +269,8 @@ TEST_P(AppsProcSweep, WaterVerifiesAtAnyProcCount) {
   EXPECT_TRUE(r.verified);
 }
 
-INSTANTIATE_TEST_SUITE_P(ProcsPerNode, AppsProcSweep, ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(ProcsPerNode, AppsProcSweep,
+                         ::testing::Values(1, 2, 4));
 
 TEST(Apps, ErrorInjectionSlowsApplicationsDown) {
   // The qualitative Figure-9 effect: high error rates inflate run time.

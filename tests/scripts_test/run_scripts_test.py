@@ -89,6 +89,11 @@ def main():
         check(f"layer_profile charges {row}", canned, 0, row)
     check("layer_profile states its limits", canned, 0,
           "layer shares only, not functions or seconds")
+    check("layer_profile prints the seconds gprof attributed", canned, 0,
+          "gprof's flat profile holds 5.00 s, 1.00 s of it perfbench's "
+          "calibration kernel")
+    check("layer_profile names the time no row holds", canned, 0,
+          "in -pg's mcount and in the kernel falls in no row")
     check("layer_profile rejects a text with no flat profile",
           [lp, "--from-gprof", fx("metrics_ok.json")], 2, "no flat profile")
 

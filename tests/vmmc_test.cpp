@@ -14,6 +14,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -107,28 +108,36 @@ TEST(Vmmc, DepositWritesExactBytesAtOffset) {
 }
 
 TEST(Vmmc, LargeMessageSegmentsAt4K) {
-  VmmcRig r;
-  bool done = false;
-  [](VmmcRig& r, bool& done) -> sim::Process {
-    auto exp = r.b.export_buffer(64 * 1024);
-    auto imp = co_await r.a.import(r.c.hosts[1], exp);
-    std::vector<std::uint8_t> data(20000);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<std::uint8_t>(i * 7);
-    }
-    co_await r.a.send(*imp, 0, data);
-    auto ev = co_await r.b.notifications(exp).pop(r.c.sched);
-    EXPECT_EQ(ev.length, 20000u);
-    EXPECT_EQ(ev.offset, 0u);
-    auto buf = r.b.buffer(exp);
-    const std::vector<std::uint8_t> got(buf.begin(), buf.begin() + data.size());
-    EXPECT_EQ(got, data);
-    done = true;
-  }(r, done);
-  r.drive(done);
-  // 20000 bytes => 5 segments (4x4096 + 3616); the import handshake does not
-  // count as data segments.
-  EXPECT_EQ(r.a.stats().segments_tx, 5u);
+  // One segment per started 4 KB NIC buffer: 4096 bytes fit one (send()
+  // hands the buffer to the NIC whole), one byte more starts a second, and
+  // 20000 bytes take 4 x 4096 + 3616. The import handshake does not count
+  // as data segments.
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {4096, 1}, {4097, 2}, {20000, 5}};
+  for (const auto& [bytes, segments] : cases) {
+    SCOPED_TRACE(testing::Message() << bytes << " bytes");
+    VmmcRig r;
+    bool done = false;
+    [](VmmcRig& r, bool& done, std::size_t bytes) -> sim::Process {
+      auto exp = r.b.export_buffer(64 * 1024);
+      auto imp = co_await r.a.import(r.c.hosts[1], exp);
+      std::vector<std::uint8_t> data(bytes);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::uint8_t>(i * 7);
+      }
+      co_await r.a.send(*imp, 0, data);
+      auto ev = co_await r.b.notifications(exp).pop(r.c.sched);
+      EXPECT_EQ(ev.length, bytes);
+      EXPECT_EQ(ev.offset, 0u);
+      auto buf = r.b.buffer(exp);
+      const std::vector<std::uint8_t> got(buf.begin(), buf.begin() + bytes);
+      EXPECT_EQ(got, data);
+      EXPECT_EQ(buf[bytes], 0);  // the byte after the message untouched
+      done = true;
+    }(r, done, bytes);
+    r.drive(done);
+    EXPECT_EQ(r.a.stats().segments_tx, segments);
+  }
 }
 
 TEST(Vmmc, OutOfBoundsDepositRejected) {
@@ -235,26 +244,41 @@ TEST(Vmmc, ManyMessagesInterleavedTagsOrdered) {
 }
 
 TEST(Vmmc, SegmentedTransferSurvivesInjectedDrops) {
-  auto cfg = VmmcRig::make_default();
-  cfg.rel.drop_interval = 4;  // brutal
-  VmmcRig r(cfg);
-  bool done = false;
-  [](VmmcRig& r, bool& done) -> sim::Process {
-    auto exp = r.b.export_buffer(64 * 1024);
-    auto imp = co_await r.a.import(r.c.hosts[1], exp);
-    std::vector<std::uint8_t> data(50000);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<std::uint8_t>(i ^ (i >> 8));
-    }
-    co_await r.a.send(*imp, 0, data);
-    (void)co_await r.b.notifications(exp).pop(r.c.sched);
-    auto buf = r.b.buffer(exp);
-    const std::vector<std::uint8_t> got(buf.begin(), buf.begin() + data.size());
-    EXPECT_EQ(got, data);
-    done = true;
-  }(r, done);
-  r.drive(done);
-  EXPECT_GT(r.c.rel(0).stats().injected_drops, 0u);
+  // 50000 bytes travel as 13 segments, each a copied slice; 4096 bytes as one
+  // segment whose payload is the sender's own buffer, moved. Sixteen of those
+  // fill the export, so drops hit them too and the firmware retransmits the
+  // moved payloads.
+  for (const std::size_t bytes : {50000, 4096}) {
+    SCOPED_TRACE(testing::Message() << bytes << " bytes");
+    auto cfg = VmmcRig::make_default();
+    cfg.rel.drop_interval = 4;  // brutal
+    VmmcRig r(cfg);
+    bool done = false;
+    [](VmmcRig& r, bool& done, std::size_t bytes) -> sim::Process {
+      auto exp = r.b.export_buffer(64 * 1024);
+      auto imp = co_await r.a.import(r.c.hosts[1], exp);
+      const auto n = static_cast<std::ptrdiff_t>(bytes);
+      std::vector<std::uint8_t> sent(64 * 1024 / bytes * bytes);
+      for (std::size_t i = 0; i < sent.size(); ++i) {
+        sent[i] = static_cast<std::uint8_t>(i ^ (i >> 8));
+      }
+      for (std::size_t off = 0; off < sent.size(); off += bytes) {
+        const auto at = sent.begin() + static_cast<std::ptrdiff_t>(off);
+        co_await r.a.send(*imp, off, std::vector<std::uint8_t>(at, at + n));
+      }
+      for (std::size_t off = 0; off < sent.size(); off += bytes) {
+        (void)co_await r.b.notifications(exp).pop(r.c.sched);
+      }
+      auto buf = r.b.buffer(exp);
+      const std::vector<std::uint8_t> got(buf.begin(),
+                                          buf.begin() + sent.size());
+      EXPECT_EQ(got, sent);
+      done = true;
+    }(r, done, bytes);
+    r.drive(done);
+    EXPECT_GT(r.c.rel(0).stats().injected_drops, 0u);
+    EXPECT_GT(r.c.rel(0).stats().retransmissions, 0u);
+  }
 }
 
 /// Pages of `s` backed by memory, counted with mincore over its page-rounded
