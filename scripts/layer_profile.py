@@ -15,8 +15,8 @@ keeps the `gprof -b` text. The second form reads saved `gprof -b` texts
 instead, one table column per file.
 
 Each function's self time is charged to a layer read from its `sanfault::`
-namespace and class: `sim::Scheduler` is the event queue, the rest of
-`sim` is "sim other", the mappers (`OnDemandMapper`, `FullMapper`,
+namespace and class: `sim::Scheduler` and its `sim::BucketRing` are the
+event queue, the rest of `sim` is "sim other", the mappers (`OnDemandMapper`, `FullMapper`,
 `MapperIface`, `UpDownRouting`) are split out of `firmware`, and every
 other namespace is its own layer. A lambda is charged to its enclosing
 class through its trampoline (`InlineFn::invoke_inline<...>`,
@@ -57,6 +57,7 @@ KERNEL = "perfbench::reference_kernel_s()"
 LAYERS = ["event queue", "sim other", "net", "nic", "firmware", "mapper",
           "vmmc", "kv", "membership", "traffic", "chaos", "ec", "obs"]
 UNATTRIBUTED = "unattributed"
+QUEUE_CLASSES = {"Scheduler", "BucketRing"}
 MAPPER_CLASSES = {"OnDemandMapper", "FullMapper", "MapperIface",
                   "UpDownRouting"}
 UNSEEN = ("Time in shared libraries (memcpy, malloc, libm), in -pg's mcount "
@@ -181,7 +182,7 @@ def layer_of(symbol):
         return UNATTRIBUTED
     ns, cls = m.group(1), m.group(2)
     if ns == "sim":
-        return "event queue" if cls == "Scheduler" else "sim other"
+        return "event queue" if cls in QUEUE_CLASSES else "sim other"
     if ns == "firmware" and cls in MAPPER_CLASSES:
         return "mapper"
     return ns

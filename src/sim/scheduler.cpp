@@ -24,7 +24,7 @@ void Scheduler::throw_past_time(Time t) const {
 
 void Scheduler::throw_exhausted(const char* what) {
   throw std::length_error(std::string("Scheduler: out of ") + what +
-                          " (the heap key holds 2^24 slots and 2^40 seqs)");
+                          " (the queue key holds 2^24 slots and 2^40 seqs)");
 }
 
 void Scheduler::run() {
@@ -33,14 +33,12 @@ void Scheduler::run() {
 }
 
 void Scheduler::run_until(Time t) {
-  for (;;) {
-    // Skim first so a cancelled entry's timestamp cannot decide the loop:
-    // with the old priority_queue a cancelled event at u <= t sitting on top
-    // of a live event at v > t would let step() overshoot the horizon.
-    skim_cancelled();
-    if (heap_.empty() || key_time(heap_.front()) > t) break;
-    if (!step()) break;
-  }
+  // front_live() discards cancelled keys first, so a cancelled event's
+  // timestamp cannot decide the loop: a cancelled key at u <= t in front of
+  // a live one at v > t must not let the live event overshoot the horizon.
+  Key top = 0;
+  std::size_t where = 0;
+  while (front_live(top, where) && key_time(top) <= t) run_front(top, where);
   now_ = std::max(now_, t);
 }
 

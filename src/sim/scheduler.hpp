@@ -5,12 +5,18 @@
 // every run deterministic.
 //
 // Hot-path design (see docs/PERFORMANCE.md for measurements):
-//  * the ready queue is a binary heap of 16-byte keys,
-//    `time << 64 | seq << 24 | slot`: seq is unique, so a key orders exactly
-//    as (time, seq) does, and the slot of the node holding the callable
-//    rides in the low 24 bits — sift operations never move callables. A
-//    slot at or past 2^24 or a seq at or past 2^40 throws std::length_error
-//    instead of spilling into the neighbouring field;
+//  * every queued event is one 16-byte key, `time << 64 | seq << 24 |
+//    slot`: seq is unique, so a key orders exactly as (time, seq) does, and
+//    the slot of the node holding the callable rides in the low 24 bits —
+//    the queue never moves a callable. A slot at or past 2^24 or a seq at
+//    or past 2^40 throws std::length_error instead of spilling into the
+//    neighbouring field;
+//  * the queue has two parts. Keys due within the 131 us window that
+//    starts at now() go to a sim::BucketRing (bucket_ring.hpp), O(1) to
+//    file and to pop; keys past the window, and keys whose bucket is full,
+//    go to a binary heap. step() and run_until() take the smaller of the
+//    two fronts, so the pop order is exactly the (time, seq) order a single
+//    heap gave;
 //  * callables live in a pool of slot-indexed nodes, inline up to
 //    kEventInlineBytes via InlineFn; the packet paths park packets and send
 //    requests in sim::SlotPools and capture handles, so timer, hop, receive,
@@ -18,8 +24,8 @@
 //    pools warm up, and inline_spills() counts the events that still do;
 //  * cancellation is lazy — cancel() flips a flag in the node (O(1), no
 //    hash lookup, destroys the capture immediately) — but bounded: when
-//    cancelled entries outnumber live ones the heap is compacted in O(n),
-//    so a workload that cancels almost every timer it arms (the
+//    cancelled keys outnumber live ones, both parts are swept in O(n), so
+//    a workload that cancels almost every timer it arms (the
 //    retransmission pattern) never drags dead entries through its sifts.
 //    EventHandle carries (slot, generation); generation bumps on slot reuse
 //    make stale handles inert.
@@ -29,6 +35,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/bucket_ring.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 
@@ -127,7 +134,7 @@ class Scheduler {
   /// Cancel a pending event. Cancelling an already-fired, already-cancelled,
   /// or invalid handle is a harmless no-op. Returns true if the event was
   /// still pending and is now cancelled. The captured state is destroyed
-  /// immediately; the heap entry is reclaimed when it surfaces, or by the
+  /// immediately; the queued key is reclaimed when it surfaces, or by the
   /// next compaction, whichever comes first.
   bool cancel(EventHandle h) {
     if (!h.valid()) return false;
@@ -136,10 +143,10 @@ class Scheduler {
     Node& n = nodes_[slot];
     if (n.gen != h.gen() || n.cancelled) return false;
     n.cancelled = true;
-    n.fn.reset();  // release captured resources now, not at heap surfacing
+    n.fn.reset();  // release captured resources now, not at key surfacing
     --live_;
-    if (++cancelled_in_heap_ >= kCompactMin &&
-        cancelled_in_heap_ * 2 > heap_.size()) {
+    if (++cancelled_ >= kCompactMin &&
+        cancelled_ * 2 > ring_.size() + heap_.size()) {
       compact();
     }
     return true;
@@ -155,19 +162,10 @@ class Scheduler {
 
   /// Run the next event. Returns false when the queue is empty.
   bool step() {
-    skim_cancelled();
-    if (heap_.empty()) return false;
-    const Key top = heap_.front();
-    pop_top();
-    // Move the callable out before freeing: the event may (re)schedule into
-    // its own slot, and pool growth may reallocate nodes_.
-    const std::uint32_t slot = key_slot(top);
-    EventFn fn = std::move(nodes_[slot].fn);
-    free_slot(slot);
-    now_ = key_time(top);
-    ++executed_;
-    --live_;
-    fn();
+    Key top = 0;
+    std::size_t where = 0;
+    if (!front_live(top, where)) return false;
+    run_front(top, where);
     return true;
   }
 
@@ -191,15 +189,15 @@ class Scheduler {
   [[nodiscard]] std::uint64_t inline_spills() const { return inline_spills_; }
 
  private:
-  /// Heap element: `time << 64 | seq << kSlotBits | slot`. Sequence numbers
+  /// Queue element: `time << 64 | seq << kSlotBits | slot`. Sequence numbers
   /// are unique, so comparing keys orders events exactly as (time, seq) does
   /// and one branch-free compare decides each sift step (a lexicographic
   /// two-field compare cost a data-dependent branch per level, which
   /// mispredicts ~50% of the time on jittered timestamps). The slot of the
-  /// node holding the callable rides in the low bits, so a sift moves 16
+  /// node holding the callable rides in the low bits, so the queue moves 16
   /// bytes and never a closure. The bounds are checked where a slot or a seq
   /// is handed out: kSlotLimit concurrent nodes and kSeqLimit schedules.
-  using Key = unsigned __int128;
+  using Key = BucketRing::Key;
   static constexpr unsigned kSlotBits = 24;
   static constexpr unsigned kSeqBits = 64 - kSlotBits;
   static constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << kSlotBits;
@@ -209,7 +207,7 @@ class Scheduler {
     return static_cast<Key>(t) << 64 | (seq << kSlotBits | slot);
   }
 
-  static Time key_time(Key key) { return static_cast<Time>(key >> 64); }
+  static Time key_time(Key key) { return BucketRing::key_time(key); }
 
   static std::uint32_t key_slot(Key key) {
     return static_cast<std::uint32_t>(key) &
@@ -241,10 +239,66 @@ class Scheduler {
   }
 
   EventHandle push_entry(Time t, std::uint32_t slot) {
-    heap_.push_back(make_key(t, next_seq_++, slot));
-    sift_up(heap_.size() - 1);
+    const Key key = make_key(t, next_seq_++, slot);
+    if (!ring_.insert(key, now_)) {
+      heap_.push_back(key);
+      sift_up(heap_.size() - 1);
+    }
     ++live_;
     return EventHandle{slot, nodes_[slot].gen};
+  }
+
+  /// Where a front key sits: a ring bucket, or kInHeap.
+  static constexpr std::size_t kInHeap = BucketRing::kBuckets;
+
+  /// The smallest queued key, cancelled or not, and where it sits. False
+  /// when both parts are empty.
+  bool front(Key& top, std::size_t& where) const {
+    if (!ring_.empty()) {
+      where = ring_.front_bucket(now_);
+      top = ring_.front(where);
+      if (heap_.empty() || top < heap_.front()) return true;
+    } else if (heap_.empty()) {
+      return false;
+    }
+    where = kInHeap;
+    top = heap_.front();
+    return true;
+  }
+
+  void pop_front(std::size_t where) {
+    if (where == kInHeap) {
+      pop_top();
+    } else {
+      ring_.pop_front(where);
+    }
+  }
+
+  /// front(), after discarding the cancelled keys in front of the first
+  /// live one.
+  bool front_live(Key& top, std::size_t& where) {
+    while (front(top, where)) {
+      const std::uint32_t slot = key_slot(top);
+      if (!nodes_[slot].cancelled) return true;
+      pop_front(where);
+      free_slot(slot);
+      --cancelled_;
+    }
+    return false;
+  }
+
+  /// Pops the live front key `top` found by front_live() and runs its event.
+  void run_front(Key top, std::size_t where) {
+    pop_front(where);
+    // Move the callable out before freeing: the event may (re)schedule into
+    // its own slot, and pool growth may reallocate nodes_.
+    const std::uint32_t slot = key_slot(top);
+    EventFn fn = std::move(nodes_[slot].fn);
+    free_slot(slot);
+    now_ = key_time(top);
+    ++executed_;
+    --live_;
+    fn();
   }
 
   void sift_up(std::size_t i) {
@@ -297,21 +351,16 @@ class Scheduler {
     free_slots_.push_back(slot);
   }
 
-  /// Discard cancelled entries sitting on top of the heap.
-  void skim_cancelled() {
-    while (!heap_.empty()) {
-      const std::uint32_t slot = key_slot(heap_.front());
-      if (!nodes_[slot].cancelled) return;
-      pop_top();
-      free_slot(slot);
-      --cancelled_in_heap_;
-    }
-  }
-
-  /// Drop every cancelled entry and rebuild the heap in O(n) (Floyd). Pop
-  /// order is unchanged: the heap property is rebuilt under the same total
-  /// (time, seq) order, so the sequence of surfaced minima is identical.
+  /// Drop every cancelled key from both parts and rebuild the heap in O(n)
+  /// (Floyd). Pop order is unchanged: each bucket keeps its order and the
+  /// heap property is rebuilt under the same total (time, seq) order, so
+  /// the sequence of surfaced minima is identical.
   void compact() {
+    ring_.remove_if([this](Key e) {
+      if (!nodes_[key_slot(e)].cancelled) return false;
+      free_slot(key_slot(e));
+      return true;
+    });
     std::size_t w = 0;
     for (const Key e : heap_) {
       if (nodes_[key_slot(e)].cancelled) {
@@ -324,7 +373,7 @@ class Scheduler {
     for (std::size_t i = w / 2; i-- > 0;) {
       sift_down_classic(i);
     }
-    cancelled_in_heap_ = 0;
+    cancelled_ = 0;
   }
 
   /// Textbook sift (compare `e` at each level) — used by compact(), where
@@ -346,6 +395,7 @@ class Scheduler {
   [[noreturn]] void throw_past_time(Time t) const;
   [[noreturn]] static void throw_exhausted(const char* what);
 
+  BucketRing ring_;
   std::vector<Key> heap_;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_slots_;
@@ -353,7 +403,7 @@ class Scheduler {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
-  std::size_t cancelled_in_heap_ = 0;
+  std::size_t cancelled_ = 0;  // cancelled keys still queued, both parts
   std::uint64_t executed_ = 0;
   std::uint64_t inline_spills_ = 0;
 };

@@ -1,9 +1,6 @@
 #include "vmmc/endpoint.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
-#include <new>
 #include <string>
 
 namespace sanfault::vmmc {
@@ -58,23 +55,10 @@ net::UserHeader Endpoint::encode(Kind kind, ExportId exp, bool last,
   return u;
 }
 
-Endpoint::ZeroPages::ZeroPages(std::size_t bytes) {
-  if (bytes == 0) return;
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) throw std::bad_alloc();
-  p_ = static_cast<std::uint8_t*>(p);
-  n_ = bytes;
-}
-
-Endpoint::ZeroPages::~ZeroPages() {
-  if (p_ != nullptr) ::munmap(p_, n_);
-}
-
 ExportId Endpoint::export_buffer(std::size_t bytes) {
   const ExportId id = next_export_++;
   exports_.emplace(
-      id, ExportRec{ZeroPages(bytes),
+      id, ExportRec{sim::ZeroPages(bytes),
                     std::make_unique<sim::Channel<DepositEvent>>()});
   return id;
 }

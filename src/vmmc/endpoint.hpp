@@ -31,7 +31,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -40,6 +39,7 @@
 #include "sim/awaitables.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace sanfault::vmmc {
 
@@ -112,24 +112,8 @@ class Endpoint {
     kImportResp = 3,
   };
 
-  /// `bytes` of anonymous private memory (mmap), unmapped on destruction;
-  /// the OS zero-fills each page on its first write. Nothing is mapped for
-  /// 0 bytes. Throws std::bad_alloc when the mapping fails.
-  class ZeroPages {
-   public:
-    explicit ZeroPages(std::size_t bytes);
-    ZeroPages(ZeroPages&& o) noexcept
-        : p_(std::exchange(o.p_, nullptr)), n_(std::exchange(o.n_, 0)) {}
-    ~ZeroPages();
-    [[nodiscard]] std::span<std::uint8_t> span() const { return {p_, n_}; }
-
-   private:
-    std::uint8_t* p_ = nullptr;
-    std::size_t n_ = 0;
-  };
-
   struct ExportRec {
-    ZeroPages data;
+    sim::ZeroPages data;
     std::unique_ptr<sim::Channel<DepositEvent>> notify;
   };
 

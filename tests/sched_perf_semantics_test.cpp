@@ -192,9 +192,19 @@ TEST(SchedCompaction, CancelDuringExecutionWindow) {
 // and runs part of the queue, so freed slots are reused while earlier ties
 // are still pending and a later event often holds a lower slot than an
 // earlier one at the same time. Running events schedule children at now().
+//
+// The near mix's delays stop at 100 us, inside the scheduler's 131 us ring.
+// The wide mix adds what it never reaches: delays of 1-5 ms (the far heap),
+// delays within 512 ns of the ring's window edge, a second tie time up to
+// twice the window out (a few dozen events at one time, more than one ring
+// bucket holds, in either part), and, after each round's steps, a run_until
+// that stops short of the next event followed by schedules into the gap.
+// Its cancels hit both parts of the queue and trigger compaction.
 class OrderMix {
  public:
-  explicit OrderMix(std::uint64_t seed) : rng_(seed) {}
+  enum class Shape { kNear, kWide };
+  explicit OrderMix(std::uint64_t seed, Shape shape = Shape::kNear)
+      : rng_(seed), wide_(shape == Shape::kWide) {}
 
   void rounds(int n) {
     for (int r = 0; r < n; ++r) round();
@@ -220,15 +230,26 @@ class OrderMix {
  private:
   void round() {
     const sim::Time tie = s_.now() + 1 + rng_.uniform(50);
+    const sim::Time wide_tie =
+        wide_ ? s_.now() + rng_.uniform(2 * kWindow) : 0;
     std::vector<sim::EventHandle> armed;
     for (int i = 0; i < 200; ++i) {
-      switch (rng_.uniform(4)) {
+      switch (rng_.uniform(wide_ ? 7 : 4)) {
         case 0: armed.push_back(schedule(s_.now())); break;
         case 1: armed.push_back(schedule(tie)); break;
         case 2: armed.push_back(schedule(s_.now() + rng_.uniform(8))); break;
-        default:
+        case 3:
           armed.push_back(schedule(s_.now() + rng_.uniform(100000)));
           break;
+        case 4:
+          armed.push_back(schedule(s_.now() + sim::milliseconds(1) +
+                                   rng_.uniform(sim::milliseconds(4))));
+          break;
+        case 5:
+          armed.push_back(
+              schedule(s_.now() + kWindow - 512 + rng_.uniform(1024)));
+          break;
+        default: armed.push_back(schedule(wide_tie)); break;
       }
     }
     // Cancel three in four: well past the 64-entry compaction threshold.
@@ -237,7 +258,14 @@ class OrderMix {
     }
     for (std::uint64_t n = rng_.uniform(100); n > 0 && s_.step(); --n) {
     }
+    if (wide_) {
+      s_.run_until(s_.now() + rng_.uniform(4096));
+      for (int i = 0; i < 8; ++i) schedule(s_.now() + rng_.uniform(256));
+    }
   }
+
+  // The scheduler's ring window: 1024 buckets of 128 ns.
+  static constexpr sim::Time kWindow = 131072;
 
   sim::EventHandle schedule(sim::Time t) {
     const std::uint64_t id = scheduled_++;
@@ -256,14 +284,16 @@ class OrderMix {
 
   sim::Scheduler s_;
   sim::Rng rng_;
+  bool wide_;
   std::uint64_t scheduled_ = 0;  // every at() so far: the next event's seq
   std::uint64_t ran_ = 0;
   std::uint64_t digest_ = 0xcbf29ce484222325ull;
 };
 
-// The heap key packs (time, seq, slot) into one 128-bit value; this pins the
-// order it yields. The second half of the mix runs across seq 2^24, so a key that
-// kept fewer seq bits, or that ordered ties by slot, changes the digest.
+// The queue key packs (time, seq, slot) into one 128-bit value; this pins
+// the order it yields. The second half of the mix runs across seq 2^24, so a
+// key that kept fewer seq bits, or that ordered ties by slot, changes the
+// digest.
 TEST(SchedOrderGolden, SeededMixRunsInTheSameOrder) {
   OrderMix mix(2002);
   mix.rounds(40);
@@ -273,6 +303,16 @@ TEST(SchedOrderGolden, SeededMixRunsInTheSameOrder) {
   EXPECT_GT(mix.scheduled(), std::uint64_t{1} << 24);
   EXPECT_EQ(mix.ran(), 4689u);
   EXPECT_EQ(mix.digest(), 0xa48e30c2ecd31e4full);
+}
+
+// The wide mix's order, taken from the single binary heap the bucket ring
+// replaced: the ring and the far heap together must pop the same sequence.
+TEST(SchedOrderGolden, WideMixRunsInTheSameOrder) {
+  OrderMix mix(2026, OrderMix::Shape::kWide);
+  mix.rounds(60);
+  mix.drain();
+  EXPECT_EQ(mix.ran(), 4062u);
+  EXPECT_EQ(mix.digest(), 0xdfdc2c880b57383full);
 }
 
 // --- re-arm pattern (the reliability firmware's per-delivery shape) --------

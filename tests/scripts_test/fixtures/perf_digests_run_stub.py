@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Stand-in for perfbench/run.py: writes the result file perfbench would,
-holding what perfbench/results.json gives the workload, and writes none
-when it gives nothing. Like run.py it then prints one JSON line last and
-exits 1 when that line says the run was not correct; `correct` (default
-true) and the median of `run_ns` (default 1 s) come from the same entry."""
+"""Stand-in for perfbench/run.py, used by the perf_digests and perf_pairs
+cases: writes the result file perfbench would, holding what
+perfbench/results.json gives the workload, and writes none when it gives
+nothing. Like run.py it then prints one JSON line last and exits 1 when
+that line says the run was not correct; `correct` (default true) and the
+median of `run_ns` (default 1 s) come from the same entry."""
 
 import argparse
 import json

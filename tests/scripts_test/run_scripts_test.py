@@ -31,17 +31,22 @@ def fx(name):
 
 
 def check(label, argv, want_exit, want_text=None):
+    """Runs one script; `want_text` is a marker or a list of markers.
+    Returns the run's standard output."""
     res = subprocess.run([sys.executable] + argv, capture_output=True,
                          text=True, cwd=ROOT)
     blob = res.stdout + res.stderr
+    markers = want_text if isinstance(want_text, list) else [want_text]
+    missing = [m for m in markers if m is not None and m not in blob]
     if res.returncode != want_exit:
         failures.append(
             f"{label}: exit {res.returncode}, wanted {want_exit}\n{blob}")
-    elif want_text is not None and want_text not in blob:
+    elif missing:
         failures.append(
-            f"{label}: output lacks marker {want_text!r}\n{blob}")
+            f"{label}: output lacks marker {missing[0]!r}\n{blob}")
     else:
         print(f"ok: {label}")
+    return res.stdout
 
 
 def main():
@@ -144,6 +149,79 @@ def main():
                 if f.read() != before:
                     failures.append(f"{label}: perf_digests wrote the "
                                     f"baseline")
+
+    # layer_profile charges the bucket ring, a class of its own, to the
+    # event queue like the Scheduler it serves.
+    check("layer_profile charges sim::BucketRing to the event queue",
+          [lp, "--from-gprof", fx("layer_profile_ring_gprof.txt")], 0,
+          "| event queue | 60.0 % |")
+
+    # perf_pairs over two stand-in checkouts: each root holds the same run.py
+    # stub as above and a results fixture for its side; every pair of a side
+    # reads the same values, so the parent's interquartile range is 0.
+    pp = os.path.join(SCRIPTS, "perf_pairs.py")
+    for label, change, want_exit, markers in [
+        ("perf_pairs claims a gain on run_s and none on a tie",
+         "perf_pairs_change_faster.json", 0,
+         ["| run_s (scaled) | 0.64 (0.64-0.64) | 0.512 (0.512-0.512) | gain: "
+          "change lower in 3/3, median gap +0.128 against parent IQR 0 |",
+          "| setup_s | 0.0128 (0.0128-0.0128) | 0.0128 (0.0128-0.0128) | "
+          "no claim: change lower in 0/3",
+          "| peak_rss_mb | 32 (32-32) | 32 (32-32) | no claim"]),
+        ("perf_pairs reports raw CPU where the scale factor inverts run_s",
+         "perf_pairs_change_inverted.json", 0,
+         ["| run_s (raw CPU) | 1 (1-1) | 0.95 (0.95-0.95) | gain: change "
+          "lower in 3/3",
+          "| run_s (scaled) | 0.64 (0.64-0.64) | 0.76 (0.76-0.76) | loss: "
+          "change lower in 0/3"]),
+        ("perf_pairs fails when the two sides' digests differ",
+         "perf_pairs_change_digest.json", 1,
+         ["different sim_digests: aaaa, bbbb"]),
+        ("perf_pairs fails when a run fails perfbench's gates",
+         "perf_pairs_change_incorrect.json", 1,
+         ["pair 1 change: perfbench's own gates failed (run.py exited 1)"]),
+        ("perf_pairs result without reference_ns -> missing key",
+         "perf_pairs_change_no_reference.json", 2,
+         ["has no key reference_ns"]),
+        ("perf_pairs change root without run.py -> missing file", None, 2,
+         ["no perfbench/run.py under the change root"]),
+    ]:
+        with tempfile.TemporaryDirectory() as tmp:
+            roots = {}
+            for side, results in [("parent", "perf_pairs_parent.json"),
+                                  ("change", change)]:
+                roots[side] = os.path.join(tmp, side)
+                os.makedirs(os.path.join(roots[side], "perfbench"))
+                if results is None:
+                    continue
+                shutil.copyfile(fx(results), os.path.join(
+                    roots[side], "perfbench", "results.json"))
+                shutil.copyfile(fx("perf_digests_run_stub.py"), os.path.join(
+                    roots[side], "perfbench", "run.py"))
+            out = check(label, [pp, roots["parent"], roots["change"],
+                                "--workload", "alpha", "--pairs", "3",
+                                "--seconds", "1"], want_exit, markers)
+            if want_exit != 0:
+                continue
+            order = [out.find("pair 1 parent:"), out.find("pair 1 change:"),
+                     out.find("pair 2 change:"), out.find("pair 2 parent:")]
+            if -1 in order or order != sorted(order):
+                failures.append(f"{label}: pairs do not alternate which side "
+                                f"runs first\n{out}")
+            kept = os.path.join(roots["change"], ".bench_build", "pairs",
+                                "alpha-seed42")
+            want_kept = sorted(f"pair{i}-{side}.json" for i in (1, 2, 3)
+                               for side in ("parent", "change"))
+            if sorted(os.listdir(kept)) != want_kept:
+                failures.append(f"{label}: kept {os.listdir(kept)}")
+            for side in roots:
+                listed = sorted(os.listdir(os.path.join(roots[side],
+                                                        "perfbench")))
+                if listed != ["results.json", "run.py"]:
+                    failures.append(f"{label}: perf_pairs wrote under "
+                                    f"{side}/perfbench: {listed}")
+            print(f"ok: {label}: alternates, keeps every result, writes "
+                  f"nothing under perfbench/")
 
     # Coverage ratchet logic, unit-level: check_floor() against synthetic
     # per-file stats (running gcov here would need an instrumented build).

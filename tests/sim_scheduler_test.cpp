@@ -133,6 +133,102 @@ TEST(Scheduler, CascadingEventsKeepDeterministicOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// --- edges of the two-part queue (bucket ring + far heap) ------------------
+
+TEST(Scheduler, EventsAtNeverAndJustBeforeRunInOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  s.at(kNever, [&] { order.push_back(2); });
+  s.at(kNever - 1, [&] { order.push_back(1); });
+  s.run_until(kNever - 1);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.now(), kNever - 1);
+  // Now both times are near: the new event is filed beside the one queued
+  // from time 0, and must still run after it.
+  s.at(kNever, [&] { order.push_back(3); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(s.now(), kNever);
+  s.after(5, [&] { order.push_back(4); });  // saturates at kNever
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(s.now(), kNever);
+}
+
+TEST(Scheduler, ScheduleBetweenRunUntilHorizonAndNextEvent) {
+  // One gap inside the ring's 131 us window, one far past it.
+  for (const Time gap : {Time{1'000}, milliseconds(10)}) {
+    Scheduler s;
+    std::vector<int> order;
+    s.at(gap, [&] { order.push_back(3); });
+    s.run_until(gap / 2);
+    EXPECT_TRUE(order.empty()) << gap;
+    EXPECT_EQ(s.now(), gap / 2);
+    s.at(gap, [&] { order.push_back(4); });  // ties the pending one: FIFO
+    s.at(gap - 1, [&] { order.push_back(2); });
+    s.at(gap / 2, [&] { order.push_back(1); });  // at the horizon itself
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4})) << gap;
+    EXPECT_EQ(s.now(), gap);
+  }
+}
+
+TEST(Scheduler, NearAndFarCancelsCompactTogether) {
+  Scheduler s;
+  std::vector<int> fired;
+  std::vector<EventHandle> near;
+  std::vector<EventHandle> far;
+  // Near events 200 ns apart (one per 128-ns ring bucket), far ones 1 ms out,
+  // past the ring's window.
+  for (int i = 0; i < 40; ++i) {
+    near.push_back(s.at(static_cast<Time>(200 * (i + 1)),
+                        [&fired, i] { fired.push_back(i); }));
+    far.push_back(s.at(milliseconds(1) + static_cast<Time>(i),
+                       [&fired, i] { fired.push_back(100 + i); }));
+  }
+  // Alternate near and far cancels: the 64th (64 >= the minimum of 64, and
+  // more than half of 80) compacts, with 32 of each part dead.
+  for (std::size_t i = 0; i < 35; ++i) {
+    EXPECT_TRUE(s.cancel(near[i]));
+    EXPECT_TRUE(s.cancel(far[i]));
+  }
+  EXPECT_EQ(s.pending_events(), 10u);
+  for (std::size_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(s.pending(near[i]), i >= 35) << i;
+    EXPECT_EQ(s.pending(far[i]), i >= 35) << i;
+  }
+  // New events take the freed slots and must land in order among the rest.
+  s.at(100, [&fired] { fired.push_back(-1); });
+  s.at(milliseconds(1) + 36, [&fired] { fired.push_back(200); });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{-1, 35, 36, 37, 38, 39, 135, 136, 200,
+                                     137, 138, 139}));
+  EXPECT_EQ(s.events_executed(), 12u);
+}
+
+TEST(Scheduler, ThreeBucketsWorthAtOneTimeRunFifo) {
+  // 12 = three times a ring bucket's capacity of four keys, at now() and at
+  // one later time, with one cancel among them.
+  constexpr int kSameTime = 12;
+  Scheduler s;
+  s.run_until(1'000);
+  std::vector<int> order;
+  EventHandle victim;
+  for (int i = 0; i < kSameTime; ++i) {
+    s.at(5'000, [&order, i] { order.push_back(100 + i); });
+    const EventHandle h = s.at(1'000, [&order, i] { order.push_back(i); });
+    if (i == 5) victim = h;
+  }
+  EXPECT_TRUE(s.cancel(victim));
+  s.run();
+  std::vector<int> want;
+  for (int i = 0; i < kSameTime; ++i) {
+    if (i != 5) want.push_back(i);
+  }
+  for (int i = 0; i < kSameTime; ++i) want.push_back(100 + i);
+  EXPECT_EQ(order, want);
+}
+
 TEST(TimeHelpers, UnitsCompose) {
   EXPECT_EQ(microseconds(1), 1000u);
   EXPECT_EQ(milliseconds(1), 1'000'000u);
