@@ -11,7 +11,10 @@
 #                  digest, pass perfbench's own gates, and report run_s
 #                  within 2x the baseline median (docs/PERFORMANCE.md).
 #   --sanitize     additionally build with -DSANFAULT_SANITIZE=address,undefined
-#                  in build_asan/ and run the test suite under the sanitizers.
+#                  in build_asan/ and run the test suite under the sanitizers
+#                  twice: first with leak detection off and UBSan halting on
+#                  its first report (memory errors, CI's memory-errors job),
+#                  then with LeakSanitizer (CI's asan+ubsan job).
 #   --coverage     additionally build with -DSANFAULT_COVERAGE=ON in
 #                  build_cov/, run the test suite there, print a per-file
 #                  line-coverage summary, and enforce the per-directory
@@ -93,6 +96,11 @@ if [[ "$SANITIZE" == 1 ]]; then
   echo "--- sanitizer build: -DSANFAULT_SANITIZE=address,undefined"
   cmake -B build_asan -S . -DSANFAULT_SANITIZE=address,undefined
   cmake --build build_asan -j"$(nproc)"
+  # Memory errors first: the LeakSanitizer run below fails on suspended
+  # coroutine frames until ROADMAP item 4 lands, which would hide an ASan
+  # or UBSan report behind it.
+  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      ctest --test-dir build_asan --output-on-failure -j"$(nproc)"
   # lsan.supp covers the known detached sim::Process pump-loop frames (see
   # the file's header); any other leak still fails.
   LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \

@@ -191,7 +191,8 @@ std::string StateCorruptor::apply(const ChaosEvent& ev) {
       // Value corruption only: garble a queued header word, never delete the
       // entry — buffers are owned by the send pool and freed on ack.
       const std::size_t idx = rng_.uniform(ch->retrans_queue.size());
-      auto& hdr = ch->retrans_queue[idx].pkt.hdr;
+      auto& hdr = fw->chaos_queued(net::HostId{static_cast<std::uint32_t>(p)},
+                                   idx)->pkt.hdr;
       if (rng_.uniform(2) == 0) {
         const std::uint32_t before = hdr.seq;
         hdr.seq = mutate_u32(ev.mode, before);

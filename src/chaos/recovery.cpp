@@ -39,7 +39,7 @@ void RecoveryMonitor::on_fault(const net::FaultEvent& ev) {
       awaiting_redelivery_ = true;
       any_burst_ = true;
       disruption_at_ = now;
-      dest_recovered_.clear();
+      std::fill(ledger_.begin(), ledger_.end(), 0);
     }
   } else if (is_heal(ev.kind)) {
     ++report_.heals;
@@ -102,8 +102,7 @@ void RecoveryMonitor::on_delivery(const net::Packet& pkt, net::HostId) {
     // one whose remap was served from the path cache) cannot absorb the
     // whole burst's measurement and hide slower destinations.
     if (any_burst_ && now >= disruption_at_) {
-      const auto key = std::make_pair(pkt.hdr.src.v, pkt.hdr.dst.v);
-      if (dest_recovered_.insert(key).second) {
+      if (mark_recovered(pkt.hdr.src.v, pkt.hdr.dst.v)) {
         const sim::Duration ttfr = now - disruption_at_;
         ++report_.ttfr_dest_samples;
         report_.ttfr_dest_max = std::max(report_.ttfr_dest_max, ttfr);
@@ -111,6 +110,27 @@ void RecoveryMonitor::on_delivery(const net::Packet& pkt, net::HostId) {
       }
     }
   }
+}
+
+bool RecoveryMonitor::mark_recovered(std::uint32_t src, std::uint32_t dst) {
+  if (std::max(src, dst) >= ledger_side_) {
+    const std::uint32_t side = (std::max(src, dst) / 64 + 1) * 64;
+    std::vector<std::uint64_t> grown(std::size_t{side} * side / 64, 0);
+    const std::size_t old_row = ledger_side_ / 64;
+    for (std::size_t r = 0; r < ledger_side_; ++r) {
+      std::copy_n(ledger_.begin() + static_cast<std::ptrdiff_t>(r * old_row),
+                  old_row,
+                  grown.begin() + static_cast<std::ptrdiff_t>(r * side / 64));
+    }
+    ledger_ = std::move(grown);
+    ledger_side_ = side;
+  }
+  std::uint64_t& word =
+      ledger_[std::size_t{src} * (ledger_side_ / 64) + dst / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (dst % 64);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  return true;
 }
 
 void RecoveryMonitor::on_fw_event(const firmware::FwEvent& ev) {

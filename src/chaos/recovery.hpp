@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,9 +154,15 @@ class RecoveryMonitor {
   bool any_burst_ = false;     // a disruption burst has ever started
   sim::Time disruption_at_ = 0;
   sim::Time last_fault_at_ = 0;  // most recent disruptive transition
-  /// (src, dst) pairs that already produced their per-destination TTFR
-  /// sample for the current burst; reset when a new burst starts.
-  std::set<std::pair<std::uint32_t, std::uint32_t>> dest_recovered_;
+  /// Set (src, dst)'s bit in the recovery ledger; false if it was set.
+  bool mark_recovered(std::uint32_t src, std::uint32_t dst);
+
+  /// The recovery ledger: bit (src, dst) is set once the pair produced its
+  /// per-destination TTFR sample for the current burst; cleared when a new
+  /// burst starts. Row `src` is `ledger_side_ / 64` words, one bit per dst;
+  /// the side grows, a multiple of 64, to the largest host id seen.
+  std::vector<std::uint64_t> ledger_;
+  std::uint32_t ledger_side_ = 0;
   std::vector<std::uint64_t> window_counts_;  // data deliveries per window
   struct PendingGen {
     sim::Time restarted_at;

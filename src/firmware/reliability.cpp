@@ -36,6 +36,7 @@ ReliableFirmware::ReliableFirmware(nic::Nic& nic, ReliabilityConfig cfg)
     : nic_(nic),
       cfg_(cfg),
       policy_(cfg.ack),
+      slab_(nic.send_pool().capacity()),
       next_drop_in_(cfg.drop_interval),
       drop_rng_(cfg.drop_seed ^ (nic.self().v * 0x9e3779b97f4a7c15ull)) {
   nic_.load_firmware(this);
@@ -246,9 +247,9 @@ void ReliableFirmware::on_host_packet(nic::SendRequest req) {
   // re-anchored before the new packet inherits the bogus number — a full
   // queue repair, if the queue itself is garbled, is the scrubber's job.
   if (!ch.retrans_queue.empty() &&
-      pkt.hdr.seq != ch.retrans_queue.back().pkt.hdr.seq + 1) {
+      pkt.hdr.seq != slab_.back(ch.retrans_queue).pkt.hdr.seq + 1) {
     ++stats_.scrub_tx_repairs;
-    pkt.hdr.seq = ch.retrans_queue.back().pkt.hdr.seq + 1;
+    pkt.hdr.seq = slab_.back(ch.retrans_queue).pkt.hdr.seq + 1;
     ch.next_seq = pkt.hdr.seq + 1;
     publish(FwEvent{FwEvent::Kind::kScrubRepair, nic_.self(), dst,
                     ch.generation, false,
@@ -259,28 +260,28 @@ void ReliableFirmware::on_host_packet(nic::SendRequest req) {
 
   const auto route = routes_.get(dst);
   if (!route) {
-    // No route known. Park the packet (it already owns its send buffer) and
-    // discover one on demand.
-    ch.retrans_queue.push_back(QueuedPacket{std::move(pkt), 0, false});
-    busy_.set(dst, true);
-    queue_depth_->record(ch.retrans_queue.size());
     if (mapper_ == nullptr) {
-      // Without a mapper this is a hard error: drop and recycle.
-      ch.retrans_queue.pop_back();
-      busy_.set(dst, !ch.retrans_queue.empty());
+      // Without a mapper this is a hard error: drop and recycle. The depth
+      // sample counts the packet as if it had been parked.
+      queue_depth_->record(ch.retrans_queue.size() + 1);
       ++stats_.no_route_drops;
       nic_.release_send_buffers();
       return;
     }
+    // No route known. Park the packet (it already owns its send buffer) and
+    // discover one on demand.
+    slab_.push_back(ch.retrans_queue, QueuedPacket{std::move(pkt), 0, false});
+    busy_.set(dst, true);
+    queue_depth_->record(ch.retrans_queue.size());
     begin_remap(dst, ch);
     return;
   }
 
   pkt.hdr.route = *route;
-  ch.retrans_queue.push_back(QueuedPacket{std::move(pkt), 0, false});
+  QueuedPacket& qp =
+      slab_.push_back(ch.retrans_queue, QueuedPacket{std::move(pkt), 0, false});
   busy_.set(dst, true);
   queue_depth_->record(ch.retrans_queue.size());
-  QueuedPacket& qp = ch.retrans_queue.back();
   ++stats_.data_tx;
   put_on_wire(dst, qp, /*is_retransmit=*/false);
 }
@@ -428,7 +429,7 @@ void ReliableFirmware::process_ack(HostId from, std::uint32_t ack,
     return;
   }
   std::size_t freed = 0;
-  auto& q = ch.retrans_queue;
+  RetransQueue& q = ch.retrans_queue;
   // Pop only a prefix that is strictly consecutive, nonzero, and ends
   // EXACTLY at `ack`. A legitimate cumulative ACK always acknowledges the
   // head of the unacknowledged window, so the freed run must land on the
@@ -439,7 +440,7 @@ void ReliableFirmware::process_ack(HostId from, std::uint32_t ack,
   std::size_t cover = 0;
   std::uint32_t run = 0;
   bool bogus = false;
-  for (const QueuedPacket& qp : q) {
+  for (const QueuedPacket& qp : slab_.items(q)) {
     const std::uint32_t s = qp.pkt.hdr.seq;
     if (s > ack) break;  // scanned past the acknowledged window
     if (s == 0 || (run != 0 && s != run + 1)) {
@@ -452,7 +453,7 @@ void ReliableFirmware::process_ack(HostId from, std::uint32_t ack,
   if (bogus || (cover > 0 && run != ack)) {
     ++stats_.scrub_bogus_acks;
   } else {
-    for (std::size_t i = 0; i < cover; ++i) q.pop_front();
+    for (std::size_t i = 0; i < cover; ++i) slab_.pop_front(q);
     freed = cover;
     if (q.empty()) busy_.set(from, false);
   }
@@ -535,7 +536,7 @@ void ReliableFirmware::on_timer() {
     const sim::Time now = nic_.sched().now();
     for_each_busy([&](HostId h, TxChannel& ch) {
       if (ch.remap_in_flight || ch.unreachable) return;
-      const QueuedPacket& oldest = ch.retrans_queue.front();
+      const QueuedPacket& oldest = slab_.front(ch.retrans_queue);
       if (!oldest.sent_once) return;  // parked awaiting a route
       // last_sent can be in the future (send-DMA completion time of a
       // packet still draining onto the wire): not timed out.
@@ -569,7 +570,7 @@ void ReliableFirmware::retransmit_channel(HostId h, TxChannel& ch) {
   }
   const std::uint16_t gen = ch.generation;
   std::size_t i = 0;
-  for (QueuedPacket& qp : ch.retrans_queue) {
+  for (QueuedPacket& qp : slab_.items(ch.retrans_queue)) {
     if (i == n) break;
     ++i;
     // Provisional stamp so the next scan does not double-fire this round;
@@ -592,7 +593,7 @@ void ReliableFirmware::retransmit_one(HostId h, std::uint16_t gen,
                                       std::uint32_t seq, bool is_last) {
   TxChannel& ch = tx(h);
   if (ch.generation != gen) return;  // re-mapped meanwhile
-  for (QueuedPacket& qp : ch.retrans_queue) {
+  for (QueuedPacket& qp : slab_.items(ch.retrans_queue)) {
     if (qp.pkt.hdr.seq != seq) continue;
     // Refresh the piggy-backed cumulative ACK to the current value.
     RxChannel& rxch = rx(h);
@@ -680,7 +681,7 @@ void ReliableFirmware::restart_generation(HostId h, TxChannel& ch,
   ++ch.generation;
   std::uint32_t seq = 1;
   const RxChannel& rxch = rx(h);
-  for (QueuedPacket& qp : ch.retrans_queue) {
+  for (QueuedPacket& qp : slab_.items(ch.retrans_queue)) {
     qp.pkt.hdr.seq = seq++;
     qp.pkt.hdr.generation = ch.generation;
     qp.pkt.hdr.route = route;
@@ -703,7 +704,7 @@ void ReliableFirmware::restart_generation(HostId h, TxChannel& ch,
   const std::uint16_t gen = ch.generation;
   const std::size_t n = ch.retrans_queue.size();
   std::size_t i = 0;
-  for (QueuedPacket& qp : ch.retrans_queue) {
+  for (QueuedPacket& qp : slab_.items(ch.retrans_queue)) {
     ++i;
     qp.last_sent = nic_.sched().now();
     qp.sent_once = true;
@@ -760,47 +761,43 @@ void ReliableFirmware::scrub_pass() {
   // Every live channel, idle ones included: the corruptor can garble an idle
   // channel's next_seq, and the bounded-capacity invariants must hold on
   // every channel, not only on the busy ones.
-  for (std::uint32_t v = 0; v < tx_.extent(); ++v) {
-    const HostId h{v};
-    TxChannel* chp = tx_.find(h);
-    if (chp == nullptr) continue;
-    TxChannel& ch = *chp;
+  bool escalated = false;
+  tx_.for_each([&](HostId h, TxChannel& ch) {
     if (busy_.contains(h) == ch.retrans_queue.empty()) {
       throw std::logic_error("ReliableFirmware: busy set disagrees with the "
                              "retransmission queue toward host " +
-                             std::to_string(v));
+                             std::to_string(h.v));
     }
-    if (ch.unreachable || ch.remap_in_flight) continue;
+    if (ch.unreachable || ch.remap_in_flight) return true;
     // Bounded-capacity invariants of a healthy sender channel: sequence
     // numbers start at 1 (0 is unassignable), the retransmission queue is a
     // strictly consecutive run of the current generation, and next_seq
     // continues the queue tail.
     bool bad = ch.next_seq == 0;
     if (!bad && !ch.retrans_queue.empty()) {
-      const auto& q = ch.retrans_queue;
-      std::uint32_t expect = q.front().pkt.hdr.seq;
+      const RetransQueue& q = ch.retrans_queue;
+      std::uint32_t expect = slab_.front(q).pkt.hdr.seq;
       if (expect == 0) bad = true;
-      for (const QueuedPacket& qp : q) {
+      for (const QueuedPacket& qp : slab_.items(q)) {
         if (bad) break;
         if (qp.pkt.hdr.generation != ch.generation ||
             qp.pkt.hdr.seq != expect++) {
           bad = true;
         }
       }
-      if (!bad && q.back().pkt.hdr.seq + 1 != ch.next_seq) bad = true;
+      if (!bad && slab_.back(q).pkt.hdr.seq + 1 != ch.next_seq) bad = true;
     }
     if (!bad) {
       ch.scrub_strikes = 0;
-      continue;
+      return true;
     }
-    if (repair_tx(h, ch)) return;  // escalated to nic_reset: all channels
-                                   // are being remapped, stop the pass
-  }
-  for (std::uint32_t v = 0; v < rx_.extent(); ++v) {
-    const HostId h{v};
-    RxChannel* rxp = rx_.find(h);
-    if (rxp == nullptr) continue;
-    RxChannel& rxch = *rxp;
+    // A repair that escalated to nic_reset re-entered every channel into
+    // remapping: stop the pass, rx side included.
+    escalated = repair_tx(h, ch);
+    return !escalated;
+  });
+  if (escalated) return;
+  rx_.for_each([&](HostId h, RxChannel& rxch) {
     if (rxch.expected_seq == 0) {
       // expected_seq 0 makes every piggy-backed ack underflow to 2^32-1
       // (which the peer's bogus-ack guard rejects, stalling the reverse
@@ -812,7 +809,8 @@ void ReliableFirmware::scrub_pass() {
       publish(FwEvent{FwEvent::Kind::kScrubRepair, nic_.self(), h,
                       rxch.generation, false, 0});
     }
-  }
+    return true;
+  });
 }
 
 bool ReliableFirmware::repair_tx(HostId h, TxChannel& ch) {
@@ -854,6 +852,15 @@ TxChannel* ReliableFirmware::chaos_tx_channel(HostId h) { return tx_.find(h); }
 
 RxChannel* ReliableFirmware::chaos_rx_channel(HostId h) { return rx_.find(h); }
 
+QueuedPacket* ReliableFirmware::chaos_queued(HostId h, std::size_t i) {
+  TxChannel* ch = tx_.find(h);
+  if (ch == nullptr) return nullptr;
+  for (QueuedPacket& qp : slab_.items(ch->retrans_queue)) {
+    if (i-- == 0) return &qp;
+  }
+  return nullptr;
+}
+
 std::vector<HostId> ReliableFirmware::chaos_tx_peers() const {
   return tx_.ids();
 }
@@ -866,7 +873,7 @@ void ReliableFirmware::drop_pending(HostId h, TxChannel& ch) {
   const std::size_t n = ch.retrans_queue.size();
   if (n > 0) {
     stats_.unreachable_drops += n;
-    ch.retrans_queue.clear();
+    slab_.clear(ch.retrans_queue);
     busy_.set(h, false);
     nic_.release_send_buffers(n);
   }

@@ -4,7 +4,9 @@
 // Protocol summary (all of it implemented here, on the simulated NIC):
 //  * go-back-N with per-remote-node sequence numbers and retransmission
 //    queues; buffers move between the global free queue, the wire, and the
-//    per-node retransmission queue — no copies;
+//    per-node retransmission queue — no copies: each queue is a chain of
+//    slots in one per-NIC PacketSlab with a slot per send buffer
+//    (channel.hpp), and a queued packet stays in its slot until acked;
 //  * a single periodic retransmission timer per NIC scans the non-empty
 //    queues, in ascending peer id; a queue whose oldest packet has been
 //    unacknowledged for one full interval is retransmitted in order;
@@ -25,8 +27,10 @@
 // touching the wire.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -176,6 +180,9 @@ class ReliableFirmware final : public nic::FirmwareIface {
   // logged in the chaos event log by the corruptor.
   [[nodiscard]] TxChannel* chaos_tx_channel(net::HostId h);
   [[nodiscard]] RxChannel* chaos_rx_channel(net::HostId h);
+  /// The `i`th oldest packet queued toward `h`; nullptr if the channel is
+  /// not live or holds no more than `i` packets.
+  [[nodiscard]] QueuedPacket* chaos_queued(net::HostId h, std::size_t i);
   /// Peers with live channel state, in ascending host id.
   [[nodiscard]] std::vector<net::HostId> chaos_tx_peers() const;
   [[nodiscard]] std::vector<net::HostId> chaos_rx_peers() const;
@@ -187,51 +194,82 @@ class ReliableFirmware final : public nic::FirmwareIface {
   [[nodiscard]] sim::Duration rx_cpu_cost(const net::Packet&) const override;
 
  private:
-  /// Per-peer state, one std::optional slot per HostId::v (host ids are
-  /// dense). A slot comes alive on first use and stays alive; find() of a
-  /// never-used id is nullptr. The deque keeps references to live slots
-  /// valid while the table grows: a TxChannel& is held across calls into
-  /// the mapper.
+  /// Per-peer state indexed by HostId::v (host ids are dense). A slot comes
+  /// alive on first use and stays alive; find() of a never-used id is
+  /// nullptr. Slots sit in blocks of kBlock consecutive ids, allocated when
+  /// an id in the block is first used and never moved, so a TxChannel& held
+  /// across a call into the mapper survives the table's growth, and a run on
+  /// up to kBlock hosts keeps each table in one contiguous block.
   template <class T>
   class PeerTable {
    public:
+    static constexpr std::uint32_t kBlock = 64;
+
     T& operator[](net::HostId h) {
       if (T* t = find(h)) return *t;
       return emplace(h);
     }
-    [[nodiscard]] T* find(net::HostId h) {
-      return h.v < slots_.size() && slots_[h.v] ? &*slots_[h.v] : nullptr;
-    }
-    [[nodiscard]] const T* find(net::HostId h) const {
-      return h.v < slots_.size() && slots_[h.v] ? &*slots_[h.v] : nullptr;
-    }
-    /// One past the highest id ever used: sweeps run over [0, extent()).
-    [[nodiscard]] std::uint32_t extent() const {
-      return static_cast<std::uint32_t>(slots_.size());
+    [[nodiscard]] T* find(net::HostId h) { return slot(h.v); }
+    [[nodiscard]] const T* find(net::HostId h) const { return slot(h.v); }
+    /// Visit the live slots in ascending id: `f(HostId, T&)`, which returns
+    /// false to stop the walk. The table is re-read at each step, so a slot
+    /// that `f` brings alive above the current id is visited too.
+    template <class F>
+    void for_each(F&& f) {
+      for (std::uint32_t b = 0; b < blocks_.size(); ++b) {
+        Block* blk = blocks_[b].get();
+        if (blk == nullptr) continue;
+        for (std::uint32_t i = 0; i < kBlock; ++i) {
+          const std::uint64_t rest = blk->live >> i;
+          if (rest == 0) break;
+          i += static_cast<std::uint32_t>(std::countr_zero(rest));
+          if (!f(net::HostId{b * kBlock + i}, blk->slots[i])) return;
+        }
+      }
     }
     /// Live ids, ascending.
     [[nodiscard]] std::vector<net::HostId> ids() const {
       std::vector<net::HostId> out;
-      for (std::uint32_t v = 0; v < extent(); ++v) {
-        if (slots_[v]) out.push_back(net::HostId{v});
+      for (std::uint32_t b = 0; b < blocks_.size(); ++b) {
+        if (!blocks_[b]) continue;
+        for (std::uint64_t live = blocks_[b]->live; live != 0;
+             live &= live - 1) {
+          out.push_back(net::HostId{
+              b * kBlock + static_cast<std::uint32_t>(std::countr_zero(live))});
+        }
       }
       return out;
     }
 
    private:
-    T& emplace(net::HostId h) {
-      if (h.v >= slots_.size()) slots_.resize(h.v + 1);
-      return slots_[h.v].emplace();
+    struct Block {
+      std::uint64_t live = 0;  // bit i: slots[i] is alive
+      std::array<T, kBlock> slots{};
+    };
+    [[nodiscard]] T* slot(std::uint32_t v) const {
+      const std::uint32_t b = v / kBlock;
+      Block* blk = b < blocks_.size() ? blocks_[b].get() : nullptr;
+      return blk != nullptr && (blk->live >> (v % kBlock) & 1) != 0
+                 ? &blk->slots[v % kBlock]
+                 : nullptr;
+    }
+    // Out of line, so that operator[]'s hit path inlines into its callers.
+    [[gnu::noinline]] T& emplace(net::HostId h) {
+      const std::uint32_t b = h.v / kBlock;
+      if (b >= blocks_.size()) blocks_.resize(b + 1);
+      if (!blocks_[b]) blocks_[b] = std::make_unique<Block>();
+      blocks_[b]->live |= std::uint64_t{1} << (h.v % kBlock);
+      return blocks_[b]->slots[h.v % kBlock];
     }
 
-    std::deque<std::optional<T>> slots_;
+    std::vector<std::unique_ptr<Block>> blocks_;
   };
 
   /// The busy set: the peers whose tx retransmission queue is non-empty, one
   /// bit per HostId::v, and their count. It changes only where a queue goes
-  /// between empty and non-empty (on_host_packet's pushes and its no-mapper
-  /// pop, process_ack's pops, drop_pending's clear), so the timer counts and
-  /// scans the busy channels without visiting idle ones.
+  /// between empty and non-empty (on_host_packet's pushes, process_ack's
+  /// pops, drop_pending's clear), so the timer counts and scans the busy
+  /// channels without visiting idle ones.
   class BusySet {
    public:
     static constexpr std::uint32_t kNone = ~std::uint32_t{0};
@@ -328,6 +366,7 @@ class ReliableFirmware final : public nic::FirmwareIface {
   EventHook event_hook_;
   // Every walk over these (timer scan, scrub, reset, chaos peer lists) runs
   // in ascending host id, so the simulation is deterministic.
+  PacketSlab slab_;  // every channel's queued packets, one slot per buffer
   PeerTable<TxChannel> tx_;
   PeerTable<RxChannel> rx_;
   BusySet busy_;  // exactly the tx_ channels with a non-empty queue

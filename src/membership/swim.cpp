@@ -1,6 +1,7 @@
 #include "membership/swim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "obs/metrics.hpp"
@@ -50,9 +51,14 @@ SwimAgent::SwimAgent(sim::Scheduler& sched, vmmc::MsgEndpoint& msgs,
       msgs_(msgs),
       cfg_(cfg),
       rng_(cfg.seed ^ (0x9e3779b97f4a7c15ull * (msgs.host().v + 1))) {
+  std::uint32_t extent = self().v + 1;
+  for (const net::HostId h : members) extent = std::max(extent, h.v + 1);
+  members_.resize(extent);
+  gossip_.resize(extent);
   for (const net::HostId h : members) {
-    if (h == self()) continue;
-    members_.emplace(h.v, Member{});
+    if (h == self() || members_[h.v].tracked) continue;
+    members_[h.v].tracked = true;
+    ++member_count_;
   }
 
   obs::Registry& reg = obs::Registry::of(sched_);
@@ -92,15 +98,9 @@ void SwimAgent::start() {
   period_loop();
 }
 
-MemberState SwimAgent::state_of(net::HostId h) const {
-  if (h == self()) return MemberState::kAlive;
-  auto it = members_.find(h.v);
-  return it == members_.end() ? MemberState::kAlive : it->second.state;
-}
-
 sim::Time SwimAgent::confirm_time(net::HostId h) const {
-  auto it = members_.find(h.v);
-  return it == members_.end() ? sim::kNever : it->second.confirmed_at;
+  const Member* m = member(h);
+  return m == nullptr ? sim::kNever : m->confirmed_at;
 }
 
 void SwimAgent::logf(const std::string& line) {
@@ -113,8 +113,8 @@ void SwimAgent::logf(const std::string& line) {
 
 void SwimAgent::enqueue_update(net::HostId h, MemberState st,
                                std::uint32_t inc) {
-  gossip_[h.v] = GossipEntry{
-      st, inc, dissemination_rounds(members_.size() + 1)};
+  gossip_[h.v] =
+      GossipEntry{true, st, inc, dissemination_rounds(member_count_ + 1)};
 }
 
 std::vector<std::uint8_t> SwimAgent::encode_msg(std::uint8_t type,
@@ -123,32 +123,33 @@ std::vector<std::uint8_t> SwimAgent::encode_msg(std::uint8_t type,
                                                 net::HostId dst) {
   // Select piggybacked updates: the entry about the destination always rides
   // (budget or not — it is how a suspect learns to refute); the rest go
-  // freshest-budget-first, lowest member id breaking ties.
-  std::vector<std::pair<std::uint32_t, GossipEntry*>> picked;
-  if (auto it = gossip_.find(dst.v); it != gossip_.end()) {
-    picked.emplace_back(it->first, &it->second);
-  }
-  std::vector<std::pair<std::uint32_t, GossipEntry*>> rest;
-  for (auto& [hv, e] : gossip_) {
-    if (hv == dst.v || e.sends_left == 0) continue;
-    rest.emplace_back(hv, &e);
-  }
-  std::stable_sort(rest.begin(), rest.end(), [](const auto& a, const auto& b) {
-    if (a.second->sends_left != b.second->sends_left) {
-      return a.second->sends_left > b.second->sends_left;
+  // freshest-budget-first, lowest member id breaking ties. `picked` keeps
+  // the rest sorted as the ascending-id walk offers them: an entry moves
+  // ahead only of entries with a smaller budget.
+  std::array<std::uint32_t, kMaxPiggyback> picked;
+  std::size_t n = 0;
+  if (dst.v < gossip_.size() && gossip_[dst.v].pending) picked[n++] = dst.v;
+  const std::size_t first_rest = n;
+  for (std::uint32_t hv = 0; hv < gossip_.size(); ++hv) {
+    const GossipEntry& e = gossip_[hv];
+    if (!e.pending || hv == dst.v || e.sends_left == 0) continue;
+    std::size_t pos = n;
+    while (pos > first_rest && gossip_[picked[pos - 1]].sends_left <
+                                   e.sends_left) {
+      --pos;
     }
-    return a.first < b.first;
-  });
-  for (auto& p : rest) {
-    if (picked.size() >= kMaxPiggyback) break;
-    picked.push_back(p);
+    if (pos == kMaxPiggyback) continue;  // every kept entry outranks it
+    n = std::min(n + 1, kMaxPiggyback);
+    for (std::size_t j = n - 1; j > pos; --j) picked[j] = picked[j - 1];
+    picked[pos] = hv;
   }
 
-  vmmc::Writer w(14 + picked.size() * 9);
-  w(type, nonce, target.v, static_cast<std::uint8_t>(picked.size()));
-  for (auto& [hv, e] : picked) {
-    w(hv, e->state, e->inc);
-    if (e->sends_left > 0) --e->sends_left;
+  vmmc::Writer w(14 + n * 9);
+  w(type, nonce, target.v, static_cast<std::uint8_t>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    GossipEntry& e = gossip_[picked[i]];
+    w(picked[i], e.state, e.inc);
+    if (e.sends_left > 0) --e.sends_left;
   }
   return w.take();
 }
@@ -178,9 +179,9 @@ void SwimAgent::apply_update(net::HostId h, MemberState st,
     }
     return;
   }
-  auto it = members_.find(h.v);
-  if (it == members_.end()) return;  // not a member we track
-  Member& m = it->second;
+  Member* mp = member(h);
+  if (mp == nullptr) return;  // not a member we track
+  Member& m = *mp;
   if (m.state == MemberState::kDead) return;  // terminal
 
   switch (st) {
@@ -224,9 +225,9 @@ void SwimAgent::apply_update(net::HostId h, MemberState st,
 }
 
 void SwimAgent::locally_suspect(net::HostId h) {
-  auto it = members_.find(h.v);
-  if (it == members_.end() || it->second.state != MemberState::kAlive) return;
-  apply_update(h, MemberState::kSuspect, it->second.inc);
+  const Member* m = member(h);
+  if (m == nullptr || m->state != MemberState::kAlive) return;
+  apply_update(h, MemberState::kSuspect, m->inc);
 }
 
 void SwimAgent::confirm_dead(net::HostId h) {
@@ -253,16 +254,19 @@ bool SwimAgent::next_target(net::HostId* out) {
   for (std::size_t attempts = 0; attempts < 2; ++attempts) {
     while (rotation_idx_ < rotation_.size()) {
       const net::HostId h = rotation_[rotation_idx_++];
-      auto it = members_.find(h.v);
-      if (it != members_.end() && it->second.state != MemberState::kDead) {
+      const Member* m = member(h);
+      if (m != nullptr && m->state != MemberState::kDead) {
         *out = h;
         return true;
       }
     }
     rotation_.clear();
     rotation_idx_ = 0;
-    for (const auto& [hv, m] : members_) {
-      if (m.state != MemberState::kDead) rotation_.push_back(net::HostId{hv});
+    for (std::uint32_t hv = 0; hv < members_.size(); ++hv) {
+      const Member& m = members_[hv];
+      if (m.tracked && m.state != MemberState::kDead) {
+        rotation_.push_back(net::HostId{hv});
+      }
     }
     for (std::size_t i = rotation_.size(); i > 1; --i) {
       std::swap(rotation_[i - 1], rotation_[rng_.uniform(i)]);
@@ -307,8 +311,11 @@ sim::Process SwimAgent::probe_round(net::HostId target) {
     // Indirect probes: ask k members (not self, not the target) to ping the
     // target and relay its ack under our nonce.
     std::vector<net::HostId> cands;
-    for (const auto& [hv, m] : members_) {
-      if (hv == target.v || m.state == MemberState::kDead) continue;
+    for (std::uint32_t hv = 0; hv < members_.size(); ++hv) {
+      const Member& m = members_[hv];
+      if (!m.tracked || hv == target.v || m.state == MemberState::kDead) {
+        continue;
+      }
       cands.push_back(net::HostId{hv});
     }
     for (std::size_t k = 0; k < cfg_.k_indirect && !cands.empty(); ++k) {

@@ -38,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -108,7 +109,10 @@ class SwimAgent {
   }
 
   [[nodiscard]] net::HostId self() const { return msgs_.host(); }
-  [[nodiscard]] MemberState state_of(net::HostId h) const;
+  [[nodiscard]] MemberState state_of(net::HostId h) const {
+    const Member* m = member(h);
+    return m == nullptr ? MemberState::kAlive : m->state;
+  }
   [[nodiscard]] bool confirmed_dead(net::HostId h) const {
     return state_of(h) == MemberState::kDead;
   }
@@ -129,6 +133,7 @@ class SwimAgent {
 
  private:
   struct Member {
+    bool tracked = false;  // a member of this agent's view
     MemberState state = MemberState::kAlive;
     std::uint32_t inc = 0;
     bool timer_armed = false;
@@ -136,6 +141,7 @@ class SwimAgent {
     sim::Time confirmed_at = sim::kNever;
   };
   struct GossipEntry {
+    bool pending = false;  // an update about this host exists
     MemberState state = MemberState::kAlive;
     std::uint32_t inc = 0;
     std::uint32_t sends_left = 0;
@@ -147,6 +153,14 @@ class SwimAgent {
   sim::Process delayed_ack(net::HostId to, std::uint64_t nonce);
   void send_ack(net::HostId to, std::uint64_t nonce);
 
+  /// `h`'s state if it is a tracked member, else nullptr.
+  [[nodiscard]] const Member* member(net::HostId h) const {
+    return h.v < members_.size() && members_[h.v].tracked ? &members_[h.v]
+                                                         : nullptr;
+  }
+  [[nodiscard]] Member* member(net::HostId h) {
+    return const_cast<Member*>(std::as_const(*this).member(h));
+  }
   bool next_target(net::HostId* out);
   void apply_update(net::HostId h, MemberState st, std::uint32_t inc);
   void locally_suspect(net::HostId h);
@@ -162,8 +176,11 @@ class SwimAgent {
   SwimConfig cfg_;
   sim::Rng rng_;
   std::uint32_t my_inc_ = 0;
-  std::map<std::uint32_t, Member> members_;      // keyed by HostId::v
-  std::map<std::uint32_t, GossipEntry> gossip_;  // pending dissemination
+  // Both indexed by HostId::v, sized to the largest member id (and self);
+  // every walk over them runs in ascending id.
+  std::vector<Member> members_;
+  std::size_t member_count_ = 0;
+  std::vector<GossipEntry> gossip_;  // pending dissemination
   std::vector<net::HostId> rotation_;
   std::size_t rotation_idx_ = 0;
   std::uint64_t next_nonce_ = 1;

@@ -91,7 +91,9 @@ void Runtime::setup_endpoints() {
 
 RegionId Runtime::create_region(std::size_t bytes) {
   RegionRec rec;
-  rec.data.assign(bytes, 0);
+  // Off the heap, so no small block that outlives the region can land in
+  // the hole it leaves. Apps write regions whole: back every page now.
+  rec.data = sim::ZeroPages(bytes, sim::ZeroPages::Backing::kUpFront);
   rec.num_pages = static_cast<std::uint32_t>(
       (bytes + cfg_.page_bytes - 1) / cfg_.page_bytes);
   rec.valid.assign(nodes_.size() * rec.num_pages, false);
@@ -100,7 +102,7 @@ RegionId Runtime::create_region(std::size_t bytes) {
 }
 
 std::span<std::uint8_t> Runtime::region_data(RegionId r) {
-  return regions_.at(r).data;
+  return regions_.at(r).data.span();
 }
 
 std::size_t Runtime::home_of_page(RegionId r, std::uint32_t page) const {
@@ -130,9 +132,10 @@ sim::Task<void> Runtime::send_msg(std::size_t from_node, std::size_t to_node,
     // them, and retransmission must deliver them intact).
     const auto& reg = regions_.at(a);
     const std::size_t off = static_cast<std::size_t>(b) * cfg_.page_bytes;
-    const std::size_t n = std::min(payload_bytes, reg.data.size() - off);
-    payload.assign(reg.data.begin() + static_cast<std::ptrdiff_t>(off),
-                   reg.data.begin() + static_cast<std::ptrdiff_t>(off + n));
+    const std::span<const std::uint8_t> data = reg.data.span();
+    const std::size_t n = std::min(payload_bytes, data.size() - off);
+    payload.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
+                   data.begin() + static_cast<std::ptrdiff_t>(off + n));
   }
   const auto& imp = payload_bytes > 0 ? st.pages_imp[to_node]
                                       : st.ctrl_imp[to_node];
@@ -298,8 +301,9 @@ sim::Task<std::span<std::uint8_t>> Proc::acquire(RegionId r,
     co_await sim::DelayFor{sched, rt_.cfg_.local_op};
   }
   times_.data += sched.now() - t0;
-  const std::size_t end = std::min(offset + len, reg.data.size());
-  co_return std::span<std::uint8_t>(reg.data.data() + offset, end - offset);
+  const std::span<std::uint8_t> data = reg.data.span();
+  const std::size_t end = std::min(offset + len, data.size());
+  co_return data.subspan(offset, end - offset);
 }
 
 void Proc::mark_dirty(RegionId r, std::size_t offset, std::size_t len) {

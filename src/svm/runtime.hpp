@@ -35,6 +35,7 @@
 #include "harness/cluster.hpp"
 #include "sim/awaitables.hpp"
 #include "sim/task.hpp"
+#include "sim/zero_pages.hpp"
 #include "svm/timing.hpp"
 #include "vmmc/endpoint.hpp"
 
@@ -160,7 +161,8 @@ class Runtime {
   };
 
   struct RegionRec {
-    std::vector<std::uint8_t> data;
+    /// The canonical copy, a mapping of its own (sim/zero_pages.hpp).
+    sim::ZeroPages data;
     std::uint32_t num_pages = 0;
     /// valid[node * num_pages + page]: cached copy valid on that node.
     std::vector<bool> valid;

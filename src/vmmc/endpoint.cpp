@@ -56,23 +56,21 @@ net::UserHeader Endpoint::encode(Kind kind, ExportId exp, bool last,
 }
 
 ExportId Endpoint::export_buffer(std::size_t bytes) {
-  const ExportId id = next_export_++;
-  exports_.emplace(
-      id, ExportRec{sim::ZeroPages(bytes),
-                    std::make_unique<sim::Channel<DepositEvent>>()});
-  return id;
+  exports_.push_back(ExportRec{sim::ZeroPages(bytes),
+                               std::make_unique<sim::Channel<DepositEvent>>()});
+  return static_cast<ExportId>(exports_.size());
 }
 
 std::span<const std::uint8_t> Endpoint::buffer(ExportId id) const {
-  return exports_.at(id).data.span();
+  return exports_.at(id - 1).data.span();
 }
 
 std::span<std::uint8_t> Endpoint::buffer_mut(ExportId id) {
-  return exports_.at(id).data.span();
+  return exports_.at(id - 1).data.span();
 }
 
 sim::Channel<DepositEvent>& Endpoint::notifications(ExportId id) {
-  return *exports_.at(id).notify;
+  return *exports_.at(id - 1).notify;
 }
 
 sim::Task<std::optional<Endpoint::Import>> Endpoint::import(net::HostId remote,
@@ -134,17 +132,14 @@ void Endpoint::on_host_rx(net::UserHeader u, net::PayloadRef payload,
       return;
     case Kind::kImportReq: {
       const auto exp = static_cast<ExportId>(u.w0 & 0xFFFFFFFFull);
-      const auto it = exports_.find(exp);
+      const ExportRec* rec = find_export(exp);
       nic::SendRequest resp;
       resp.dst = src;
-      resp.user = encode(Kind::kImportResp, exp, true, 0, /*tag=*/u.w2,
-                         it == exports_.end()
-                             ? 0
-                             : static_cast<std::uint64_t>(
-                                   it->second.data.span().size()));
+      const std::uint64_t size = rec == nullptr ? 0 : rec->data.span().size();
+      resp.user = encode(Kind::kImportResp, exp, true, 0, /*tag=*/u.w2, size);
       // Grant iff the export exists; size 0 doubles as the denial marker
       // (VMMC exports are always non-empty).
-      resp.user.w1 = (it != exports_.end()) ? 1 : 0;
+      resp.user.w1 = rec != nullptr ? 1 : 0;
       nic_.host_submit(std::move(resp));
       return;
     }
@@ -164,12 +159,12 @@ void Endpoint::handle_deposit(net::UserHeader u,
                               const net::PayloadRef& payload,
                               net::HostId src) {
   const auto exp = static_cast<ExportId>(u.w0 & 0xFFFFFFFFull);
-  const auto it = exports_.find(exp);
-  if (it == exports_.end()) {
+  ExportRec* rec = find_export(exp);
+  if (rec == nullptr) {
     ++stats_.rejected_rx;
     return;
   }
-  const std::span<std::uint8_t> buf = it->second.data.span();
+  const std::span<std::uint8_t> buf = rec->data.span();
   const std::uint64_t offset = u.w1;
   const bool last = (u.w0 & kLastBit) != 0;
   // The segment must lie inside the export, and so must a last segment's
@@ -193,7 +188,7 @@ void Endpoint::handle_deposit(net::UserHeader u,
     ev.length = u.w3;
     ev.offset = offset + payload.size() - u.w3;
     ev.tag = u.w2;
-    it->second.notify->push(sched_, ev);
+    rec->notify->push(sched_, ev);
   }
 }
 

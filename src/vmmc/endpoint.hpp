@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -128,10 +127,14 @@ class Endpoint {
 
   sim::Scheduler& sched_;
   nic::Nic& nic_;
-  std::unordered_map<ExportId, ExportRec> exports_;
+  /// The export with id `id`, or nullptr.
+  [[nodiscard]] ExportRec* find_export(ExportId id) {
+    return id - 1 < exports_.size() ? &exports_[id - 1] : nullptr;
+  }
+
+  std::vector<ExportRec> exports_;  // export id i at index i - 1
   /// Import responses by nonce: the granted size, or nullopt if denied.
   sim::Replies<std::uint64_t, std::optional<std::size_t>> imports_;
-  ExportId next_export_ = 1;
   std::uint64_t next_nonce_ = 1;
   EndpointStats stats_;
 };

@@ -34,7 +34,8 @@ MsgEndpoint::~MsgEndpoint() {
 sim::Task<bool> MsgEndpoint::connect(net::HostId remote) {
   auto imp = co_await ep_.import(remote, kRingExport);
   if (!imp.has_value()) co_return false;
-  peers_[remote] = Peer{*imp, 0};
+  if (remote.v >= peers_.size()) peers_.resize(remote.v + 1);
+  peers_[remote.v] = Peer{*imp, 0};
   ++stats_.connects;
   co_return true;
 }
@@ -42,8 +43,7 @@ sim::Task<bool> MsgEndpoint::connect(net::HostId remote) {
 sim::Task<void> MsgEndpoint::post(net::HostId remote,
                                   std::vector<std::uint8_t> bytes,
                                   std::uint64_t tag) {
-  auto it = peers_.find(remote);
-  if (it == peers_.end()) {
+  if (!connected(remote)) {
     throw std::logic_error("MsgEndpoint::post() before connect() to host " +
                            std::to_string(remote.v));
   }
@@ -53,7 +53,7 @@ sim::Task<void> MsgEndpoint::post(net::HostId remote,
                             " B message exceeds the " +
                             std::to_string(per_peer_) + " B ring partition");
   }
-  return write(it->second, std::move(bytes), tag);
+  return write(*peers_[remote.v], std::move(bytes), tag);
 }
 
 sim::Task<void> MsgEndpoint::write(Peer& p, std::vector<std::uint8_t> bytes,

@@ -25,8 +25,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "sim/awaitables.hpp"
@@ -70,7 +71,7 @@ class MsgEndpoint {
   /// MsgEndpoint ring.
   sim::Task<bool> connect(net::HostId remote);
   [[nodiscard]] bool connected(net::HostId remote) const {
-    return peers_.contains(remote);
+    return remote.v < peers_.size() && peers_[remote.v].has_value();
   }
 
   /// Post one message to a connected remote; resumes when the local NIC has
@@ -108,7 +109,10 @@ class MsgEndpoint {
   sim::Scheduler& sched_;
   Endpoint& ep_;
   std::size_t per_peer_;
-  std::unordered_map<net::HostId, Peer> peers_;
+  /// By remote HostId::v. A deque, because growing it at the end keeps
+  /// every Peer& valid: a write task holds one, and a connect() to a higher
+  /// id can grow the table before the task starts.
+  std::deque<std::optional<Peer>> peers_;
   sim::Channel<Msg> inbox_;
   std::vector<Tap> taps_;
   MsgEndpointStats stats_;

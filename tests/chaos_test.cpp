@@ -317,6 +317,67 @@ TEST(ChaosRecovery, PerDestinationTtfrIsNotMaskedByFastChannels) {
   // sample — first redelivery only.
 }
 
+TEST(ChaosRecovery, PerDestinationLedgerClearsPerBurstAndGrowsWithIds) {
+  // The per-destination ledger over a scripted feed: a retransmission before
+  // any burst, repeats on one pair, both orientations of a pair, host ids
+  // past 64 and past 1000 (the ledger grows twice mid-burst), a heal, and a
+  // second burst that must sample every pair afresh. Expected values were
+  // taken from the ordered-set ledger this bitmap replaced.
+  sim::Scheduler sched;
+  chaos::RecoveryMonitor monitor(sched);
+
+  auto deliver = [&](sim::Time at, std::uint32_t src, std::uint32_t dst) {
+    sched.after(at, [&monitor, src, dst] {
+      net::Packet p;
+      p.hdr.src = net::HostId{src};
+      p.hdr.dst = net::HostId{dst};
+      p.hdr.type = net::PacketType::kData;
+      p.hdr.flags = net::kFlagRetransmit;
+      monitor.on_delivery(p, net::HostId{dst});
+    });
+  };
+  auto fault = [&](sim::Time at, net::FaultKind kind) {
+    sched.after(at, [&monitor, kind] { monitor.on_fault({kind, 0}); });
+  };
+  const sim::Duration us = sim::microseconds(1);
+  deliver(500 * us, 0, 1);  // before any burst: no per-pair sample
+  fault(1000 * us, net::FaultKind::kLinkDown);  // burst 1
+  deliver(2000 * us, 0, 1);
+  deliver(2500 * us, 0, 1);  // same pair: no second sample
+  deliver(3000 * us, 1, 0);  // the other orientation is its own pair
+  deliver(3500 * us, 70, 3);   // grows the ledger past 64 ids
+  deliver(4000 * us, 3, 200);  // ...and again
+  deliver(4500 * us, 70, 3);
+  // Burst 1 ended at its first redelivery, so this kill opens burst 2; the
+  // switch kill before burst 2's first redelivery extends it.
+  fault(5000 * us, net::FaultKind::kLinkDown);
+  fault(5200 * us, net::FaultKind::kLinkUp);
+  fault(5400 * us, net::FaultKind::kSwitchDown);
+  deliver(6000 * us, 0, 1);
+  deliver(6100 * us, 0, 1);
+  deliver(6300 * us, 70, 3);
+  deliver(7000 * us, 1000, 999);  // grows past 1000 ids
+  deliver(7100 * us, 3, 200);
+  deliver(7200 * us, 1000, 999);
+  sched.run_until(sim::milliseconds(20));
+  monitor.finalize();
+
+  const auto& r = monitor.report();
+  EXPECT_EQ(r.disruptive_faults, 3u);
+  EXPECT_EQ(r.heals, 1u);
+  EXPECT_EQ(r.data_deliveries, 13u);
+  EXPECT_EQ(r.retrans_deliveries, 13u);
+  EXPECT_EQ(r.ttfr_samples, 2u);
+  EXPECT_EQ(r.ttfr_first, 1000 * us);
+  EXPECT_EQ(r.ttfr_max, 1000 * us);
+  const std::vector<sim::Duration> want{1000 * us, 2000 * us, 2500 * us,
+                                        3000 * us, 1000 * us, 1300 * us,
+                                        2000 * us, 2100 * us};
+  EXPECT_EQ(r.ttfr_dest, want);
+  EXPECT_EQ(r.ttfr_dest_samples, want.size());
+  EXPECT_EQ(r.ttfr_dest_max, 3000 * us);
+}
+
 TEST(ChaosRecovery, RemapConvergenceAnchorsAtFaultNotRestart) {
   // A restart answered from the path cache converges almost instantly by
   // the restart-relative clock; the fault-relative clock still charges the

@@ -424,6 +424,163 @@ TEST(Reliability, BoundedRetransmitWindowStillCorrect) {
   expect_exactly_once_in_order(r, 80);
 }
 
+// --- bounded per-NIC queue state ---------------------------------------------
+
+/// Packets queued at NIC `i`, summed over its channels toward the hosts.
+std::size_t queued_at(Cluster& c, std::size_t i) {
+  std::size_t n = 0;
+  for (const net::HostId h : c.hosts) {
+    if (const auto* ch = c.rel(i).tx_channel(h)) n += ch->retrans_queue.size();
+  }
+  return n;
+}
+
+/// The fabric link that host `from`'s preloaded route to `to` takes out of
+/// its first switch.
+net::LinkId first_trunk(Cluster& c, std::size_t from, std::size_t to) {
+  const auto route = c.routes(from).get(c.hosts[to]);
+  const auto edge = c.topo.peer_of({net::Device::host(c.hosts[from]), 0});
+  const auto up = c.topo.peer_of({edge->peer.dev, route->ports[0]});
+  return up->link;
+}
+
+TEST(Reliability, QueuedPacketsStayWithinTheSendBuffersInUse) {
+  // A queued packet owns its send buffer until the cumulative ACK frees it,
+  // so at every instant a NIC's queues together hold no more packets than it
+  // has buffers in use, and never more than it has buffers. Checked after
+  // every event of a clos-64 run that moves queues every way they move:
+  // injected drops refill them, a killed uplink makes host 0 declare its
+  // path to host 40 failed and restart the generation on a new route, and
+  // a NIC reset re-enters host 1's busy channels into mapping.
+  ClusterConfig cfg = base_cfg();
+  cfg.num_hosts = 64;
+  cfg.topo = harness::TopoKind::kClos;
+  cfg.mapper = harness::MapperKind::kOnDemand;
+  // A cold cross-pod BFS probes thousands of ports; on an idle fabric a
+  // reply takes a few microseconds, so a short wait keeps the remap short.
+  cfg.ondemand.max_probes = std::size_t{1} << 17;
+  cfg.ondemand.probe_timeout = sim::microseconds(20);
+  cfg.ondemand.probe_retries = 0;
+  cfg.ondemand.configured_identity = true;
+  cfg.rel.drop_interval = 7;
+  cfg.rel.fail_threshold = sim::milliseconds(10);
+  cfg.rel.fail_min_rounds = 8;
+  cfg.nic.send_buffers = 16;
+  Cluster c(cfg);
+  constexpr std::size_t kSenders = 4;
+  constexpr int kPerPeer = 40;
+  const std::vector<std::size_t> peers{40, 9, 22, 63};
+  std::vector<Drainer> drainers(c.size());
+  for (const std::size_t to : peers) drain(c, to, drainers[to]);
+  for (int i = 0; i < kPerPeer; ++i) {
+    for (std::size_t from = 0; from < kSenders; ++from) {
+      for (const std::size_t to : peers) {
+        net::UserHeader u;
+        u.w0 = from;
+        u.w1 = static_cast<std::uint64_t>(i);
+        c.send(from, to, std::vector<std::uint8_t>(128, 7), u);
+      }
+    }
+  }
+  const net::LinkId uplink = first_trunk(c, 0, 40);
+  c.sched.after(sim::milliseconds(1),
+                [&] { c.topo.set_link_up(uplink, false); });
+  c.sched.after(sim::milliseconds(3), [&] { c.rel(1).nic_reset(); });
+
+  const auto quiet = [&] {
+    for (const std::size_t to : peers) {
+      if (drainers[to].msgs.size() < kSenders * kPerPeer) return false;
+    }
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (c.nic(i).send_pool().in_use() != 0) return false;
+    }
+    return true;
+  };
+  std::uint64_t events = 0;
+  while (!quiet() && c.sched.now() < sim::seconds(3) && c.sched.step()) {
+    ++events;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const auto& pool = c.nic(i).send_pool();
+      ASSERT_LE(queued_at(c, i), pool.in_use())
+          << "host " << i << " after event " << events;
+      ASSERT_LE(pool.in_use(), pool.capacity()) << "host " << i;
+    }
+  }
+  EXPECT_GT(c.rel(0).stats().injected_drops, 0u);
+  EXPECT_GE(c.rel(0).stats().path_failures, 1u);
+  EXPECT_GE(c.rel(0).tx_channel(c.hosts[40])->generation, 1u);
+  EXPECT_EQ(c.rel(1).stats().nic_resets, 1u);
+  EXPECT_GE(c.rel(1).stats().generation_restarts, 1u);
+  // Every message arrived (a generation restart may resend some).
+  for (const std::size_t to : peers) {
+    EXPECT_GE(drainers[to].msgs.size(), kSenders * kPerPeer) << "to " << to;
+  }
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(queued_at(c, i), 0u) << "host " << i;
+    EXPECT_EQ(c.nic(i).send_pool().in_use(), 0u) << "host " << i;
+  }
+}
+
+TEST(Reliability, TableGrowthDuringAPathFailureKeepsTheRemapOnItsChannel) {
+  // Per-peer tables grow when an id is first used. Here that happens inside
+  // host 0's path failure toward host 40, while the firmware holds that
+  // channel by reference: the event hook, which runs synchronously at the
+  // failure, excludes an id no table has reached yet (a host this NIC has
+  // never seen, as one added to a running fabric would be). The remap that
+  // follows must still run on host 40's own channel: its generation
+  // restarts and every message arrives, first deliveries in order.
+  ClusterConfig cfg = base_cfg();
+  cfg.num_hosts = 64;
+  cfg.topo = harness::TopoKind::kClos;
+  cfg.mapper = harness::MapperKind::kOnDemand;
+  // A cold cross-pod BFS probes thousands of ports; on an idle fabric a
+  // reply takes a few microseconds, so a short wait keeps the remap short.
+  cfg.ondemand.max_probes = std::size_t{1} << 17;
+  cfg.ondemand.probe_timeout = sim::microseconds(20);
+  cfg.ondemand.probe_retries = 0;
+  cfg.rel.fail_threshold = sim::milliseconds(10);
+  cfg.rel.fail_min_rounds = 8;
+  cfg.nic.send_buffers = 16;
+  Cluster c(cfg);
+  const net::HostId newcomer{1000};
+  bool grown = false;
+  c.rel(0).set_event_hook([&](const firmware::FwEvent& ev) {
+    if (ev.kind != firmware::FwEvent::Kind::kPathFail || grown) return;
+    grown = true;
+    ASSERT_EQ(c.rel(0).tx_channel(newcomer), nullptr);
+    c.rel(0).exclude_peer(newcomer);
+  });
+  Drainer d;
+  drain(c, 40, d);
+  constexpr int kMsgs = 60;
+  for (int i = 0; i < kMsgs; ++i) {
+    net::UserHeader u;
+    u.w0 = static_cast<std::uint64_t>(i);
+    c.send(0, 40, std::vector<std::uint8_t>(256, 3), u);
+  }
+  c.topo.set_link_up(first_trunk(c, 0, 40), false);
+  c.sched.run_until(sim::milliseconds(400));
+
+  ASSERT_TRUE(grown);
+  const auto* added = c.rel(0).tx_channel(newcomer);
+  ASSERT_NE(added, nullptr);
+  EXPECT_TRUE(added->unreachable);
+  const auto* ch = c.rel(0).tx_channel(c.hosts[40]);
+  ASSERT_NE(ch, nullptr);
+  EXPECT_EQ(ch->generation, 1u);
+  EXPECT_FALSE(ch->remap_in_flight);
+  EXPECT_FALSE(ch->unreachable);
+  EXPECT_TRUE(ch->retrans_queue.empty());
+  EXPECT_EQ(c.rel(0).stats().generation_restarts, 1u);
+  std::uint64_t next_first = 0;
+  for (const harness::HostMsg& m : d.msgs) {
+    if (m.user.w0 == next_first) ++next_first;
+    EXPECT_LT(m.user.w0, next_first) << "gap before first delivery";
+  }
+  EXPECT_EQ(next_first, static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(c.nic(0).send_pool().in_use(), 0u);
+}
+
 // --- property sweep: exactly-once in-order delivery must hold across the
 // paper's whole Table-1 parameter space ------------------------------------
 struct SweepParam {

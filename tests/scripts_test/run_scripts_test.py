@@ -102,6 +102,35 @@ def main():
     check("layer_profile rejects a text with no flat profile",
           [lp, "--from-gprof", fx("metrics_ok.json")], 2, "no flat profile")
 
+    # layer_profile over canned named PC samples (--sample's saved form):
+    # the namespace rules as above, a row per shared library, and the
+    # calibration kernel left out with the heap it alone instantiates.
+    sampled = [lp, "--from-samples", fx("layer_profile_samples.txt")]
+    for row in ["| event queue | 20.0 % |",  # Scheduler + BucketRing
+                "| net | 15.0 % |",
+                "| firmware | 10.0 % |",     # + on_timer lambda
+                "| vmmc | 8.0 % |",
+                "| kv | 10.0 % |",           # _Function_handler's 2nd arg
+                "| membership | 5.0 % |",
+                "| chaos | 5.0 % |",
+                "| libc | 12.0 % |",         # two libc symbols, one row
+                "| libm | 3.0 % |",
+                "| libstdc++ | 2.0 % |",
+                "| unattributed | 10.0 % |"]:  # unnamed PCs
+        check(f"layer_profile --from-samples charges {row}", sampled, 0, row)
+    check("layer_profile counts samples, the kernel's and dropped ones",
+          sampled, 0, "1250 PC samples every 100 us (0.12 s), 250 of them "
+          "perfbench's calibration kernel, 3 dropped")
+    check("layer_profile states what a sample is charged to", sampled, 0,
+          "a shared library to its own row")
+    check("layer_profile --top lists the heaviest functions",
+          sampled + ["--top", "2"], 0,
+          ["| `sanfault::net::Fabric::step` | 15.0 % |",
+           "| `sanfault::sim::Scheduler::step` | 15.0 % |"])
+    check("layer_profile rejects a file that is not named samples",
+          [lp, "--from-samples", fx("metrics_ok.json")], 2,
+          "not a named-samples file")
+
     # perf_digests over a stand-in perfbench: each case assembles a root
     # from a spec gating two workloads, a baseline, and a run.py stub that
     # writes the result files a results fixture describes and prints the

@@ -1,12 +1,17 @@
-// Unit tests for the RNG and slot-pool utilities.
+// Unit tests for the RNG, slot-pool and zero-page utilities.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstddef>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/slot_pool.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace sanfault::sim {
 namespace {
@@ -87,6 +92,34 @@ TEST(SlotPool, StaleOrRepeatedTakeThrows) {
   EXPECT_THROW((void)pool[h], std::logic_error);
   EXPECT_THROW((void)pool.take(SlotPool<int>::Handle{}), std::logic_error);
   EXPECT_EQ(pool.take(fresh), 8);
+}
+
+std::size_t page_size() {
+  return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// Pages of `z` that the OS has backed (mincore).
+std::size_t backed_pages(const ZeroPages& z) {
+  const std::span<std::uint8_t> s = z.span();
+  std::vector<unsigned char> vec((s.size() + page_size() - 1) / page_size());
+  EXPECT_EQ(mincore(s.data(), s.size(), vec.data()), 0);
+  std::size_t n = 0;
+  for (const unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+TEST(ZeroPages, BackedOnFirstWriteOrUpFront) {
+  const std::size_t pages = 16;
+  const ZeroPages lazy(pages * page_size());
+  EXPECT_EQ(backed_pages(lazy), 0u);
+  lazy.span()[3 * page_size()] = 1;
+  EXPECT_GE(backed_pages(lazy), 1u);
+
+  const ZeroPages eager(pages * page_size(), ZeroPages::Backing::kUpFront);
+  EXPECT_EQ(backed_pages(eager), pages);
+  for (const std::uint8_t b : eager.span()) ASSERT_EQ(b, 0);
+
+  EXPECT_TRUE(ZeroPages(0, ZeroPages::Backing::kUpFront).span().empty());
 }
 
 }  // namespace

@@ -448,6 +448,43 @@ TEST(MsgEndpoint, MessageLargerThanItsPartitionThrows) {
       r.c.hosts[1], std::vector<std::uint8_t>(MsgRig::kPartition)));
 }
 
+TEST(MsgEndpoint, ConnectThatGrowsThePeerTableKeepsAPendingPostsPeer) {
+  // post() hands its lazily started write task the peer's slot; a connect()
+  // to a higher id before the task runs grows the table under it.
+  ClusterConfig cfg = VmmcRig::make_default();
+  cfg.num_hosts = 3;
+  Cluster c(cfg);
+  vmmc::Endpoint e0(c.sched, c.nic(0));
+  vmmc::Endpoint e1(c.sched, c.nic(1));
+  vmmc::Endpoint e2(c.sched, c.nic(2));
+  vmmc::MsgEndpoint m0{c.sched, e0, 1024, /*max_peers=*/3};
+  vmmc::MsgEndpoint m1{c.sched, e1, 1024, /*max_peers=*/3};
+  vmmc::MsgEndpoint m2{c.sched, e2, 1024, /*max_peers=*/3};
+  ASSERT_LT(c.hosts[1].v, c.hosts[2].v);
+  bool done = false;
+  [](Cluster& c, vmmc::MsgEndpoint& m0, bool& done) -> sim::Process {
+    EXPECT_TRUE(co_await m0.connect(c.hosts[1]));
+    sim::Task<void> pending = m0.post(c.hosts[1], {7, 8, 9}, /*tag=*/42);
+    EXPECT_TRUE(co_await m0.connect(c.hosts[2]));
+    co_await std::move(pending);
+    done = true;
+  }(c, m0, done);
+  const sim::Time deadline = c.sched.now() + sim::seconds(1);
+  while (!done && c.sched.now() < deadline && c.sched.step()) {
+  }
+  ASSERT_TRUE(done);
+  c.sched.run_for(sim::milliseconds(1));
+  ASSERT_EQ(m1.inbox().size(), 1u);
+  vmmc::Msg got;
+  [](Cluster& c, vmmc::MsgEndpoint& m1, vmmc::Msg& out) -> sim::Process {
+    out = co_await m1.inbox().pop(c.sched);
+  }(c, m1, got);
+  EXPECT_EQ(got.src, c.hosts[0]);
+  EXPECT_EQ(got.tag, 42u);
+  EXPECT_EQ(got.bytes, (std::vector<std::uint8_t>{7, 8, 9}));
+  EXPECT_EQ(m2.inbox().size(), 0u);
+}
+
 TEST(MsgEndpoint, RingMustBeTheEndpointsFirstExport) {
   VmmcRig r;
   (void)r.a.export_buffer(64);
