@@ -1,69 +1,52 @@
 #!/usr/bin/env python3
-"""Share of the simulator's host time per layer, from gprof or PC samples.
+"""Share of the simulator's host time per layer, from PC samples.
 
     scripts/layer_profile.py [--workload repair-hostkill] [--seconds 8]
                              [--seed 42] [--root CHECKOUT] [--save FILE]
-                             [--sample] [--top N]
-    scripts/layer_profile.py --from-gprof FILE [FILE ...] [--top N]
+                             [--top N]
     scripts/layer_profile.py --from-samples FILE [FILE ...] [--top N]
 
-The first form builds perfbench with -pg into <root>/.bench_build/profile
-(`cmake -S perfbench -B ... -DCMAKE_CXX_FLAGS=-pg
--DCMAKE_EXE_LINKER_FLAGS=-pg`; nothing under perfbench/ changes), runs one
-workload for --seconds, reads the profile with `gprof -b` and prints a
-markdown table of each layer's share of the simulator's samples. --root
-profiles another checkout (a parent commit, say) with this script; --save
-keeps the `gprof -b` text. The second form reads saved `gprof -b` texts
-instead, one table column per file.
+The first form builds perfbench as perfbench/run.py does (into
+<root>/.bench_build/perfbench; nothing under perfbench/ changes), builds
+scripts/pc_sampler.c with the system C compiler into
+<root>/.bench_build/pc_sampler.so, and runs one workload for --seconds with
+that library preloaded: a timer_create timer on CLOCK_MONOTONIC interrupts
+it every 100 us and records the program counter (ITIMER_PROF fired only
+about every 3.7 ms on a 4-core virtual machine). It prints a markdown table
+of each layer's share of the samples. --root profiles another checkout (a
+parent commit, say) with this script; --save keeps the named samples, one
+`count<TAB>object<TAB>function` line each. The second form reads saved
+samples instead, one table column per file.
 
-Each function's self time is charged to a layer read from its `sanfault::`
-namespace and class: `sim::Scheduler` and its `sim::BucketRing` are the
-event queue, the rest of `sim` is "sim other", the mappers (`OnDemandMapper`, `FullMapper`,
-`MapperIface`, `UpDownRouting`) are split out of `firmware`, and every
-other namespace is its own layer. A lambda is charged to its enclosing
-class through its trampoline (`InlineFn::invoke_inline<...>`,
-`std::_Function_handler<...>`); a standard-library template to the first
-`sanfault::` type among its arguments; anything else is unattributed.
-perfbench's calibration kernel (`perfbench::reference_kernel_s` and, per
-the call graph, the time its callees spend on its behalf) is left out:
-gprof also charges one of those callees to a wrongly named symbol
-(`std::vector<std::string>::_M_realloc_insert`).
+Each PC is named with `nm`. A function in the program is charged to a layer
+read from its `sanfault::` namespace and class: `sim::Scheduler` and its
+`sim::BucketRing` are the event queue, the rest of `sim` is "sim other",
+the mappers (`OnDemandMapper`, `FullMapper`, `MapperIface`,
+`UpDownRouting`) are split out of `firmware`, and every other namespace is
+its own layer. A lambda is charged to its enclosing class through its
+trampoline (`InlineFn::invoke_inline<...>`, `std::_Function_handler<...>`);
+a standard-library template to the first `sanfault::` type among its
+arguments; anything else is unattributed. A sample in a shared library is
+charged to a row of its own (libc, libm, libstdc++, ...).
 
-Limits, printed above every table: -pg adds a counting call to every
-function, which inflates call-heavy code, and gprof can charge a coroutine
-body to a neighbouring symbol of its class (seen: `SwimAgent::next_target`,
-`KvClientHost::KvClientHost`). So the table gives layer shares only, not
-functions or seconds.
+perfbench's calibration kernel is left out: the samples in
+perfbench::reference_kernel_s and those in the heap functions instantiated
+for its events alone (a std::priority_queue of std::pair<unsigned long,
+unsigned int> under std::greater<void>, which no simulator code uses).
 
-The shares are of the seconds gprof's flat profile attributes, which can be
-half of the run or less: time in shared libraries (memcpy, malloc, libm),
-in -pg's mcount and in the kernel falls in no row. So above the table the
-script prints the seconds the flat profile holds and the calibration
-kernel's part of them, and, when it ran the profile itself, the profiled
-process's CPU seconds (user + sys, from its rusage) beside them.
+Limits, printed above every table: a sample names the function it
+interrupted, so a function inlined into its caller is charged to the
+caller, and a library's internal functions, which its dynamic symbol table
+does not list, carry the name of the exported symbol before them (libc's
+memmove reads as `__nss_database_lookup`); their library's row is right
+either way. Above the table the script prints each profile's sample count,
+and, when it ran the profile itself, the profiled process's CPU seconds
+(user + sys, from its rusage) beside them; the user/sys split is
+meaningless under the sampler, whose signal path charges ticks to the
+kernel.
 
---sample profiles without -pg. It builds perfbench as perfbench/run.py does
-(into <root>/.bench_build/perfbench), builds scripts/pc_sampler.c with the
-system C compiler into <root>/.bench_build/pc_sampler.so, and runs
-perfbench with that library preloaded: a timer_create timer on
-CLOCK_MONOTONIC interrupts it every 100 us and records the program counter
-(ITIMER_PROF fired only about every 3.7 ms on a 4-core virtual machine).
-Each PC is named with `nm` and charged by the same namespace rules; a
-sample in a shared library is charged to a row of its own (libc, libm,
-libstdc++, ...). Samples in perfbench::reference_kernel_s are left out, and
-so are those in the heap functions instantiated for its events alone (a
-std::priority_queue of std::pair<unsigned long, unsigned int> under
-std::greater<void>, which no simulator code uses). --save then keeps the
-named samples, one `count<TAB>object<TAB>function` line each, which
---from-samples reads back. A sample names the function it interrupted, so a
-function inlined into its caller is charged to the caller, and a library's
-internal functions, which its dynamic symbol table does not list, carry the
-name of the exported symbol before them; their library's row is right
-either way.
-
---top N also lists the N functions with the largest share of each profile
-(its flat-profile self time, or its samples), the calibration kernel left
-out.
+--top N also lists the N functions with the largest share of each
+profile's samples, the calibration kernel left out.
 
 Exit status: 0 on success, 2 when the build, the run or the profile failed.
 """
@@ -89,22 +72,11 @@ UNATTRIBUTED = "unattributed"
 QUEUE_CLASSES = {"Scheduler", "BucketRing"}
 MAPPER_CLASSES = {"OnDemandMapper", "FullMapper", "MapperIface",
                   "UpDownRouting"}
-UNSEEN = ("Time in shared libraries (memcpy, malloc, libm), in -pg's mcount "
-          "and in the kernel falls in no row.")
-LIMITS = ("Shares of gprof self-time samples, perfbench's calibration kernel "
-          "excluded. -pg inflates call-heavy code, and a coroutine body can "
-          "be charged to a neighbouring symbol of its class, so this table "
-          "reports layer shares only, not functions or seconds.")
-SAMPLED_LIMITS = ("Shares of PC samples, perfbench's calibration kernel "
-                  "excluded. A sample is charged to the function it "
-                  "interrupted: an inlined function to its caller, a shared "
-                  "library to its own row.")
+LIMITS = ("Shares of PC samples, perfbench's calibration kernel excluded. "
+          "A sample is charged to the function it interrupted: an inlined "
+          "function to its caller, a shared library to its own row.")
 SAMPLES_HEADER = re.compile(r"^# pc samples every (\d+) us; (\d+) dropped$")
 
-FLAT_ROW = re.compile(r"^\s*([\d.]+)\s+([\d.]+)\s+([\d.]+)\s+"
-                      r"(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(\S.*)$")
-GRAPH_ROW = re.compile(r"^\s*([\d.]+)\s+([\d.]+)\s+(?:[\d+/]+\s+)?(\S.*?)\s+"
-                       r"\[\d+\]$")
 OPERATOR = re.compile(r"operator(<=>|<<=|>>=|<<|>>|<=|>=|->\*|->|<|>|\(\))")
 NAMESPACE = re.compile(r"sanfault::(\w+)::(\w+)")
 
@@ -112,41 +84,6 @@ NAMESPACE = re.compile(r"sanfault::(\w+)::(\w+)")
 def fail(msg):
     print(f"layer_profile: {msg}", file=sys.stderr)
     sys.exit(2)
-
-
-# --- reading gprof -b output ----------------------------------------------
-
-def parse_flat(text):
-    """{function: self seconds} from the flat profile."""
-    self_s = {}
-    part = text.split("Call graph", 1)[0]
-    for line in part.splitlines():
-        m = FLAT_ROW.match(line)
-        if m:
-            name = m.group(4).strip()
-            self_s[name] = self_s.get(name, 0.0) + float(m.group(3))
-    return self_s
-
-
-def kernel_arcs(text):
-    """{callee: self seconds it spent on the calibration kernel's behalf}."""
-    if "Call graph" not in text:
-        return {}
-    graph = text.split("Call graph", 1)[1]
-    for block in graph.split("-----"):
-        lines = [ln for ln in block.splitlines() if ln.strip()]
-        primary = [i for i, ln in enumerate(lines)
-                   if ln.lstrip().startswith("[") and
-                   ln.rstrip().endswith("]") and KERNEL in ln]
-        if not primary:
-            continue
-        arcs = {}
-        for ln in lines[primary[0] + 1:]:
-            m = GRAPH_ROW.match(ln)
-            if m:
-                arcs[m.group(3)] = arcs.get(m.group(3), 0.0) + float(m.group(1))
-        return arcs
-    return {}
 
 
 # --- charging a symbol to a layer -----------------------------------------
@@ -222,52 +159,13 @@ def layer_of(symbol):
     return ns
 
 
-def simulator_seconds(text):
-    """({function: self seconds}, kernel excluded; the flat profile's total
-    seconds; the calibration kernel's part of that total)."""
-    self_s = parse_flat(text)
-    if not self_s:
-        fail("no flat profile rows in the gprof output")
-    total = sum(self_s.values())
-    kernel = self_s.pop(KERNEL, 0.0)
-    for callee, s in kernel_arcs(text).items():
-        if callee in self_s:
-            taken = min(self_s[callee], s)
-            self_s[callee] -= taken
-            kernel += taken
-    return self_s, total, kernel
-
-
-def attributed(label, text, cpu_s=None):
-    """One line: the seconds gprof attributed, beside the run's CPU time."""
-    _, total, kernel = simulator_seconds(text)
-    held = f"gprof's flat profile holds {total:.2f} s"
-    if cpu_s is not None:
-        held += f" of the profiled process's {cpu_s:.2f} s CPU (user + sys)"
-    return (f"{label}: {held}, {kernel:.2f} s of it perfbench's calibration "
-            "kernel.")
-
-
-def layer_shares(text):
-    """{layer: share of the simulator's samples}, kernel excluded."""
-    self_s, _, _ = simulator_seconds(text)
-    by_layer = {}
-    for name, s in self_s.items():
-        layer = layer_of(name)
-        by_layer[layer] = by_layer.get(layer, 0.0) + s
-    total = sum(by_layer.values())
-    if total <= 0.0:
-        fail("the profile holds no simulator samples")
-    return {k: v / total for k, v in by_layer.items()}
-
-
-def table(columns, seconds, notes):
+def table(columns, counts, notes):
     """Markdown table: one row per layer, one share column per profile,
-    below the `seconds` lines and the `notes`."""
+    below the `counts` lines and the `notes`."""
     extra = sorted({k for _, shares in columns for k in shares
                     if k not in LAYERS and k != UNATTRIBUTED})
     rows = LAYERS + extra + [UNATTRIBUTED]
-    out = seconds + notes + ["",
+    out = counts + notes + ["",
            "| Layer | " + " | ".join(label for label, _ in columns) + " |",
            "|---|" + "---:|" * len(columns)]
     for layer in rows:
@@ -407,19 +305,19 @@ def run(cmd, **kw):
     return proc
 
 
-def build_perfbench(root, build, flags):
+def build_perfbench(root, build):
     if not (root / "perfbench" / "CMakeLists.txt").is_file():
         fail(f"no perfbench/ under {root}")
     if not (build / "CMakeCache.txt").is_file():
         run(["cmake", "-S", str(root / "perfbench"), "-B", str(build),
-             "-DCMAKE_BUILD_TYPE=RelWithDebInfo", *flags], stdout=sys.stderr)
+             "-DCMAKE_BUILD_TYPE=RelWithDebInfo"], stdout=sys.stderr)
     jobs = str(min(4, os.cpu_count() or 1))
     run(["cmake", "--build", str(build), "--target", "perfbench", "-j", jobs],
         stdout=sys.stderr)
     return build / "perfbench"
 
 
-def run_workload(binary, build, workload, seconds, seed, env=None):
+def run_workload(binary, build, workload, seconds, seed, env):
     """Runs perfbench in `build`; returns the run's CPU seconds."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     run([str(binary), "--workload", workload, "--seed", str(seed),
@@ -430,30 +328,12 @@ def run_workload(binary, build, workload, seconds, seed, env=None):
                                                  before.ru_stime)
 
 
-def profile(root, workload, seconds, seed):
-    for tool in ("cmake", "gprof"):
-        if shutil.which(tool) is None:
-            fail(f"{tool} not found")
-    build = root / ".bench_build" / "profile"
-    binary = build_perfbench(root, build, ["-DCMAKE_CXX_FLAGS=-pg",
-                                           "-DCMAKE_EXE_LINKER_FLAGS=-pg"])
-    gmon = build / "gmon.out"
-    if gmon.exists():
-        gmon.unlink()
-    cpu_s = run_workload(binary, build, workload, seconds, seed)
-    if not gmon.is_file():
-        fail("the profiled run wrote no gmon.out")
-    text = run(["gprof", "-b", str(binary), str(gmon)], capture_output=True,
-               text=True).stdout
-    return text, cpu_s
-
-
 def sample(root, workload, seconds, seed):
     for tool in ("cmake", "cc", "nm"):
         if shutil.which(tool) is None:
             fail(f"{tool} not found")
     build = root / ".bench_build" / "perfbench"
-    binary = build_perfbench(root, build, [])
+    binary = build_perfbench(root, build)
     shim = root / ".bench_build" / "pc_sampler.so"
     run(["cc", "-O2", "-shared", "-fPIC", "-o", str(shim), str(SAMPLER),
          "-lrt"], stdout=sys.stderr)
@@ -483,54 +363,33 @@ def main():
     ap.add_argument("--root", type=Path, default=ROOT,
                     help="checkout to build and profile (default: this one)")
     ap.add_argument("--save", type=Path,
-                    help="also write the gprof -b text, or the named "
-                         "samples, to this file")
-    ap.add_argument("--sample", action="store_true",
-                    help="sample PCs without -pg instead of using gprof")
+                    help="also write the named samples to this file")
     ap.add_argument("--top", type=int, default=0, metavar="N",
                     help="also list the N heaviest functions")
-    src = ap.add_mutually_exclusive_group()
-    src.add_argument("--from-gprof", nargs="+", type=Path, metavar="FILE",
-                     help="read saved gprof -b texts instead of profiling")
-    src.add_argument("--from-samples", nargs="+", type=Path, metavar="FILE",
-                     help="read saved named samples instead of profiling")
+    ap.add_argument("--from-samples", nargs="+", type=Path, metavar="FILE",
+                    help="read saved named samples instead of profiling")
     args = ap.parse_args()
 
     # (label, text, CPU seconds or None) per profile.
     profiles = []
-    sampled_mode = args.sample or args.from_samples is not None
-    if args.from_gprof or args.from_samples:
-        for path in args.from_gprof or args.from_samples:
+    if args.from_samples:
+        for path in args.from_samples:
             profiles.append((path.name, read(path), None))
     else:
-        root = args.root.resolve()
-        if args.sample:
-            text, cpu_s = sample(root, args.workload, args.seconds, args.seed)
-        else:
-            text, cpu_s = profile(root, args.workload, args.seconds,
-                                  args.seed)
+        text, cpu_s = sample(args.root.resolve(), args.workload, args.seconds,
+                             args.seed)
         if args.save:
             args.save.write_text(text)
         profiles.append((args.workload, text, cpu_s))
 
-    columns, seconds, tops = [], [], []
+    columns, counts, tops = [], [], []
     for label, text, cpu_s in profiles:
-        if sampled_mode:
-            weights, shares = sample_weights(text)
-            seconds.append(sampled(label, text, cpu_s))
-        else:
-            self_s, _, _ = simulator_seconds(text)
-            weights = {}
-            for fn, sec in self_s.items():
-                weights[qualified_name(fn)] = weights.get(qualified_name(fn),
-                                                          0.0) + sec
-            shares = layer_shares(text)
-            seconds.append(attributed(label, text, cpu_s))
+        weights, shares = sample_weights(text)
+        counts.append(sampled(label, text, cpu_s))
         columns.append((label, shares))
         if args.top > 0:
             tops.append(top_table(label, weights, args.top))
-    notes = [SAMPLED_LIMITS] if sampled_mode else [UNSEEN, "", LIMITS]
-    print(table(columns, seconds, [""] + notes))
+    print(table(columns, counts, ["", LIMITS]))
     for t in tops:
         print(t)
     return 0

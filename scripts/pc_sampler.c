@@ -1,4 +1,4 @@
-/* PC sampler for scripts/layer_profile.py --sample, loaded with LD_PRELOAD.
+/* PC sampler for scripts/layer_profile.py, loaded with LD_PRELOAD.
  *
  *   cc -O2 -shared -fPIC -o pc_sampler.so scripts/pc_sampler.c -lrt
  *   SANFAULT_PC_SAMPLES=out.txt LD_PRELOAD=./pc_sampler.so ./perfbench ...

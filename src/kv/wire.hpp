@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "vmmc/codec.hpp"
@@ -146,7 +147,7 @@ struct UnitReply {
   }
 };
 
-inline MsgType peek_type(const std::vector<std::uint8_t>& b) {
+inline MsgType peek_type(std::span<const std::uint8_t> b) {
   return b.empty() ? static_cast<MsgType>(0) : static_cast<MsgType>(b[0]);
 }
 
@@ -157,7 +158,7 @@ using vmmc::encode;
 /// unit and status: the one answer type unit waiters match. nullopt when
 /// `b` is malformed or neither message.
 inline std::optional<UnitReply> decode_unit_reply(
-    const std::vector<std::uint8_t>& b) {
+    std::span<const std::uint8_t> b) {
   if (peek_type(b) == MsgType::kUnitReply) return decode<UnitReply>(b);
   const auto a = decode<UnitAck>(b);
   if (!a) return std::nullopt;

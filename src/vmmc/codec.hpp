@@ -14,7 +14,8 @@
 // enum (written as its underlying integer), a std::vector<std::uint8_t>
 // (a u32 length, then the bytes) or a struct with its own fields() list.
 // encode() sizes the message first, so each encoding is one exact-size
-// allocation; decode<M>() rejects a wrong type byte and any truncation.
+// allocation; decode<M>() reads any byte span in place (a vmmc::Msg's
+// shared buffer, say) and rejects a wrong type byte and any truncation.
 // Messages whose shape is not a fixed field list (SWIM's update list) drive
 // Writer and Reader directly.
 #pragma once
@@ -22,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -98,11 +100,12 @@ class Writer {
   std::vector<std::uint8_t> b_;
 };
 
-/// Reads the fields it visits from a buffer. A read past the end clears
-/// ok() and leaves that field and every later one untouched.
+/// Reads the fields it visits from bytes it views, which must outlive it. A
+/// read past the end clears ok() and leaves that field and every later one
+/// untouched.
 class Reader {
  public:
-  explicit Reader(const std::vector<std::uint8_t>& b) : b_(b) {}
+  explicit Reader(std::span<const std::uint8_t> b) : b_(b) {}
 
   template <class... Ts>
   void operator()(Ts&... v) {
@@ -143,7 +146,7 @@ class Reader {
     return false;
   }
 
-  const std::vector<std::uint8_t>& b_;
+  std::span<const std::uint8_t> b_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
@@ -162,7 +165,7 @@ template <class M>
 /// The M encoded in `b`, or nullopt if `b` is truncated or leads with
 /// another type byte. Trailing bytes are ignored.
 template <class M>
-[[nodiscard]] std::optional<M> decode(const std::vector<std::uint8_t>& b) {
+[[nodiscard]] std::optional<M> decode(std::span<const std::uint8_t> b) {
   Reader r(b);
   std::remove_const_t<decltype(M::kType)> type{};
   r(type);

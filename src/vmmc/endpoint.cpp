@@ -1,6 +1,7 @@
 #include "vmmc/endpoint.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 namespace sanfault::vmmc {
@@ -57,7 +58,14 @@ net::UserHeader Endpoint::encode(Kind kind, ExportId exp, bool last,
 
 ExportId Endpoint::export_buffer(std::size_t bytes) {
   exports_.push_back(ExportRec{sim::ZeroPages(bytes),
-                               std::make_unique<sim::Channel<DepositEvent>>()});
+                               std::make_unique<sim::Channel<DepositEvent>>(),
+                               nullptr});
+  return static_cast<ExportId>(exports_.size());
+}
+
+ExportId Endpoint::export_inbox(std::size_t bytes) {
+  exports_.push_back(ExportRec{sim::ZeroPages(bytes), nullptr,
+                               std::make_unique<sim::Channel<Msg>>()});
   return static_cast<ExportId>(exports_.size());
 }
 
@@ -70,7 +78,21 @@ std::span<std::uint8_t> Endpoint::buffer_mut(ExportId id) {
 }
 
 sim::Channel<DepositEvent>& Endpoint::notifications(ExportId id) {
-  return *exports_.at(id - 1).notify;
+  const ExportRec& rec = exports_.at(id - 1);
+  if (!rec.notify) {
+    throw std::logic_error("export " + std::to_string(id) +
+                           " is an inbox: its messages arrive on inbox()");
+  }
+  return *rec.notify;
+}
+
+sim::Channel<Msg>& Endpoint::inbox(ExportId id) {
+  const ExportRec& rec = exports_.at(id - 1);
+  if (!rec.inbox) {
+    throw std::logic_error("export " + std::to_string(id) +
+                           " is raw: it notifies on notifications()");
+  }
+  return *rec.inbox;
 }
 
 sim::Task<std::optional<Endpoint::Import>> Endpoint::import(net::HostId remote,
@@ -155,8 +177,7 @@ void Endpoint::on_host_rx(net::UserHeader u, net::PayloadRef payload,
   }
 }
 
-void Endpoint::handle_deposit(net::UserHeader u,
-                              const net::PayloadRef& payload,
+void Endpoint::handle_deposit(net::UserHeader u, net::PayloadRef payload,
                               net::HostId src) {
   const auto exp = static_cast<ExportId>(u.w0 & 0xFFFFFFFFull);
   ExportRec* rec = find_export(exp);
@@ -175,21 +196,31 @@ void Endpoint::handle_deposit(net::UserHeader u,
     ++stats_.rejected_rx;  // protection violation: out of exported bounds
     return;
   }
-  std::copy(payload.begin(), payload.end(), buf.data() + offset);
+  // An inbox stores no message that arrives whole: its payload is the Msg.
+  const bool whole = rec->inbox && last && payload.size() == u.w3;
+  if (!whole) std::copy(payload.begin(), payload.end(), buf.data() + offset);
   ++stats_.segments_rx;
   stats_.bytes_rx += payload.size();
+  if (!last) return;
 
-  if (last) {
-    ++stats_.deposits_rx;
-    DepositEvent ev;
-    ev.at = sched_.now();
-    ev.src = src;
-    ev.exp = exp;
-    ev.length = u.w3;
-    ev.offset = offset + payload.size() - u.w3;
-    ev.tag = u.w2;
-    rec->notify->push(sched_, ev);
+  ++stats_.deposits_rx;
+  const std::uint64_t start = offset + payload.size() - u.w3;
+  if (rec->inbox) {
+    if (!whole) {  // assembled at its offset: copy it out once
+      payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(start),
+                     buf.begin() + static_cast<std::ptrdiff_t>(start + u.w3));
+    }
+    rec->inbox->push(sched_, Msg{sched_.now(), src, u.w2, std::move(payload)});
+    return;
   }
+  DepositEvent ev;
+  ev.at = sched_.now();
+  ev.src = src;
+  ev.exp = exp;
+  ev.length = u.w3;
+  ev.offset = start;
+  ev.tag = u.w2;
+  rec->notify->push(sched_, ev);
 }
 
 }  // namespace sanfault::vmmc

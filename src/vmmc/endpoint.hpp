@@ -14,16 +14,26 @@
 //  * an optional notification fires at the receiver when the last segment of
 //    a message lands.
 //
-// The endpoint is protection-checked the way VMMC is: deposits to unknown
-// export ids, out-of-bounds offsets or out-of-bounds message lengths are
-// rejected (counted, not delivered).
+// An export is one of two kinds:
+//  * a raw export (export_buffer) is receive memory: every deposit is
+//    written at its offset, and notifications() reports each complete
+//    message's offset, length and tag;
+//  * an inbox export (export_inbox, MsgEndpoint's ring) delivers each
+//    complete message on inbox() as a Msg holding its bytes. A message that
+//    arrives whole in one segment is never stored: the immutable payload
+//    that carried it becomes the Msg's bytes. A longer one is assembled at
+//    its offset and copied out once when its last segment lands.
+//
+// The endpoint is protection-checked the way VMMC is, for both kinds:
+// deposits to unknown export ids, out-of-bounds offsets or out-of-bounds
+// message lengths are rejected (counted, not delivered).
 //
 // An export is address space the OS backs on first write, as a real VMMC
 // export is: anonymous private pages, each mapped to a zeroed frame when a
 // deposit first lands in it, so a run pays only for the pages deposits
-// write (a MsgEndpoint ring is sized hosts x per-peer bytes; a clos-64
-// repair run writes about a quarter of it). The bounds check in
-// handle_deposit is the export's only guard; the mapping has no redzone.
+// write (an inbox export, only the pages its multi-segment messages
+// write). The bounds check in handle_deposit is the export's only guard;
+// the mapping has no redzone.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +43,7 @@
 #include <vector>
 
 #include "net/ids.hpp"
+#include "net/payload.hpp"
 #include "nic/nic.hpp"
 #include "obs/metrics.hpp"
 #include "sim/awaitables.hpp"
@@ -54,6 +65,16 @@ struct DepositEvent {
   std::uint64_t tag = 0;     // sender-chosen tag
 };
 
+/// A complete message delivered by an inbox export. `bytes` is immutable,
+/// so a message cannot change after it is delivered, however the sender
+/// reuses the export space it came through.
+struct Msg {
+  sim::Time at = 0;       // delivery time at the receiver
+  net::HostId src;
+  std::uint64_t tag = 0;  // sender-chosen, rides the deposit tag
+  net::PayloadRef bytes;
+};
+
 struct EndpointStats {
   std::uint64_t sends = 0;
   std::uint64_t segments_tx = 0;
@@ -73,12 +94,18 @@ class Endpoint {
 
   /// Export `bytes` of receive space. Returns the id importers use.
   ExportId export_buffer(std::size_t bytes);
+  /// Export `bytes` of space whose complete messages arrive on inbox().
+  ExportId export_inbox(std::size_t bytes);
 
   [[nodiscard]] std::span<const std::uint8_t> buffer(ExportId id) const;
   [[nodiscard]] std::span<std::uint8_t> buffer_mut(ExportId id);
 
-  /// Awaitable stream of complete-message notifications for one export.
+  /// Awaitable stream of complete-message notifications for a raw export.
+  /// Throws std::logic_error for an inbox export.
   [[nodiscard]] sim::Channel<DepositEvent>& notifications(ExportId id);
+  /// Awaitable stream of the complete messages of an inbox export, in
+  /// arrival order. Throws std::logic_error for a raw export.
+  [[nodiscard]] sim::Channel<Msg>& inbox(ExportId id);
 
   /// A remote buffer this endpoint may deposit into.
   struct Import {
@@ -111,9 +138,11 @@ class Endpoint {
     kImportResp = 3,
   };
 
+  /// Exactly one of `notify` (a raw export) and `inbox` is set.
   struct ExportRec {
     sim::ZeroPages data;
     std::unique_ptr<sim::Channel<DepositEvent>> notify;
+    std::unique_ptr<sim::Channel<Msg>> inbox;
   };
 
   static net::UserHeader encode(Kind kind, ExportId exp, bool last,
@@ -122,7 +151,7 @@ class Endpoint {
 
   void on_host_rx(net::UserHeader u, net::PayloadRef payload,
                   net::HostId src);
-  void handle_deposit(net::UserHeader u, const net::PayloadRef& payload,
+  void handle_deposit(net::UserHeader u, net::PayloadRef payload,
                       net::HostId src);
 
   sim::Scheduler& sched_;

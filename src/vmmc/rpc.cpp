@@ -9,7 +9,7 @@ namespace sanfault::vmmc {
 MsgEndpoint::MsgEndpoint(sim::Scheduler& sched, Endpoint& ep,
                          std::size_t per_peer_bytes, std::size_t max_peers)
     : sched_(sched), ep_(ep), per_peer_(per_peer_bytes) {
-  if (ep_.export_buffer(per_peer_bytes * max_peers) != kRingExport) {
+  if (ep_.export_inbox(per_peer_bytes * max_peers) != kRingExport) {
     throw std::logic_error(
         "MsgEndpoint must own the first export of its Endpoint");
   }
@@ -33,7 +33,10 @@ MsgEndpoint::~MsgEndpoint() {
 
 sim::Task<bool> MsgEndpoint::connect(net::HostId remote) {
   auto imp = co_await ep_.import(remote, kRingExport);
-  if (!imp.has_value()) co_return false;
+  // write() puts our messages at self * per_peer: a ring that ends before
+  // our partition does would reject every one of them.
+  const std::size_t end = (ep_.host().v + std::size_t{1}) * per_peer_;
+  if (!imp.has_value() || imp->size < end) co_return false;
   if (remote.v >= peers_.size()) peers_.resize(remote.v + 1);
   peers_[remote.v] = Peer{*imp, 0};
   ++stats_.connects;
@@ -73,15 +76,7 @@ sim::Task<void> MsgEndpoint::write(Peer& p, std::vector<std::uint8_t> bytes,
 
 sim::Process MsgEndpoint::pump() {
   for (;;) {
-    DepositEvent ev = co_await ep_.notifications(kRingExport).pop(sched_);
-    auto ring = ep_.buffer(kRingExport);
-    Msg m;
-    m.at = ev.at;
-    m.src = ev.src;
-    m.tag = ev.tag;
-    m.bytes.assign(ring.begin() + static_cast<std::ptrdiff_t>(ev.offset),
-                   ring.begin() + static_cast<std::ptrdiff_t>(ev.offset +
-                                                              ev.length));
+    Msg m = co_await ep_.inbox(kRingExport).pop(sched_);
     ++stats_.msgs_rx;
     stats_.bytes_rx += m.bytes.size();
     if (std::none_of(taps_.begin(), taps_.end(),

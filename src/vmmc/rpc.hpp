@@ -5,15 +5,19 @@
 // an inbox. MsgEndpoint provides that while staying honest to VMMC
 // semantics:
 //
-//  * each MsgEndpoint exports ONE well-known ring buffer (export id 1 — it
-//    must be the first export created on its Endpoint), statically
+//  * each MsgEndpoint exports ONE well-known ring (export id 1 — it must be
+//    the first export created on its Endpoint), an inbox export statically
 //    partitioned per sender host. Senders own their partition, so concurrent
 //    peers never collide and no receiver-side allocation protocol is needed;
+//    connect() refuses a ring too small to hold this host's partition;
 //  * post() writes the message sequentially into the sender's partition
 //    (wrapping at the end) and rides the user tag through unchanged;
-//  * a pump coroutine copies each complete deposit out of the ring into an
-//    owned Msg *at notification time*, so later traffic reusing ring space
-//    cannot alienate a message already notified.
+//  * a pump coroutine takes each complete message from the ring's inbox and
+//    offers it to the taps, then to the inbox. A message's bytes are the
+//    immutable buffer the inbox export delivered (the payload itself, for a
+//    message that fits one NIC buffer), so later traffic reusing ring space
+//    cannot alienate a message already delivered, and consumers decode it
+//    in place.
 //
 // Delivery contract: messages from one peer arrive in order (VMMC
 // point-to-point ordering over the reliable firmware). Across a
@@ -35,14 +39,6 @@
 #include "vmmc/endpoint.hpp"
 
 namespace sanfault::vmmc {
-
-/// A complete message copied out of the ring.
-struct Msg {
-  sim::Time at = 0;       // notification time at the receiver
-  net::HostId src;
-  std::uint64_t tag = 0;  // sender-chosen, rides the deposit tag
-  std::vector<std::uint8_t> bytes;
-};
 
 struct MsgEndpointStats {
   std::uint64_t msgs_tx = 0;
@@ -68,7 +64,8 @@ class MsgEndpoint {
 
   /// Import `remote`'s ring (one control round trip). Must complete before
   /// the first post() to that host. Returns false if the remote has no
-  /// MsgEndpoint ring.
+  /// MsgEndpoint ring, or one without room for this host's partition
+  /// ((self + 1) x per-peer bytes).
   sim::Task<bool> connect(net::HostId remote);
   [[nodiscard]] bool connected(net::HostId remote) const {
     return remote.v < peers_.size() && peers_[remote.v].has_value();

@@ -93,7 +93,7 @@ TEST(MsgEndpoint, PostDeliversInOrderWithTags) {
       EXPECT_EQ(m.tag, i);
       EXPECT_EQ(m.src, c.hosts[0]);
       EXPECT_EQ(m.bytes.size(), 100 + i);
-      EXPECT_EQ(m.bytes[0], static_cast<std::uint8_t>(i));
+      EXPECT_EQ(m.bytes.span()[0], static_cast<std::uint8_t>(i));
     }
     done = true;
   }(c, ma, mb, done);

@@ -76,57 +76,38 @@ def main():
           [vc, fx("workflow_bad.yml")], 1, "duplicate artifact name")
     check("validate_ci validates the repo's real workflows", [vc], 0)
 
-    # layer_profile over a canned `gprof -b` text: every charging rule has a
-    # row whose share is a round number once the calibration kernel (and its
-    # mislabelled callee's share) is left out.
+    # layer_profile over canned named PC samples (its saved form): every
+    # charging rule has a row whose share is a round number once the
+    # calibration kernel, with the heap it alone instantiates, is left out.
     lp = os.path.join(SCRIPTS, "layer_profile.py")
-    canned = [lp, "--from-gprof", fx("layer_profile_gprof.txt")]
-    for row in ["| event queue | 25.0 % |",   # Scheduler members
-                "| sim other | 5.0 % |",     # SlotPool<net::Packet>: own ns
-                "| net | 15.0 % |",
-                "| nic | 5.0 % |",
-                "| firmware | 20.0 % |",     # + on_timer lambda, deque<...>
-                "| mapper | 5.0 % |",        # OnDemandMapper split out
-                "| kv | 10.0 % |",           # _Function_handler's 2nd arg
-                "| membership | 5.0 % |",
-                "| obs | 5.0 % |",           # operator<< parsed
-                "| unattributed | 5.0 % |"]:  # kernel's arc removed
-        check(f"layer_profile charges {row}", canned, 0, row)
-    check("layer_profile states its limits", canned, 0,
-          "layer shares only, not functions or seconds")
-    check("layer_profile prints the seconds gprof attributed", canned, 0,
-          "gprof's flat profile holds 5.00 s, 1.00 s of it perfbench's "
-          "calibration kernel")
-    check("layer_profile names the time no row holds", canned, 0,
-          "in -pg's mcount and in the kernel falls in no row")
-    check("layer_profile rejects a text with no flat profile",
-          [lp, "--from-gprof", fx("metrics_ok.json")], 2, "no flat profile")
-
-    # layer_profile over canned named PC samples (--sample's saved form):
-    # the namespace rules as above, a row per shared library, and the
-    # calibration kernel left out with the heap it alone instantiates.
     sampled = [lp, "--from-samples", fx("layer_profile_samples.txt")]
     for row in ["| event queue | 20.0 % |",  # Scheduler + BucketRing
-                "| net | 15.0 % |",
-                "| firmware | 10.0 % |",     # + on_timer lambda
-                "| vmmc | 8.0 % |",
+                "| sim other | 5.0 % |",     # SlotPool<net::Packet>: own ns
+                "| net | 10.0 % |",
+                "| nic | 5.0 % |",
+                "| firmware | 15.0 % |",     # + on_timer lambda, deque<...>
+                "| mapper | 5.0 % |",        # OnDemandMapper split out
+                "| vmmc | 5.0 % |",
                 "| kv | 10.0 % |",           # _Function_handler's 2nd arg
                 "| membership | 5.0 % |",
-                "| chaos | 5.0 % |",
-                "| libc | 12.0 % |",         # two libc symbols, one row
-                "| libm | 3.0 % |",
-                "| libstdc++ | 2.0 % |",
-                "| unattributed | 10.0 % |"]:  # unnamed PCs
-        check(f"layer_profile --from-samples charges {row}", sampled, 0, row)
+                "| traffic | 2.0 % |",
+                "| chaos | 3.0 % |",
+                "| ec | 2.0 % |",
+                "| obs | 2.0 % |",           # operator<< parsed
+                "| libc | 6.0 % |",          # two libc symbols, one row
+                "| libm | 2.0 % |",
+                "| libstdc++ | 1.0 % |",
+                "| unattributed | 2.0 % |"]:  # frame_dummy, unnamed PCs
+        check(f"layer_profile charges {row}", sampled, 0, row)
     check("layer_profile counts samples, the kernel's and dropped ones",
-          sampled, 0, "1250 PC samples every 100 us (0.12 s), 250 of them "
+          sampled, 0, "2300 PC samples every 100 us (0.23 s), 300 of them "
           "perfbench's calibration kernel, 3 dropped")
     check("layer_profile states what a sample is charged to", sampled, 0,
           "a shared library to its own row")
     check("layer_profile --top lists the heaviest functions",
           sampled + ["--top", "2"], 0,
-          ["| `sanfault::net::Fabric::step` | 15.0 % |",
-           "| `sanfault::sim::Scheduler::step` | 15.0 % |"])
+          ["| `sanfault::sim::Scheduler::step` | 15.0 % |",
+           "| `sanfault::net::Fabric::step` | 10.0 % |"])
     check("layer_profile rejects a file that is not named samples",
           [lp, "--from-samples", fx("metrics_ok.json")], 2,
           "not a named-samples file")
@@ -178,12 +159,6 @@ def main():
                 if f.read() != before:
                     failures.append(f"{label}: perf_digests wrote the "
                                     f"baseline")
-
-    # layer_profile charges the bucket ring, a class of its own, to the
-    # event queue like the Scheduler it serves.
-    check("layer_profile charges sim::BucketRing to the event queue",
-          [lp, "--from-gprof", fx("layer_profile_ring_gprof.txt")], 0,
-          "| event queue | 60.0 % |")
 
     # perf_pairs over two stand-in checkouts: each root holds the same run.py
     # stub as above and a results fixture for its side; every pair of a side

@@ -1,9 +1,10 @@
 // Tests for the VMMC layer: export/import protection, direct deposit,
 // segmentation, notifications, and behavior over the reliable firmware with
 // injected faults; an export's memory cost (only the pages written); the
-// MsgEndpoint message layer's tap list and contract checks. Also validates
-// the micro-benchmark harness against the paper's §6.1.1 calibration
-// numbers.
+// MsgEndpoint message layer's tap list, contract checks and inbox ring
+// (messages that span NIC buffers, held messages, a ring one-segment
+// messages never write). Also validates the micro-benchmark harness
+// against the paper's §6.1.1 calibration numbers.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -140,61 +141,84 @@ TEST(Vmmc, LargeMessageSegmentsAt4K) {
   }
 }
 
-TEST(Vmmc, OutOfBoundsDepositRejected) {
-  VmmcRig r;
-  bool done = false;
-  [](VmmcRig& r, bool& done) -> sim::Process {
-    auto exp = r.b.export_buffer(64);
-    auto imp = co_await r.a.import(r.c.hosts[1], exp);
-    // Lie about the offset: deposit would overflow the export.
-    co_await r.a.send(*imp, 60, std::vector<std::uint8_t>(16, 0xFF));
-    co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
-    done = true;
-  }(r, done);
-  r.drive(done);
+/// A raw export or an inbox export of `bytes` on `ep`.
+vmmc::ExportId export_of(vmmc::Endpoint& ep, std::size_t bytes, bool inbox) {
+  return inbox ? ep.export_inbox(bytes) : ep.export_buffer(bytes);
+}
+
+/// Host 1 rejected one deposit into `exp` and delivered nothing from it.
+void expect_one_rejected(VmmcRig& r, vmmc::ExportId exp, bool inbox) {
   EXPECT_EQ(r.b.stats().rejected_rx, 1u);
   EXPECT_EQ(r.b.stats().deposits_rx, 0u);
+  if (inbox) {
+    EXPECT_TRUE(r.b.inbox(exp).empty());
+  } else {
+    EXPECT_TRUE(r.b.notifications(exp).empty());
+  }
+}
+
+TEST(Vmmc, OutOfBoundsDepositRejected) {
+  for (const bool inbox : {false, true}) {
+    SCOPED_TRACE(inbox ? "inbox export" : "raw export");
+    VmmcRig r;
+    const vmmc::ExportId exp = export_of(r.b, 64, inbox);
+    bool done = false;
+    [](VmmcRig& r, vmmc::ExportId exp, bool& done) -> sim::Process {
+      auto imp = co_await r.a.import(r.c.hosts[1], exp);
+      // Lie about the offset: deposit would overflow the export.
+      co_await r.a.send(*imp, 60, std::vector<std::uint8_t>(16, 0xFF));
+      co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
+      done = true;
+    }(r, exp, done);
+    r.drive(done);
+    expect_one_rejected(r, exp, inbox);
+  }
 }
 
 TEST(Vmmc, DepositWhoseEndWrapsPastTheAddressRangeRejected) {
-  VmmcRig r;
-  bool done = false;
-  [](VmmcRig& r, bool& done) -> sim::Process {
-    auto exp = r.b.export_buffer(64);
-    auto imp = co_await r.a.import(r.c.hosts[1], exp);
-    // offset + 32 wraps to 16, inside the export: only the offset is out.
-    co_await r.a.send(*imp, std::numeric_limits<std::size_t>::max() - 15,
-                      std::vector<std::uint8_t>(32, 0xFF));
-    co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
-    done = true;
-  }(r, done);
-  r.drive(done);
-  EXPECT_EQ(r.b.stats().rejected_rx, 1u);
-  EXPECT_EQ(r.b.stats().deposits_rx, 0u);
+  for (const bool inbox : {false, true}) {
+    SCOPED_TRACE(inbox ? "inbox export" : "raw export");
+    VmmcRig r;
+    const vmmc::ExportId exp = export_of(r.b, 64, inbox);
+    bool done = false;
+    [](VmmcRig& r, vmmc::ExportId exp, bool& done) -> sim::Process {
+      auto imp = co_await r.a.import(r.c.hosts[1], exp);
+      // offset + 32 wraps to 16, inside the export: only the offset is out.
+      co_await r.a.send(*imp, std::numeric_limits<std::size_t>::max() - 15,
+                        std::vector<std::uint8_t>(32, 0xFF));
+      co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
+      done = true;
+    }(r, exp, done);
+    r.drive(done);
+    expect_one_rejected(r, exp, inbox);
+  }
 }
 
 TEST(Vmmc, LastSegmentClaimingMoreThanItsEndRejected) {
-  VmmcRig r;
-  bool done = false;
-  [](VmmcRig& r, bool& done) -> sim::Process {
-    auto exp = r.b.export_buffer(64);
-    (void)co_await r.a.import(r.c.hosts[1], exp);
-    // A forged last segment (the endpoint's wire layout: w0 = kind 1 <<
-    // 56 | last bit 55 | export id) of 16 bytes at offset 0 that declares a
-    // 100-byte message: the message would start 84 bytes before the export.
-    nic::SendRequest req;
-    req.dst = r.c.hosts[1];
-    req.user.w0 = (1ull << 56) | (1ull << 55) | exp;
-    req.user.w1 = 0;
-    req.user.w3 = 100;
-    req.payload.assign(16, 0xFF);
-    r.c.nic(0).host_submit(std::move(req));
-    co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
-    done = true;
-  }(r, done);
-  r.drive(done);
-  EXPECT_EQ(r.b.stats().rejected_rx, 1u);
-  EXPECT_EQ(r.b.stats().deposits_rx, 0u);
+  for (const bool inbox : {false, true}) {
+    SCOPED_TRACE(inbox ? "inbox export" : "raw export");
+    VmmcRig r;
+    const vmmc::ExportId exp = export_of(r.b, 64, inbox);
+    bool done = false;
+    [](VmmcRig& r, vmmc::ExportId exp, bool& done) -> sim::Process {
+      (void)co_await r.a.import(r.c.hosts[1], exp);
+      // A forged last segment (the endpoint's wire layout: w0 = kind 1 <<
+      // 56 | last bit 55 | export id) of 16 bytes at offset 0 that declares
+      // a 100-byte message: the message would start 84 bytes before the
+      // export.
+      nic::SendRequest req;
+      req.dst = r.c.hosts[1];
+      req.user.w0 = (1ull << 56) | (1ull << 55) | exp;
+      req.user.w1 = 0;
+      req.user.w3 = 100;
+      req.payload.assign(16, 0xFF);
+      r.c.nic(0).host_submit(std::move(req));
+      co_await sim::DelayFor{r.c.sched, sim::milliseconds(1)};
+      done = true;
+    }(r, exp, done);
+    r.drive(done);
+    expect_one_rejected(r, exp, inbox);
+  }
 }
 
 TEST(Vmmc, UnknownExportDepositRejected) {
@@ -331,9 +355,13 @@ TEST(Vmmc, ExportCostsOnlyThePagesWritten) {
 /// Both hosts own a message ring; host 0 posts to host 1.
 struct MsgRig : VmmcRig {
   static constexpr std::size_t kPartition = 1024;
-  vmmc::MsgEndpoint ma{c.sched, a, kPartition, /*max_peers=*/2};
-  vmmc::MsgEndpoint mb{c.sched, b, kPartition, /*max_peers=*/2};
+  vmmc::MsgEndpoint ma;
+  vmmc::MsgEndpoint mb;
   std::uint64_t next_tag = 0;
+
+  explicit MsgRig(std::size_t partition = kPartition)
+      : ma(c.sched, a, partition, /*max_peers=*/2),
+        mb(c.sched, b, partition, /*max_peers=*/2) {}
 
   void connect() {
     bool done = false;
@@ -344,40 +372,60 @@ struct MsgRig : VmmcRig {
     drive(done);
   }
 
-  /// Post one two-byte message per type byte, tagged in post order,
-  /// and let the last one land.
-  void post_all(const std::vector<std::uint8_t>& types) {
+  /// Post each message, tagged in post order, and let the last one land.
+  void post_each(const std::vector<std::vector<std::uint8_t>>& msgs) {
     bool done = false;
-    [](MsgRig& r, const std::vector<std::uint8_t>& types,
+    [](MsgRig& r, const std::vector<std::vector<std::uint8_t>>& msgs,
        bool& done) -> sim::Process {
-      for (std::uint8_t t : types) {
-        std::vector<std::uint8_t> msg(2, t);
-        co_await r.ma.post(r.c.hosts[1], std::move(msg), r.next_tag++);
+      for (const std::vector<std::uint8_t>& msg : msgs) {
+        co_await r.ma.post(r.c.hosts[1], msg, r.next_tag++);
       }
       done = true;
-    }(*this, types, done);
+    }(*this, msgs, done);
     drive(done);
     c.sched.run_for(sim::milliseconds(1));
+  }
+
+  /// Post one two-byte message per type byte.
+  void post_all(const std::vector<std::uint8_t>& types) {
+    std::vector<std::vector<std::uint8_t>> msgs;
+    for (std::uint8_t t : types) msgs.emplace_back(2, t);
+    post_each(msgs);
+  }
+
+  /// Drain host 1's inbox, in arrival order.
+  std::vector<vmmc::Msg> drain() {
+    std::vector<vmmc::Msg> got;
+    [](MsgRig& r, std::size_t n, std::vector<vmmc::Msg>& out) -> sim::Process {
+      for (std::size_t i = 0; i < n; ++i) {
+        out.push_back(co_await r.mb.inbox().pop(r.c.sched));
+      }
+    }(*this, mb.inbox().size(), got);
+    return got;
   }
 
   /// Drain host 1's inbox; the tags in arrival order.
   std::vector<std::uint64_t> inbox_tags() {
     std::vector<std::uint64_t> tags;
-    [](MsgRig& r, std::size_t n,
-       std::vector<std::uint64_t>& out) -> sim::Process {
-      for (std::size_t i = 0; i < n; ++i) {
-        out.push_back((co_await r.mb.inbox().pop(r.c.sched)).tag);
-      }
-    }(*this, mb.inbox().size(), tags);
+    for (const vmmc::Msg& m : drain()) tags.push_back(m.tag);
     return tags;
   }
 };
+
+/// `n` bytes that differ from message to message and from byte to byte.
+std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::uint8_t>(seed * 37 + i * 7 + i / 251);
+  }
+  return v;
+}
 
 /// A tap claiming one leading type byte and recording the tags it consumed.
 vmmc::MsgEndpoint::Tap claim(std::uint8_t type,
                              std::vector<std::uint64_t>& got) {
   return [type, &got](const vmmc::Msg& m) {
-    if (m.bytes.empty() || m.bytes[0] != type) return false;
+    if (m.bytes.empty() || m.bytes.span()[0] != type) return false;
     got.push_back(m.tag);
     return true;
   };
@@ -483,6 +531,101 @@ TEST(MsgEndpoint, ConnectThatGrowsThePeerTableKeepsAPendingPostsPeer) {
   EXPECT_EQ(got.tag, 42u);
   EXPECT_EQ(got.bytes, (std::vector<std::uint8_t>{7, 8, 9}));
   EXPECT_EQ(m2.inbox().size(), 0u);
+}
+
+TEST(MsgEndpoint, MultiSegmentMessagesArriveWholeAcrossPartitionWraps) {
+  // 4,097 and 10,000 bytes take 2 and 3 NIC buffers and are the messages an
+  // inbox still assembles in the ring; 64 and 4,096 bytes take one. Three
+  // partitions' worth of them wrap the 16 KiB partition several times.
+  constexpr std::size_t kPartition = 16 * 1024;
+  MsgRig r(kPartition);
+  r.connect();
+  const std::size_t sizes[] = {4097, 64, 10000, 4096};
+  std::vector<std::vector<std::uint8_t>> sent;
+  std::uint64_t segments = 0;
+  for (std::size_t total = 0; total < 3 * kPartition;) {
+    const std::size_t n = sizes[sent.size() % 4];
+    sent.push_back(pattern(n, static_cast<std::uint8_t>(sent.size())));
+    segments += (n + 4095) / 4096;
+    total += n;
+  }
+  r.post_each(sent);
+  EXPECT_EQ(r.a.stats().segments_tx, segments);
+  const std::vector<vmmc::Msg> got = r.drain();
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "message " << i);
+    EXPECT_EQ(got[i].tag, i);
+    EXPECT_EQ(got[i].src, r.c.hosts[0]);
+    EXPECT_TRUE(got[i].bytes == sent[i]) << got[i].bytes.size() << " B";
+  }
+}
+
+TEST(MsgEndpoint, AHeldMessageStaysByteExactWhileItsSenderLapsThePartition) {
+  // One message assembled in the ring and one handed over whole; then the
+  // sender writes other bytes over the same ring space several times.
+  constexpr std::size_t kPartition = 16 * 1024;
+  MsgRig r(kPartition);
+  r.connect();
+  const std::vector<std::uint8_t> long_msg = pattern(10000, 1);
+  const std::vector<std::uint8_t> short_msg = pattern(300, 2);
+  r.post_each({long_msg, short_msg});
+  const std::vector<vmmc::Msg> held = r.drain();
+  ASSERT_EQ(held.size(), 2u);
+  std::vector<std::vector<std::uint8_t>> laps;
+  for (std::size_t i = 0; i < 8; ++i) {
+    laps.push_back(pattern(10000, static_cast<std::uint8_t>(100 + i)));
+    laps.push_back(pattern(300, static_cast<std::uint8_t>(200 + i)));
+  }
+  r.post_each(laps);
+  EXPECT_EQ(r.drain().size(), laps.size());
+  EXPECT_TRUE(held[0].bytes == long_msg);
+  EXPECT_TRUE(held[1].bytes == short_msg);
+}
+
+TEST(MsgEndpoint, OneSegmentMessagesLeaveTheRingUnwritten) {
+  // A message that fits one NIC buffer is delivered as the payload that
+  // carried it: no page of the ring is ever written for it.
+  constexpr std::size_t kPartition = 16 * 1024;
+  MsgRig r(kPartition);
+  r.connect();
+  std::vector<std::vector<std::uint8_t>> msgs;
+  for (std::size_t i = 0; i < 100; ++i) {
+    msgs.push_back(pattern(i * 397 % 4096 + 1, static_cast<std::uint8_t>(i)));
+  }
+  r.post_each(msgs);
+  EXPECT_EQ(r.mb.inbox().size(), msgs.size());
+  EXPECT_EQ(resident_pages(r.b.buffer(vmmc::MsgEndpoint::kRingExport)), 0u);
+}
+
+TEST(MsgEndpoint, ConnectFailsWhenTheRemoteRingHasNoPartitionForThisHost) {
+  // Host 1's ring holds the partitions of hosts 0 and 1 only. Host 2 would
+  // write past its end, and host 1 would reject every message it posted.
+  ClusterConfig cfg = VmmcRig::make_default();
+  cfg.num_hosts = 3;
+  Cluster c(cfg);
+  ASSERT_EQ(c.hosts[2].v, 2u);
+  vmmc::Endpoint e0(c.sched, c.nic(0));
+  vmmc::Endpoint e1(c.sched, c.nic(1));
+  vmmc::Endpoint e2(c.sched, c.nic(2));
+  vmmc::MsgEndpoint m0{c.sched, e0, 1024, /*max_peers=*/3};
+  vmmc::MsgEndpoint m1{c.sched, e1, 1024, /*max_peers=*/2};
+  vmmc::MsgEndpoint m2{c.sched, e2, 1024, /*max_peers=*/3};
+  bool done = false;
+  [](Cluster& c, vmmc::MsgEndpoint& m0, vmmc::MsgEndpoint& m2,
+     bool& done) -> sim::Process {
+    EXPECT_TRUE(co_await m0.connect(c.hosts[1]));
+    EXPECT_FALSE(co_await m2.connect(c.hosts[1]));
+    done = true;
+  }(c, m0, m2, done);
+  const sim::Time deadline = c.sched.now() + sim::seconds(1);
+  while (!done && c.sched.now() < deadline && c.sched.step()) {
+  }
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(m0.connected(c.hosts[1]));
+  EXPECT_FALSE(m2.connected(c.hosts[1]));
+  EXPECT_EQ(m2.stats().connects, 0u);
+  EXPECT_THROW((void)m2.post(c.hosts[1], {1}), std::logic_error);
 }
 
 TEST(MsgEndpoint, RingMustBeTheEndpointsFirstExport) {
